@@ -66,11 +66,18 @@ def cmd_tree(args):
     return 0
 
 
+def _pick(items, index, flag):
+    """items[index] for an index given on the command line."""
+    if not 0 <= index < len(items):
+        raise GlobworkError(f"need {flag} below {len(items)}, got {index}")
+    return items[index]
+
+
 def cmd_lins(args):
     t = parse_tree(args.literal)
     ext = linearization(t)
     if args.dot is not None:
-        print(extension_to_dot(ext[args.dot]))
+        print(extension_to_dot(_pick(ext, args.dot, "--dot")))
         return 0
     records = [
         {
@@ -92,10 +99,9 @@ def cmd_lins(args):
 def _map_from_args(args, source, target):
     if args.map is not None:
         return th_mod.map_from_json(source, target, json.loads(args.map))
-    maps = hom(source, target, args.max_homs)
-    if args.index is None or args.index >= len(maps):
-        raise GlobworkError(f"need --index below {len(maps)} or --map")
-    return maps[args.index]
+    if args.index is None:
+        raise GlobworkError("need --index or --map")
+    return _pick(hom(source, target, args.max_homs), args.index, "--index")
 
 
 def cmd_theta(args):
@@ -126,8 +132,9 @@ def cmd_theta(args):
     if args.action == "homogeneous":
         _emit(args, is_homogeneous(f), str(is_homogeneous(f)))
         return 0
+    # filler and admissible take a second map, by default f itself
+    g = f if args.second is None else _pick(hom(S, T, args.max_homs), args.second, "--second")
     if args.action == "filler":
-        g = th_mod.hom(S, T, args.max_homs)[args.second] if args.second is not None else f
         h = th_mod.filler(f, g)
         if h is None:
             print("no filler")
@@ -135,7 +142,6 @@ def cmd_theta(args):
         _emit(args, h.to_json(), th_mod.render(h))
         return 0
     if args.action == "admissible":
-        g = th_mod.hom(S, T, args.max_homs)[args.second]
         if args.kind == "groupoidal":
             ok = th_mod.is_admissible_groupoidal(f, g)
         else:
@@ -239,8 +245,7 @@ def cmd_cyl(args):
         cands = [f for f in hom(globe(args.k), A, args.max_homs) if is_homogeneous(f)]
         if not cands:
             raise GlobworkError("no homogeneous operations into that sum")
-        idx = args.index or 0
-        squares = cyl_mod.stack(cands[idx], th)
+        squares = cyl_mod.stack(_pick(cands, args.index, "--index"), th)
         if args.dot is not None:
             print(cyl_mod.stack_to_dot(squares))
             return 0

@@ -172,9 +172,6 @@ class Computad:
             out[c.dim] += 1
         return tuple(out)
 
-    def by_dim(self, dim: int):
-        return [self.gens[n] for n in self.order if self.gens[n].dim == dim]
-
     def typecheck(self):
         for c in self.gens.values():
             typecheck(c)

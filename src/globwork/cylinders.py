@@ -25,8 +25,8 @@ from .trees import (
 )
 from . import trees as tree_mod
 from .computads import Computad, FCell, fcomp, funit, whisker_l, whisker_r
-from .theta import ThetaMap, compose, hg_factorize, is_homogeneous, render, sigma_theta, tau_theta
-from .theory import TheoryPresentation
+from .theta import ThetaMap, compose, face_theta, hg_factorize, is_homogeneous, render
+from .theory import TheoryPresentation, whisker
 
 
 def _require_systems(th: TheoryPresentation, k: int):
@@ -79,14 +79,12 @@ def cyl_presentation(k: int, th: TheoryPresentation) -> Computad:
     # connecting seams enter bottom-up in dimension, each whiskering the
     # remaining pair one homotopy level deeper
     for level in range(2, k + 1):
-        e_s = P.add(
-            f"E{level}s", level, _bd_to(top, level - 1, "s"), _bd_to(bottom, level - 1, "s")
-        )
-        e_t = P.add(
-            f"E{level}t", level, _bd_to(top, level - 1, "t"), _bd_to(bottom, level - 1, "t")
-        )
-        top = whisker_r(top, e_t)
-        bottom = whisker_l(e_s, bottom)
+        seam = {}
+        for side in ("s", "t"):
+            ends = (_bd_to(top, level - 1, side), _bd_to(bottom, level - 1, side))
+            seam[side] = P.add(f"E{level}{side}", level, *ends)
+        top = whisker_r(top, seam["t"])
+        bottom = whisker_l(seam["s"], bottom)
     P.designated["filler"] = P.add("C", top.dim + 1, top, bottom)
     P.designated["iota0"] = A
     P.designated["iota1"] = B
@@ -117,12 +115,10 @@ def boundary_cyl(k: int, th: TheoryPresentation):
     P.designated["iota1"] = full.designated["iota1"]
     data = {
         "parallel_cylinders": [
-            sorted(n for n in P.order if n.startswith("E") and n.endswith("s"))
+            sorted(n for n in P.order if n.startswith("E") and n.endswith(side))
             + ["f", "g"]
-            + sorted(n for n in P.order if n.endswith("s") and not n.startswith("E")),
-            sorted(n for n in P.order if n.startswith("E") and n.endswith("t"))
-            + ["f", "g"]
-            + sorted(n for n in P.order if n.endswith("t") and not n.startswith("E")),
+            + sorted(n for n in P.order if n.endswith(side) and not n.startswith("E"))
+            for side in ("s", "t")
         ],
         "top_cells": [full.designated["iota0"].name, full.designated["iota1"].name],
         "inclusion_adds": [filler_name],
@@ -466,32 +462,26 @@ def render_edge(state, A: Tree) -> str:
     return f"rho({_mixed_args(state, A)})"
 
 
-def _corner(state, A: Tree, eps: str) -> str:
-    """The 1-cell boundary of an edge, as a rendered restriction."""
+def _corner(state, A: Tree, side: str) -> str:
+    """The source ("s") or target ("t") 1-cell boundary of an edge, as a
+    rendered restriction."""
     p, _ = _blocks(A)
-    b = "s" if eps == "sigma" else "t"
     if state[0] == "pre":
-        return f"C_t*rho{b}(d{b}U)"
+        return f"C_t*rho{side}(d{side}U)"
     if state[0] == "post":
-        return f"rho{b}(d{b}V)*C_s"
+        return f"rho{side}(d{side}V)*C_s"
     j = state[1]
-    if state[0] == "btau":
-        seam = f"{_side_name(j, p)}*d{b}U_{j}"
-    elif state[0] == "bsig":
-        seam = f"d{b}V_{j}*{_side_name(j - 1, p)}"
+    if state[0] == "btau" or (state[0] == "mid" and side == "s"):
+        seam = f"{_side_name(j, p)}*d{side}U_{j}"
     else:
-        seam = (
-            f"{_side_name(j, p)}*d{b}U_{j}"
-            if eps == "sigma"
-            else f"d{b}V_{j}*{_side_name(j - 1, p)}"
-        )
+        seam = f"d{side}V_{j}*{_side_name(j - 1, p)}"
     parts = []
     if j > 1:
-        parts.append(f"d{b}U_<{j}")
+        parts.append(f"d{side}U_<{j}")
     parts.append(seam)
     if j < p:
-        parts.append(f"d{b}V_>{j}")
-    return f"rho{b}(" + ", ".join(parts) + ")"
+        parts.append(f"d{side}V_>{j}")
+    return f"rho{side}(" + ", ".join(parts) + ")"
 
 
 def boundary_plus(A: Tree, sector) -> Tree:
@@ -518,18 +508,17 @@ def boundary_plus(A: Tree, sector) -> Tree:
         path = path[:-1]
 
 
-def _rho_star(ρ: ThetaMap, A: Tree, ext: ExtendedTree, eps: str, args: str) -> dict:
+def _rho_star(ρ: ThetaMap, A: Tree, ext: ExtendedTree, side: str, args: str) -> dict:
     k = tree_dim(ρ.source)
-    eps_map = sigma_theta(k - 1) if eps == "sigma" else tau_theta(k - 1)
-    rho_eps = hg_factorize(compose(eps_map, ρ)).homogeneous
+    rho_eps = hg_factorize(compose(face_theta(k - 1, side), ρ)).homogeneous
     plus = boundary_plus(A, ext.sector)
     return {
         "kind": "rho_star",
-        "eps": eps,
+        "eps": "sigma" if side == "s" else "tau",
         "args": args,
         "plus_tree": str(plus),
         "rho_eps": render(rho_eps),
-        "boundary": f"(d_sigma . rho_{eps[0]}, d_tau . rho_{eps[0]})",
+        "boundary": f"(d_sigma . rho_{side}, d_tau . rho_{side})",
     }
 
 
@@ -558,6 +547,15 @@ def _square_states(ext: ExtendedTree, p: int):
     return ("mid", j, r), ("mid", j, r - 1)
 
 
+# per side: the classes whose square is degenerate there, and the class
+# whose side restricts rho through the block's first (s) or last (t) cell
+_DEGENERATE_KLASSES = {
+    "s": (tree_mod.H2_MAX, tree_mod.H2_MID, tree_mod.H3),
+    "t": (tree_mod.H2_MIN, tree_mod.H2_MID, tree_mod.H3),
+}
+_EXTREME_KLASS = {"s": tree_mod.H2_MIN, "t": tree_mod.H2_MAX}
+
+
 def stack(ρ: ThetaMap, th: TheoryPresentation):
     """The ordered squares interpreting a homogeneous operation on cylinders."""
     k = tree_dim(ρ.source)
@@ -575,45 +573,27 @@ def stack(ρ: ThetaMap, th: TheoryPresentation):
         top_state, bottom_state = _square_states(ext, p)
         top = render_edge(top_state, A)
         bottom = render_edge(bottom_state, A)
-        left = right = None
-        src_degen = tgt_degen = False
+        record = {"s": None, "t": None}
+        degenerate = {"s": False, "t": False}
         if k >= 2:
-            s_top, s_bot = _corner(top_state, A, "sigma"), _corner(bottom_state, A, "sigma")
-            t_top, t_bot = _corner(top_state, A, "tau"), _corner(bottom_state, A, "tau")
-            src_degen = s_top == s_bot and ext.klass in (
-                tree_mod.H2_MAX,
-                tree_mod.H2_MID,
-                tree_mod.H3,
-            )
-            tgt_degen = t_top == t_bot and ext.klass in (
-                tree_mod.H2_MIN,
-                tree_mod.H2_MID,
-                tree_mod.H3,
-            )
-            if (s_top == s_bot) != (
-                ext.klass in (tree_mod.H2_MAX, tree_mod.H2_MID, tree_mod.H3)
-            ):
-                raise TypingError(f"source corner mismatch at square {idx}")
-            if (t_top == t_bot) != (
-                ext.klass in (tree_mod.H2_MIN, tree_mod.H2_MID, tree_mod.H3)
-            ):
-                raise TypingError(f"target corner mismatch at square {idx}")
             j = ext.sector.path[0] + 1 if ext.sector.path else None
-            if not src_degen:
+            for side in ("s", "t"):
+                top_c, bottom_c = _corner(top_state, A, side), _corner(bottom_state, A, side)
+                degenerate[side] = ext.klass in _DEGENERATE_KLASSES[side]
+                if (top_c == bottom_c) != degenerate[side]:
+                    what = "source" if side == "s" else "target"
+                    raise TypingError(f"{what} corner mismatch at square {idx}")
+                if degenerate[side]:
+                    continue
                 if ext.klass == tree_mod.H2_OVER_EDGE:
-                    left = _rho_star(ρ, A, ext, "sigma", f"(dsU_<{j}, dsV_>{j}, F_{j})")
-                elif ext.klass == tree_mod.H2_MIN:
-                    left = _rho_star(ρ, A, ext, "sigma", f"(dsU_<{j}, a_{j}.0, dsV_>{j})")
+                    args = f"(d{side}U_<{j}, d{side}V_>{j}, F_{j})"
+                    record[side] = _rho_star(ρ, A, ext, side, args)
+                elif ext.klass == _EXTREME_KLASS[side]:
+                    gap = 0 if side == "s" else A.children[j - 1].arity
+                    args = f"(d{side}U_<{j}, a_{j}.{gap}, d{side}V_>{j})"
+                    record[side] = _rho_star(ρ, A, ext, side, args)
                 else:
-                    left = {"kind": "coh", "src": s_top, "tgt": s_bot}
-            if not tgt_degen:
-                if ext.klass == tree_mod.H2_OVER_EDGE:
-                    right = _rho_star(ρ, A, ext, "tau", f"(dtU_<{j}, dtV_>{j}, F_{j})")
-                elif ext.klass == tree_mod.H2_MAX:
-                    m = A.children[j - 1].arity
-                    right = _rho_star(ρ, A, ext, "tau", f"(dtU_<{j}, a_{j}.{m}, dtV_>{j})")
-                else:
-                    right = {"kind": "coh", "src": t_top, "tgt": t_bot}
+                    record[side] = {"kind": "coh", "src": top_c, "tgt": bottom_c}
         squares.append(
             StackSquare(
                 index=idx,
@@ -623,12 +603,12 @@ def stack(ρ: ThetaMap, th: TheoryPresentation):
                 bottom_state=bottom_state,
                 top=top,
                 bottom=bottom,
-                left=left,
-                right=right,
-                source_degenerate=src_degen,
-                target_degenerate=tgt_degen,
-                p=0 if src_degen else None,
-                q=0 if tgt_degen else None,
+                left=record["s"],
+                right=record["t"],
+                source_degenerate=degenerate["s"],
+                target_degenerate=degenerate["t"],
+                p=0 if degenerate["s"] else None,
+                q=0 if degenerate["t"] else None,
             )
         )
     return squares
@@ -804,16 +784,8 @@ def _verify_xi(k, th, P, xi):
 
 def _wrap(th, cell, target, lefts, rights, order="lr"):
     """Whisker a single-cell term by edges of the target, inner to outer."""
-    from .theory import Term, app_cell, glob_cell
+    from .theory import glob_cell
     from .theta import leaf_inclusion
-
-    def one(cell, idx, side):
-        d = th.cell_dim(cell)
-        wk = th.chosen[f"w_{side}_{d}"]
-        arity = th.symbol(wk).arity
-        edge = glob_cell(leaf_inclusion(target, idx))
-        entries = (edge, cell) if side == "l" else (cell, edge)
-        return app_cell(wk, Term(arity, target, entries))
 
     seq = (
         [(i, "l") for i in lefts] + [(i, "r") for i in rights]
@@ -821,7 +793,7 @@ def _wrap(th, cell, target, lefts, rights, order="lr"):
         else [(i, "r") for i in rights] + [(i, "l") for i in lefts]
     )
     for idx, side in seq:
-        cell = one(cell, idx, side)
+        cell = whisker(th, side, cell, glob_cell(leaf_inclusion(target, idx)), target)
     return cell
 
 
@@ -845,15 +817,8 @@ def coherence_boundary(kind: str, indices, level: int, th: TheoryPresentation):
         mid = glob_cell(leaf_inclusion(M, m))
 
         def bundle(side):
-            if side == "l":
-                edge = glob_cell(leaf_inclusion(M, m - 1))
-                wk = th.chosen[f"w_l_{mid_dim}"]
-                entries = (edge, mid)
-            else:
-                edge = glob_cell(leaf_inclusion(M, m + 1))
-                wk = th.chosen[f"w_r_{mid_dim}"]
-                entries = (mid, edge)
-            return app_cell(wk, Term(th.symbol(wk).arity, M, entries))
+            edge = glob_cell(leaf_inclusion(M, m - 1 if side == "l" else m + 1))
+            return whisker(th, side, mid, edge, M)
 
         if m == 0 and k == 0:
             c1 = c2 = mid

@@ -33,9 +33,10 @@ class FinGlobSet:
 
     def validate(self):
         for k in range(1, self.n + 1):
+            below = set(self.cells[k - 1])
             for c in self.cells[k]:
                 for mp in (self.src[k], self.tgt[k]):
-                    if c not in mp or mp[c] not in set(self.cells[k - 1]):
+                    if c not in mp or mp[c] not in below:
                         raise TypingError(f"missing or dangling boundary for {c!r}")
         for k in range(2, self.n + 1):
             for c in self.cells[k]:
@@ -46,16 +47,10 @@ class FinGlobSet:
     def counts(self):
         return tuple(len(c) for c in self.cells)
 
-    def cell_dims(self):
-        return range(self.n + 1)
-
     def iter_cells(self):
         for k in range(self.n + 1):
             for c in self.cells[k]:
                 yield k, c
-
-    def boundary_pair(self, k, c):
-        return (self.src[k][c], self.tgt[k][c])
 
     def iterated(self, k, c, steps, which):
         mp = self.src if which == "s" else self.tgt
@@ -116,10 +111,11 @@ class GlobMap:
         if self.dom.n > self.cod.n:
             raise TypingError("codomain truncation too small")
         for k in range(self.dom.n + 1):
+            cod_cells = set(self.cod.cells[k])
             for c in self.dom.cells[k]:
                 if c not in self.maps[k]:
                     raise TypingError(f"no image for {c!r}")
-                if self.maps[k][c] not in set(self.cod.cells[k]):
+                if self.maps[k][c] not in cod_cells:
                     raise TypingError(f"image of {c!r} is not a cell")
         for k in range(1, self.dom.n + 1):
             for c in self.dom.cells[k]:
@@ -127,9 +123,6 @@ class GlobMap:
                     raise TypingError(f"src not preserved at {c!r}")
                 if self.cod.tgt[k][self.maps[k][c]] != self.maps[k - 1][self.dom.tgt[k][c]]:
                     raise TypingError(f"tgt not preserved at {c!r}")
-
-    def __call__(self, k, c):
-        return self.maps[k][c]
 
     def __eq__(self, other):
         return (
@@ -192,18 +185,12 @@ def globe_set(k: int) -> FinGlobSet:
     return realize(globe(k))
 
 
-def globe_src_map(k: int) -> GlobMap:
-    """sigma_k : D_k -> D_{k+1} on realizations."""
-    Dk, Dk1 = globe_set(k), globe_set(k + 1)
-    maps = [{c: c for c in Dk.cells[h]} for h in range(k + 1)]
-    return GlobMap(Dk, Dk1, maps)
-
-
-def globe_tgt_map(k: int) -> GlobMap:
+def globe_face_map(k: int, side: str) -> GlobMap:
+    """sigma_k (side "s") or tau_k (side "t") : D_k -> D_{k+1} on realizations."""
     Dk, Dk1 = globe_set(k), globe_set(k + 1)
     maps = [{c: c for c in Dk.cells[h]} for h in range(k)]
-    top = Dk.cells[k][0]
-    maps.append({top: (top[0], 1)})
+    (top,) = Dk.cells[k]
+    maps.append({top: (top[0], 0 if side == "s" else 1)})
     return GlobMap(Dk, Dk1, maps)
 
 
@@ -327,12 +314,6 @@ def sphere(k: int) -> FinGlobSet:
     return _sphere_colimit(k).obj
 
 
-def sphere_inclusions(k: int):
-    """The two pushout injections D_k -> S^k."""
-    co = _sphere_colimit(k)
-    return co.legs["Y"], co.legs["Z"]
-
-
 def boundary_inclusion(k: int) -> GlobMap:
     """j_k : S^{k-1} -> D_k, induced by the globe source and target maps."""
     if k == 0:
@@ -341,10 +322,10 @@ def boundary_inclusion(k: int) -> GlobMap:
     glue = (
         GlobMap(EMPTY, globe_set(k), [])
         if k == 1
-        else boundary_inclusion(k - 1).then(globe_src_map(k - 1))
+        else boundary_inclusion(k - 1).then(globe_face_map(k - 1, "s"))
     )
     return co.mediate(
-        {"X": glue, "Y": globe_src_map(k - 1), "Z": globe_tgt_map(k - 1)}
+        {"X": glue, "Y": globe_face_map(k - 1, "s"), "Z": globe_face_map(k - 1, "t")}
     )
 
 
@@ -363,8 +344,8 @@ def sphere_collapse(k: int) -> GlobMap:
 def canonical_globe_family(n: int):
     """The coglobular family D_0 -> D_1 -> ... -> D_n with both structure maps."""
     spaces = [globe_set(k) for k in range(n + 1)]
-    sigmas = [globe_src_map(k) for k in range(n)]
-    taus = [globe_tgt_map(k) for k in range(n)]
+    sigmas = [globe_face_map(k, "s") for k in range(n)]
+    taus = [globe_face_map(k, "t") for k in range(n)]
     return spaces, sigmas, taus
 
 
@@ -665,11 +646,6 @@ def chi_check(X: FinGlobSet, structure: dict) -> list:
     for a, f in id1.items():
         if a not in zeros or f not in ones:
             raise TypingError(f"id1 entry {(a, f)!r} is ill-typed")
-
-    def two_cell(f, g):
-        return any(
-            X.src[2][c] == f and X.tgt[2][c] == g for c in X.cells[2]
-        )
 
     report = []
 

@@ -99,21 +99,3 @@ def enumerate_cells(t: Tree, k: int, bound=2):
 def count_cells(t: Tree, k: int, bound=2) -> int:
     return len(enumerate_cells(t, k, bound))
 
-
-def source_cell(cell):
-    """The (k-1)-cell obtained by restricting to the minus side on top."""
-    if len(cell) == 1:
-        raise ValueError("0-cells have no boundary")
-    lower = list(cell[:-1])
-    m, _ = lower[-1]
-    lower[-1] = (m, m)
-    return tuple(lower)
-
-
-def target_cell(cell):
-    if len(cell) == 1:
-        raise ValueError("0-cells have no boundary")
-    lower = list(cell[:-1])
-    _, p = lower[-1]
-    lower[-1] = (p, p)
-    return tuple(lower)

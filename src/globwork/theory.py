@@ -17,6 +17,7 @@ from .theta import (
     ThetaMap,
     assemble,
     compose,
+    face_theta,
     filler,
     identity,
     is_admissible_categorical,
@@ -179,42 +180,30 @@ class TheoryPresentation:
                     f"leaves {i} and {i + 1} do not share their dim-{join} boundary"
                 )
 
-    def cell_src(self, cell: TermCell) -> TermCell:
-        key = ("s", cell)
+    def cell_boundary(self, cell: TermCell, side: str) -> TermCell:
+        """The source (side "s") or target (side "t") of a cell."""
+        key = (side, cell)
         hit = self._boundary_cache.get(key)
         if hit is not None:
             return hit
         k = self.cell_dim(cell)
         if k == 0:
-            raise TypingError("0-cells have no source")
+            raise TypingError(f"0-cells have no {'source' if side == 's' else 'target'}")
         if cell.is_glob:
-            out = glob_cell(compose(sigma_theta(k - 1), cell.glob))
+            out = glob_cell(compose(face_theta(k - 1, side), cell.glob))
         else:
             sym = self.symbol(cell.op)
-            out = self.substitute(sym.src, cell.args).sole
-        self._boundary_cache[key] = out
-        return out
-
-    def cell_tgt(self, cell: TermCell) -> TermCell:
-        key = ("t", cell)
-        hit = self._boundary_cache.get(key)
-        if hit is not None:
-            return hit
-        k = self.cell_dim(cell)
-        if k == 0:
-            raise TypingError("0-cells have no target")
-        if cell.is_glob:
-            out = glob_cell(compose(tau_theta(k - 1), cell.glob))
-        else:
-            sym = self.symbol(cell.op)
-            out = self.substitute(sym.tgt, cell.args).sole
+            out = self.substitute(sym.src if side == "s" else sym.tgt, cell.args).sole
         self._boundary_cache[key] = out
         return out
 
     def iterated_boundary_cell(self, cell: TermCell, steps: int, which: str) -> TermCell:
         for _ in range(steps):
-            cell = self.cell_src(cell) if which == "s" else self.cell_tgt(cell)
+            cell = self.cell_boundary(cell, which)
         return cell
+
+    def parallel(self, a: TermCell, b: TermCell) -> bool:
+        return all(self.cell_boundary(a, side) == self.cell_boundary(b, side) for side in "st")
 
     def term_cell_at(self, t: Term, cell_id) -> TermCell:
         """The entry of t over an arbitrary cell of its source scheme."""
@@ -223,11 +212,9 @@ class TheoryPresentation:
         paths = leaf_paths(t.source)
         if node.is_leaf:
             return t.cells[paths.index(path)]
-        if gap < node.arity:
-            deeper = self.term_cell_at(t, (path + (gap,), 0))
-            return self.cell_src(deeper)
-        deeper = self.term_cell_at(t, (path + (node.arity - 1,), 0))
-        return self.cell_tgt(deeper)
+        last = gap == node.arity
+        deeper = self.term_cell_at(t, (path + (node.arity - 1 if last else gap,), 0))
+        return self.cell_boundary(deeper, "t" if last else "s")
 
     def substitute_cell(self, cell: TermCell, u: Term) -> TermCell:
         """Compose a cell D_k -> B with a term u : B -> C."""
@@ -243,13 +230,6 @@ class TheoryPresentation:
 
     def identity_term(self, A: Tree) -> Term:
         return Term(A, A, tuple(glob_cell(leaf_inclusion(A, i)) for i in range(A.n_leaves())))
-
-    def term_src(self, t: Term) -> Term:
-        """Source of a term out of a globe."""
-        return single(tree_dim(t.source) - 1, t.target, self.cell_src(t.sole))
-
-    def term_tgt(self, t: Term) -> Term:
-        return single(tree_dim(t.source) - 1, t.target, self.cell_tgt(t.sole))
 
     # -- evaluation to the strict operation category ------------------------
 
@@ -278,11 +258,7 @@ class TheoryPresentation:
         if self.kind == GROUPOIDAL:
             if k - 1 == 0:
                 return tree_dim(src.target) <= k
-            return (
-                self.cell_src(src.sole) == self.cell_src(tgt.sole)
-                and self.cell_tgt(src.sole) == self.cell_tgt(tgt.sole)
-                and tree_dim(src.target) <= k
-            )
+            return self.parallel(src.sole, tgt.sole) and tree_dim(src.target) <= k
         f, g = self.eval_term(src), self.eval_term(tgt)
         return is_admissible_categorical(f, g)
 
@@ -303,11 +279,8 @@ class TheoryPresentation:
                 if side.source != globe(k - 1) or side.target != arity:
                     raise TypingError(f"boundary of {name!r} must be D_{k-1} -> arity")
                 out.validate_term(side)
-            if k >= 2:
-                if out.cell_src(src.sole) != out.cell_src(tgt.sole) or out.cell_tgt(
-                    src.sole
-                ) != out.cell_tgt(tgt.sole):
-                    raise TypingError(f"boundary pair of {name!r} is not parallel")
+            if k >= 2 and not out.parallel(src.sole, tgt.sole):
+                raise TypingError(f"boundary pair of {name!r} is not parallel")
             if not out.admissible(k, src, tgt):
                 raise AdmissibilityError(
                     f"pair for {name!r} fails the {out.kind} admissibility predicate"
@@ -345,12 +318,11 @@ class TheoryPresentation:
                     if not self.admissible(sym.dim, sym.src, sym.tgt):
                         problems.append((sym.name, "inadmissible"))
                     if sym.theta_image is not None:
-                        f = self.eval_term(sym.src)
-                        g = self.eval_term(sym.tgt)
-                        if compose(sigma_theta(sym.dim - 1), sym.theta_image) != f:
-                            problems.append((sym.name, "image source mismatch"))
-                        if compose(tau_theta(sym.dim - 1), sym.theta_image) != g:
-                            problems.append((sym.name, "image target mismatch"))
+                        sides = (("s", sym.src, "source"), ("t", sym.tgt, "target"))
+                        for side, term, what in sides:
+                            face = compose(face_theta(sym.dim - 1, side), sym.theta_image)
+                            if face != self.eval_term(term):
+                                problems.append((sym.name, f"image {what} mismatch"))
                 except (TypingError, DomainError) as e:
                     problems.append((sym.name, str(e)))
         return problems
@@ -406,17 +378,33 @@ def comp_arity(k: int) -> Tree:
     return t
 
 
-def whisker_right_arity(k: int) -> Tree:
-    """D_k u_{D_0} D_1."""
-    return Tree((globe(k - 1), LEAF))
-
-
-def whisker_left_arity(k: int) -> Tree:
-    return Tree((LEAF, globe(k - 1)))
+def whisker_arity(k: int, side: str) -> Tree:
+    """D_1 u_{D_0} D_k for side "l", D_k u_{D_0} D_1 for side "r"."""
+    return Tree((LEAF, globe(k - 1)) if side == "l" else (globe(k - 1), LEAF))
 
 
 def zero_cell_pick(A: Tree, a: int) -> TermCell:
     return glob_cell(ThetaMap(LEAF, A, (a,), ()))
+
+
+def whisker(th: TheoryPresentation, side: str, cell: TermCell, edge: TermCell, target: Tree,
+            wk: str | None = None) -> TermCell:
+    """``cell`` whiskered by the 1-cell ``edge`` on its left ("l") or right
+    ("r") side, through ``wk`` (by default the chosen w_{side}_k)."""
+    wk = wk or th.chosen[f"w_{side}_{th.cell_dim(cell)}"]
+    entries = (edge, cell) if side == "l" else (cell, edge)
+    return app_cell(wk, Term(th.symbol(wk).arity, target, entries))
+
+
+def _vcomp(th: TheoryPresentation, k: int, x: TermCell, y: TermCell, target: Tree) -> TermCell:
+    """x then y along their shared (k-1)-boundary, via the chosen c_k."""
+    return app_cell(th.chosen[f"c{k}"], Term(comp_arity(k), target, (x, y)))
+
+
+def _face_unit(th: TheoryPresentation, A: Tree, side: str) -> TermCell:
+    """The chosen identity on the source ("s") or target ("t") of the globe A."""
+    k = tree_dim(A)
+    return app_cell(th.chosen[f"id{k - 1}"], single(k - 1, A, glob_cell(face_theta(k - 1, side))))
 
 
 # ---------------------------------------------------------------------------
@@ -446,131 +434,35 @@ def standard_systems(th: TheoryPresentation) -> TheoryPresentation:
     # whiskering maps: the bottom one is the chosen binary composition
     out.chosen["w_r_1"] = "c1"
     out.chosen["w_l_1"] = "c1"
-    for k in range(2, n + 1):
-        for side in ("r", "l"):
-            A = whisker_right_arity(k) if side == "r" else whisker_left_arity(k)
-            prev = out.chosen[f"w_{side}_{k - 1}"]
-            lower_arity = out.symbol(prev).arity
-            globe_leaf = 0 if side == "r" else 1
-            edge_leaf = 1 - globe_leaf
-            sigma_part = Term(
-                lower_arity,
-                A,
-                _ordered_pair(
-                    globe_leaf,
-                    glob_cell(compose(sigma_theta(k - 1), leaf_inclusion(A, globe_leaf))),
-                    glob_cell(leaf_inclusion(A, edge_leaf)),
-                ),
-            )
-            tau_part = Term(
-                lower_arity,
-                A,
-                _ordered_pair(
-                    globe_leaf,
-                    glob_cell(compose(tau_theta(k - 1), leaf_inclusion(A, globe_leaf))),
-                    glob_cell(leaf_inclusion(A, edge_leaf)),
-                ),
-            )
-            out = out.extend(
-                [
-                    {
-                        "name": f"w_{side}_{k}",
-                        "arity": A,
-                        "k": k,
-                        "src": single(k - 1, A, app_cell(prev, sigma_part)),
-                        "tgt": single(k - 1, A, app_cell(prev, tau_part)),
-                    }
-                ]
-            )
-            out.chosen[f"w_{side}_{k}"] = f"w_{side}_{k}"
-
+    families = [("w", k, whisker_arity(k, side), side) for k in range(2, n + 1) for side in "rl"]
     # suspended whiskering: compose a 3-cell with a 2-cell along an edge
     # (the base of this family is the chosen codimension-1 composition)
     if n >= 3:
         out.chosen["sw_r_2"] = "c2"
         out.chosen["sw_l_2"] = "c2"
-        for side in ("r", "l"):
-            inner = (
-                Tree((globe(1), LEAF)) if side == "r" else Tree((LEAF, globe(1)))
-            )
-            A = suspend(inner)
-            globe_leaf = 0 if side == "r" else 1
-            edge_leaf = 1 - globe_leaf
-            lower_arity = comp_arity(2)
-            sigma_part = Term(
-                lower_arity,
-                A,
-                _ordered_pair(
-                    globe_leaf,
-                    glob_cell(compose(sigma_theta(2), leaf_inclusion(A, globe_leaf))),
-                    glob_cell(leaf_inclusion(A, edge_leaf)),
-                ),
-            )
-            tau_part = Term(
-                lower_arity,
-                A,
-                _ordered_pair(
-                    globe_leaf,
-                    glob_cell(compose(tau_theta(2), leaf_inclusion(A, globe_leaf))),
-                    glob_cell(leaf_inclusion(A, edge_leaf)),
-                ),
-            )
-            out = out.extend(
-                [
-                    {
-                        "name": f"sw_{side}_3",
-                        "arity": A,
-                        "k": 3,
-                        "src": single(2, A, app_cell("c2", sigma_part)),
-                        "tgt": single(2, A, app_cell("c2", tau_part)),
-                    }
-                ]
-            )
-            out.chosen[f"sw_{side}_3"] = f"sw_{side}_3"
+        families += [("sw", 3, suspend(whisker_arity(2, side)), side) for side in "rl"]
+    for family, k, A, side in families:
+        name = f"{family}_{side}_{k}"
+        base = out.chosen[f"{family}_{side}_{k - 1}"]
+        out = out.extend([_whiskering(out, name, A, k, side, base)])
+        out.chosen[name] = name
 
     # unit comparison cells l_k, r_k : D_k -> D_{k-1}
     for k in range(2, n + 2):
         A = globe(k - 1)
         ident = glob_cell(identity(A))
-        comp = out.chosen[f"c{k - 1}"]
-        comp_args_l = Term(
-            comp_arity(k - 1),
-            A,
-            (
-                ident,
-                app_cell(
-                    out.chosen[f"id{k - 2}"],
-                    single(k - 2, A, glob_cell(tau_theta(k - 2))),
-                ),
-            ),
-        )
-        comp_args_r = Term(
-            comp_arity(k - 1),
-            A,
-            (
-                app_cell(
-                    out.chosen[f"id{k - 2}"],
-                    single(k - 2, A, glob_cell(sigma_theta(k - 2))),
-                ),
-                ident,
-            ),
-        )
+        l_tgt = _vcomp(out, k - 1, ident, _face_unit(out, A, "t"), A)
+        r_tgt = _vcomp(out, k - 1, _face_unit(out, A, "s"), ident, A)
         out = out.extend(
             [
                 {
-                    "name": f"l{k}",
+                    "name": f"{side}{k}",
                     "arity": A,
                     "k": k,
                     "src": single(k - 1, A, ident),
-                    "tgt": single(k - 1, A, app_cell(comp, comp_args_l)),
-                },
-                {
-                    "name": f"r{k}",
-                    "arity": A,
-                    "k": k,
-                    "src": single(k - 1, A, ident),
-                    "tgt": single(k - 1, A, app_cell(comp, comp_args_r)),
-                },
+                    "tgt": single(k - 1, A, tgt),
+                }
+                for side, tgt in (("l", l_tgt), ("r", r_tgt))
             ]
         )
         out.chosen[f"l{k}"] = f"l{k}"
@@ -578,68 +470,36 @@ def standard_systems(th: TheoryPresentation) -> TheoryPresentation:
     return out
 
 
-def _ordered_pair(globe_leaf, globe_cell_entry, edge_cell_entry):
-    if globe_leaf == 0:
-        return (globe_cell_entry, edge_cell_entry)
-    return (edge_cell_entry, globe_cell_entry)
+def _whiskering(th: TheoryPresentation, name: str, A: Tree, k: int, side: str, base: str) -> dict:
+    """The batch item adding ``name`` : D_k -> A, where A glues a k-globe leaf
+    and an edge leaf on its ``side``: the source and target whisker the
+    globe's source and target by the edge through the lower operation ``base``."""
+    globe_leaf = leaf_inclusion(A, 0 if side == "r" else 1)
+    edge = glob_cell(leaf_inclusion(A, 1 if side == "r" else 0))
+    faces = (glob_cell(compose(face_theta(k - 1, face), globe_leaf)) for face in "st")
+    src, tgt = (single(k - 1, A, whisker(th, side, cell, edge, A, base)) for cell in faces)
+    return {"name": name, "arity": A, "k": k, "src": src, "tgt": tgt}
 
 
-def whisker_sum_right(th: TheoryPresentation, A: Tree):
-    """The componentwise whiskering A -> A u_{D_0} D_1 as a term.
+def whisker_sum(th: TheoryPresentation, A: Tree, side: str):
+    """The componentwise whiskering of A by a new edge as a term:
+    A -> A u_{D_0} D_1 for side "r", A -> D_1 u_{D_0} A for side "l".
 
-    Only the trailing suspension block can absorb the new edge: a whiskered
-    block moves its target 0-boundary, so whiskering any earlier block would
-    break the gluing at a 0-cell join.  On suspensions every cell is
-    whiskered; in general the earlier blocks pass through untouched.
+    Only the block next to the new edge can absorb it: a whiskered block
+    moves its far 0-boundary, so whiskering any other block would break
+    the gluing at a 0-cell join.  On suspensions every cell is whiskered;
+    in general the other blocks pass through untouched.
     """
+    right = side == "r"
     if A == LEAF:
-        return Term(LEAF, globe(1), (zero_cell_pick(globe(1), 0),))
-    target = Tree(A.children + (LEAF,))
-    paths = leaf_paths(A)
-    last_block = A.arity - 1
+        return Term(LEAF, globe(1), (zero_cell_pick(globe(1), 0 if right else 1),))
+    target = Tree(A.children + (LEAF,) if right else (LEAF,) + A.children)
+    edge = glob_cell(leaf_inclusion(target, A.n_leaves() if right else 0))
+    near_block = A.arity - 1 if right else 0
     cells = []
-    for j, path in enumerate(paths):
-        if path[0] < last_block:
-            cells.append(glob_cell(leaf_inclusion(target, j)))
-            continue
-        k = len(path)
-        wk = th.chosen[f"w_r_{k}"]
-        arity = th.symbol(wk).arity
-        args = Term(
-            arity,
-            target,
-            (
-                glob_cell(leaf_inclusion(target, j)),
-                glob_cell(leaf_inclusion(target, A.n_leaves())),
-            ),
-        )
-        cells.append(app_cell(wk, args))
-    return Term(A, target, tuple(cells))
-
-
-def whisker_sum_left(th: TheoryPresentation, A: Tree):
-    """The componentwise whiskering A -> D_1 u_{D_0} A as a term (dual)."""
-    if A == LEAF:
-        return Term(LEAF, globe(1), (zero_cell_pick(globe(1), 1),))
-    target = Tree((LEAF,) + A.children)
-    paths = leaf_paths(A)
-    cells = []
-    for j, path in enumerate(paths):
-        if path[0] > 0:
-            cells.append(glob_cell(leaf_inclusion(target, j + 1)))
-            continue
-        k = len(path)
-        wk = th.chosen[f"w_l_{k}"]
-        arity = th.symbol(wk).arity
-        args = Term(
-            arity,
-            target,
-            (
-                glob_cell(leaf_inclusion(target, 0)),
-                glob_cell(leaf_inclusion(target, j + 1)),
-            ),
-        )
-        cells.append(app_cell(wk, args))
+    for j, path in enumerate(leaf_paths(A)):
+        cell = glob_cell(leaf_inclusion(target, j if right else j + 1))
+        cells.append(whisker(th, side, cell, edge, target) if path[0] == near_block else cell)
     return Term(A, target, tuple(cells))
 
 
@@ -683,45 +543,24 @@ def groupoidalize(th: TheoryPresentation) -> TheoryPresentation:
 
     for k in range(2, n + 2):
         A = globe(k - 1)
-        comp = out.chosen[f"c{k - 1}"]
-        idk = out.chosen[f"id{k - 2}"]
         ident = glob_cell(identity(A))
-        # left inverse witness: 1_{source} => (f then f^l)
-        kl_src = single(
-            k - 1, A, app_cell(idk, single(k - 2, A, glob_cell(sigma_theta(k - 2))))
-        )
-        kl_tgt = single(
-            k - 1,
-            A,
-            app_cell(
-                comp,
-                Term(
-                    comp_arity(k - 1),
-                    A,
-                    (ident, app_cell(f"inv_l_{k - 1}", out.identity_term(A))),
-                ),
-            ),
-        )
+        inv_l = app_cell(f"inv_l_{k - 1}", out.identity_term(A))
+        inv_r = app_cell(f"inv_r_{k - 1}", out.identity_term(A))
+        # left inverse witness: 1_{source} => (f then f^l);
         # right inverse witness: 1_{target} => (f^r then f)
-        kr_src = single(
-            k - 1, A, app_cell(idk, single(k - 2, A, glob_cell(tau_theta(k - 2))))
-        )
-        kr_tgt = single(
-            k - 1,
-            A,
-            app_cell(
-                comp,
-                Term(
-                    comp_arity(k - 1),
-                    A,
-                    (app_cell(f"inv_r_{k - 1}", out.identity_term(A)), ident),
-                ),
-            ),
-        )
         out = out.extend(
             [
-                {"name": f"k_l_{k}", "arity": A, "k": k, "src": kl_src, "tgt": kl_tgt},
-                {"name": f"k_r_{k}", "arity": A, "k": k, "src": kr_src, "tgt": kr_tgt},
+                {
+                    "name": f"k_{side}_{k}",
+                    "arity": A,
+                    "k": k,
+                    "src": single(k - 1, A, _face_unit(out, A, face)),
+                    "tgt": single(k - 1, A, tgt),
+                }
+                for side, face, tgt in (
+                    ("l", "s", _vcomp(out, k - 1, ident, inv_l, A)),
+                    ("r", "t", _vcomp(out, k - 1, inv_r, ident, A)),
+                )
             ]
         )
         out.chosen[f"k_l_{k}"] = f"k_l_{k}"
@@ -738,19 +577,6 @@ def _chain_tree(k: int) -> Tree:
 
 def _pick(A: Tree, j: int) -> TermCell:
     return glob_cell(leaf_inclusion(A, j))
-
-
-def _vcomp(th: TheoryPresentation, k: int, x: TermCell, y: TermCell, target: Tree) -> TermCell:
-    """x then y along their shared (k-1)-boundary, via the chosen c_k."""
-    return app_cell(th.chosen[f"c{k}"], Term(comp_arity(k), target, (x, y)))
-
-
-def _wr(th: TheoryPresentation, k: int, x: TermCell, e: TermCell, target: Tree) -> TermCell:
-    return app_cell(th.chosen[f"w_r_{k}"], Term(whisker_right_arity(k), target, (x, e)))
-
-
-def _wl(th: TheoryPresentation, k: int, e: TermCell, x: TermCell, target: Tree) -> TermCell:
-    return app_cell(th.chosen[f"w_l_{k}"], Term(whisker_left_arity(k), target, (e, x)))
 
 
 def _assoc_inst(th, x, y, z, target):
@@ -790,15 +616,15 @@ def standard_library(n: int = 3, kind: str = CATEGORICAL) -> TheoryPresentation:
     lhs = _vcomp(
         th,
         2,
-        _wr(th, 2, alpha, h_edge, hh),
-        _wl(th, 2, g_edge, beta, hh),
+        whisker(th, "r", alpha, h_edge, hh),
+        whisker(th, "l", beta, g_edge, hh),
         hh,
     )
     rhs = _vcomp(
         th,
         2,
-        _wl(th, 2, f_edge, beta, hh),
-        _wr(th, 2, alpha, k_edge, hh),
+        whisker(th, "l", beta, f_edge, hh),
+        whisker(th, "r", alpha, k_edge, hh),
         hh,
     )
     th = th.extend(
@@ -821,9 +647,9 @@ def standard_library(n: int = 3, kind: str = CATEGORICAL) -> TheoryPresentation:
     def c(x, y):
         return _vcomp(th, 1, x, y, four)
 
-    s1 = _wr(th, 2, _assoc_inst(th, u[0], u[1], u[2], four), u[3], four)
+    s1 = whisker(th, "r", _assoc_inst(th, u[0], u[1], u[2], four), u[3], four)
     s2 = _assoc_inst(th, u[0], c(u[1], u[2]), u[3], four)
-    s3 = _wl(th, 2, u[0], _assoc_inst(th, u[1], u[2], u[3], four), four)
+    s3 = whisker(th, "l", _assoc_inst(th, u[1], u[2], u[3], four), u[0], four)
     path_a = _vcomp(th, 2, _vcomp(th, 2, s1, s2, four), s3, four)
     t1 = _assoc_inst(th, c(u[0], u[1]), u[2], u[3], four)
     t2 = _assoc_inst(th, u[0], u[1], c(u[2], u[3]), four)
@@ -849,11 +675,11 @@ def standard_library(n: int = 3, kind: str = CATEGORICAL) -> TheoryPresentation:
     tri_src = _vcomp(
         th,
         2,
-        _wr(th, 2, l_inst, v1, two),
+        whisker(th, "r", l_inst, v1, two),
         _assoc_inst(th, v0, middle_unit, v1, two),
         two,
     )
-    tri_tgt = _wl(th, 2, v0, r_inst, two)
+    tri_tgt = whisker(th, "l", r_inst, v0, two)
     th = th.extend(
         [
             {
@@ -986,27 +812,12 @@ def generating_cofibrations(n: int):
 
     I_n = [gs.boundary_inclusion(k) for k in range(n + 1)]
     I_n.append(gs.sphere_collapse(n))
-    J_n = [gs.globe_src_map(k) for k in range(n)]
+    J_n = [gs.globe_face_map(k, "s") for k in range(n)]
     return I_n, J_n
 
 
 # ---------------------------------------------------------------------------
 # JSON codecs for terms and batches
-
-def glob_ref(t: Tree, cell) -> tuple:
-    """Canonical (leaf index, boundary chain) addressing a scheme cell."""
-    from .theta import leaf_paths
-
-    path, gap = cell
-    node = t.subtree(path)
-    if node.is_leaf:
-        return leaf_paths(t).index(path), ""
-    if gap < node.arity:
-        leaf, chain = glob_ref(t, (path + (gap,), 0))
-        return leaf, chain + "s"
-    leaf, chain = glob_ref(t, (path + (node.arity - 1,), 0))
-    return leaf, chain + "t"
-
 
 def ref_glob(t: Tree, leaf: int, chain: str) -> ThetaMap:
     from .theta import iterated_boundary, leaf_inclusion
@@ -1015,17 +826,6 @@ def ref_glob(t: Tree, leaf: int, chain: str) -> ThetaMap:
     for ch in chain:
         f = iterated_boundary(f, 1, ch)
     return f
-
-
-def cell_to_json(th: TheoryPresentation, cell: TermCell):
-    if cell.is_glob:
-        leaf, chain = glob_ref(cell.glob.target, th_ops.glob_top_image(cell.glob))
-        return {"leaf": leaf, "chain": chain}
-    return {"op": cell.op, "args": term_to_json(th, cell.args)}
-
-
-def term_to_json(th: TheoryPresentation, t: Term):
-    return {"cells": [cell_to_json(th, c) for c in t.cells]}
 
 
 def cell_from_json(th: TheoryPresentation, target: Tree, data) -> TermCell:

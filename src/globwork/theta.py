@@ -106,26 +106,27 @@ def compose(f: ThetaMap, g: ThetaMap) -> ThetaMap:
 
 
 @functools.lru_cache(maxsize=None)
+def face_theta(k: int, side: str) -> ThetaMap:
+    """sigma_k (side "s") or tau_k (side "t") : D_k -> D_{k+1}."""
+    if k == 0:
+        return ThetaMap(LEAF, globe(1), (0 if side == "s" else 1,), ())
+    return ThetaMap(globe(k), globe(k + 1), (0, 1), ((face_theta(k - 1, side),),))
+
+
 def sigma_theta(k: int) -> ThetaMap:
-    """sigma_k : D_k -> D_{k+1}."""
-    if k == 0:
-        return ThetaMap(LEAF, globe(1), (0,), ())
-    return ThetaMap(globe(k), globe(k + 1), (0, 1), ((sigma_theta(k - 1),),))
+    return face_theta(k, "s")
 
 
-@functools.lru_cache(maxsize=None)
 def tau_theta(k: int) -> ThetaMap:
-    if k == 0:
-        return ThetaMap(LEAF, globe(1), (1,), ())
-    return ThetaMap(globe(k), globe(k + 1), (0, 1), ((tau_theta(k - 1),),))
+    return face_theta(k, "t")
 
 
-def iterated_boundary(f: ThetaMap, steps: int, which: str) -> ThetaMap:
+def iterated_boundary(f: ThetaMap, steps: int, side: str) -> ThetaMap:
     """Precompose f : D_k -> A with a sigma/tau chain of the given length."""
     k = tree_dim(f.source)
     for _ in range(steps):
         k -= 1
-        f = compose(sigma_theta(k) if which == "s" else tau_theta(k), f)
+        f = compose(face_theta(k, side), f)
     return f
 
 
@@ -209,12 +210,9 @@ def cell_inclusion(t: Tree, cell) -> ThetaMap:
     if node.is_leaf:
         leaf_index = leaf_paths(t).index(path)
         return leaf_inclusion(t, leaf_index)
-    h = len(path)
-    if gap < node.arity:
-        deeper = cell_inclusion(t, (path + (gap,), 0))
-        return compose(sigma_theta(h), deeper)
-    deeper = cell_inclusion(t, (path + (node.arity - 1,), 0))
-    return compose(tau_theta(h), deeper)
+    last = gap == node.arity
+    deeper = cell_inclusion(t, (path + (node.arity - 1 if last else gap,), 0))
+    return compose(face_theta(len(path), "t" if last else "s"), deeper)
 
 
 def is_globular(f: ThetaMap) -> bool:
@@ -393,9 +391,10 @@ def are_parallel(f: ThetaMap, g: ThetaMap) -> bool:
     k = tree_dim(f.source)
     if k == 0:
         return True
-    s = sigma_theta(k - 1)
-    t = tau_theta(k - 1)
-    return compose(s, f) == compose(s, g) and compose(t, f) == compose(t, g)
+    return all(
+        compose(face_theta(k - 1, side), f) == compose(face_theta(k - 1, side), g)
+        for side in "st"
+    )
 
 
 def is_admissible_groupoidal(f: ThetaMap, g: ThetaMap) -> bool:
@@ -417,13 +416,13 @@ def boundary_maps(t: Tree):
     bt = tree_boundary(t)
     X, Y = realize(bt), realize(t)
 
-    def mk(which):
+    def mk(side):
         maps = [dict() for _ in range(X.n + 1)]
         for k in range(X.n + 1):
             for (path, gap) in X.cells[k]:
                 node = t.subtree(path)
                 if k == d - 1 and node.arity > 0:
-                    maps[k][(path, gap)] = (path, 0 if which == "s" else node.arity)
+                    maps[k][(path, gap)] = (path, 0 if side == "s" else node.arity)
                 else:
                     maps[k][(path, gap)] = (path, gap)
         return embed_globular(GlobMap(X, Y, maps))
@@ -457,7 +456,7 @@ def filler(f: ThetaMap, g: ThetaMap, max_size=DEFAULT_HOM_BOUND):
     if f.source != g.source or f.target != g.target:
         raise TypingError("filler needs a parallel pair")
     k = tree_dim(f.source)
-    s, t = sigma_theta(k), tau_theta(k)
+    s, t = face_theta(k, "s"), face_theta(k, "t")
     for h in hom(globe(k + 1), f.target, max_size):
         if compose(s, h) == f and compose(t, h) == g:
             return h

@@ -8,7 +8,7 @@ leaves give the gluing dimensions.  The empty bracket ``[]`` is the point.
 from __future__ import annotations
 
 import functools
-import json
+import itertools
 from dataclasses import dataclass
 from .errors import ParseError, InvalidTableError, DomainError
 
@@ -374,10 +374,6 @@ def extension_to_dot(ext: ExtendedTree) -> str:
     return tree_to_dot(ext.result, highlight_path=new_vertex)
 
 
-def tree_to_json_str(t: Tree) -> str:
-    return json.dumps(t.to_json())
-
-
 def all_trees(max_nodes: int):
     """All planar rooted trees with at most ``max_nodes`` nodes."""
 
@@ -387,26 +383,16 @@ def all_trees(max_nodes: int):
             yield LEAF
             return
         for parts in _compositions(n - 1):
-            for kids in _products([list(with_nodes(p)) for p in parts]):
-                yield Tree(tuple(kids))
+            for kids in itertools.product(*(with_nodes(p) for p in parts)):
+                yield Tree(kids)
 
     for n in range(1, max_nodes + 1):
         yield from with_nodes(n)
 
 
 def _compositions(n):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
-def _products(choices):
-    if not choices:
-        yield ()
-        return
-    for head in choices[0]:
-        for rest in _products(choices[1:]):
-            yield (head,) + rest
+    """Compositions of n >= 1, first part ascending.  A cut after position i
+    ends a part there; trying the cut before its absence gives that order."""
+    for cuts in itertools.product((True, False), repeat=n - 1):
+        ends = [i for i, cut in enumerate(cuts, 1) if cut] + [n]
+        yield tuple(b - a for a, b in zip([0] + ends, ends))

@@ -156,8 +156,8 @@ def test_criterion_7_coherator_tower():
         assert len(kappa) == 6 and sum(1 for s in kappa if s.is_equation) == 2
         for k in (2, 3):
             kl = theory_mod.app_cell(f"k_l_{k}", gth.identity_term(globe(k - 1)))
-            assert gth.cell_src(kl).op == f"id{k - 2}"
-            assert gth.cell_tgt(kl).op == f"c{k - 1}"
+            assert gth.cell_boundary(kl, "s").op == f"id{k - 2}"
+            assert gth.cell_boundary(kl, "t").op == f"c{k - 1}"
         # functoriality on random composable pairs
         from test_theory import random_term
 

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -124,3 +128,33 @@ def test_check_suites(capsys):
     assert "PASS" in out
     code, _ = run(capsys, "check", "tower")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cyl", "stack", "--tree", "[[][]]", "--index", "99"],
+        ["cyl", "stack", "--tree", "[[][]]", "--index", "-99"],
+        ["cyl", "stack", "--tree", "[[][]]", "--index", "-1"],
+        ["theta", "filler", "D1", "D1", "--index", "0", "--second", "99"],
+        ["theta", "admissible", "D1", "D1", "--index", "0", "--second", "-1"],
+        ["theta", "factor", "D1", "D2", "--index", "-1"],
+        ["lins", "[]", "--dot", "5"],
+        ["lins", "[]", "--dot", "-1"],
+    ],
+)
+def test_out_of_range_index_is_a_domain_error(argv):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "globwork.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_theta_admissible_defaults_second_to_first(capsys):
+    code, out = run(capsys, "theta", "admissible", "D1", "D1", "--index", "0")
+    assert code == 0
+    assert out.strip() == "True"

@@ -18,8 +18,7 @@ from globwork.globsets import (
     factor_bij_ff,
     find_iso,
     globe_set,
-    globe_src_map,
-    globe_tgt_map,
+    globe_face_map,
     identity_map,
     latching,
     loopspace,
@@ -72,8 +71,8 @@ def test_pushout_two_edges():
 
 def test_pushout_two_triangles_share_edge():
     D1, D2 = globe_set(1), globe_set(2)
-    src2 = globe_src_map(1)
-    tgt2 = globe_tgt_map(1)
+    src2 = globe_face_map(1, "s")
+    tgt2 = globe_face_map(1, "t")
     P, _, _, _ = pushout(tgt2, src2)
     assert P.counts() == (2, 3, 2)
 
@@ -125,7 +124,7 @@ def test_classify_identity():
 
 
 def test_classify_sigma():
-    f = globe_src_map(1)  # D1 -> D2
+    f = globe_face_map(1, "s")  # D1 -> D2
     bij, _ = classify(f, 0)
     assert bij
     bij1, _ = classify(f, 1)
@@ -135,7 +134,7 @@ def test_classify_sigma():
 def test_sigma_tau_bijectivity_level():
     # on realizations, globe source/target maps are (k-1)-bijective
     for k in range(1, 4):
-        for f in (globe_src_map(k), globe_tgt_map(k)):
+        for f in (globe_face_map(k, "s"), globe_face_map(k, "t")):
             assert gs.is_m_bijective(f, k - 1)
             assert not gs.is_m_bijective(f, k)
 
@@ -350,14 +349,14 @@ def test_orthogonal_lifting_on_induced_squares():
 def _sigma_chain(i, j):
     f = identity_map(globe_set(i))
     for k in range(i, j):
-        f = f.then(globe_src_map(k))
+        f = f.then(globe_face_map(k, "s"))
     return f
 
 
 def _tau_chain(i, j):
     f = identity_map(globe_set(i))
     for k in range(i, j):
-        f = f.then(globe_tgt_map(k))
+        f = f.then(globe_face_map(k, "t"))
     return f
 
 

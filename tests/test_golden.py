@@ -20,7 +20,7 @@ import pytest
 from globwork.cli import main
 from globwork import cylinders as cyl
 from globwork.errors import DomainError
-from globwork.theory import groupoidalize, standard_library, whisker_sum_left, whisker_sum_right
+from globwork.theory import groupoidalize, standard_library, whisker_sum
 from globwork.trees import all_trees
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -87,8 +87,8 @@ def _whisker_sums():
     th = standard_library(4)
     lines = []
     for A in all_trees(5):
-        lines.append(f"{A} r: {whisker_sum_right(th, A)}")
-        lines.append(f"{A} l: {whisker_sum_left(th, A)}")
+        for side in "rl":
+            lines.append(f"{A} {side}: {whisker_sum(th, A, side)}")
     return "\n".join(lines) + "\n"
 
 

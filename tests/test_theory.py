@@ -22,8 +22,7 @@ from globwork.theory import (
     single,
     standard_library,
     standard_systems,
-    whisker_sum_left,
-    whisker_sum_right,
+    whisker_sum,
     zero_cell_pick,
 )
 
@@ -135,8 +134,8 @@ def test_systems_boundary_laws():
         assert lk.is_equation == (k == 4)
         inst = app_cell(f"l{k}", th.identity_term(globe(k - 1))) if k <= 3 else None
         if inst is not None:
-            assert th.cell_src(inst) == glob_cell(identity(globe(k - 1)))
-            tgt = th.cell_tgt(inst)
+            assert th.cell_boundary(inst, "s") == glob_cell(identity(globe(k - 1)))
+            tgt = th.cell_boundary(inst, "t")
             assert tgt.op == f"c{k - 1}"
 
 
@@ -148,14 +147,14 @@ def test_systems_fillers_verified():
 def test_whisker_sum_nine_tree():
     th = standard_systems(base_theory(3))
     A = parse_tree("[[[][]][]]")
-    w = whisker_sum_right(th, A)
+    w = whisker_sum(th, A, "r")
     assert len(w.cells) == 3
     assert w.target == Tree(A.children + (LEAF,))
     th.validate_term(w)
     # the trailing block absorbs the edge, earlier blocks pass through
     assert w.cells[0].is_glob and w.cells[1].is_glob
     assert w.cells[2].op == "c1"
-    wl = whisker_sum_left(th, A)
+    wl = whisker_sum(th, A, "l")
     assert wl.target == Tree((LEAF,) + A.children)
     th.validate_term(wl)
     assert wl.cells[0].op == "w_l_2" and wl.cells[2].is_glob
@@ -164,14 +163,14 @@ def test_whisker_sum_nine_tree():
 def test_whisker_sum_suspension_whiskers_everything():
     th = standard_systems(base_theory(3))
     B = Tree((Tree((LEAF, LEAF)),))  # a suspension: two vertical 2-cells
-    w = whisker_sum_right(th, B)
+    w = whisker_sum(th, B, "r")
     th.validate_term(w)
     assert all(not c.is_glob for c in w.cells)
 
 
 def test_whisker_sum_point():
     th = standard_systems(base_theory(3))
-    w = whisker_sum_right(th, LEAF)
+    w = whisker_sum(th, LEAF, "r")
     assert w.target == globe(1)
     th.validate_term(w)
 
@@ -208,13 +207,13 @@ def test_groupoidalize_kappa_laws():
     th = groupoidalize(standard_library(3))
     for k in (2, 3):
         kl = app_cell(f"k_l_{k}", th.identity_term(globe(k - 1)))
-        src = th.cell_src(kl)
+        src = th.cell_boundary(kl, "s")
         assert src.op == f"id{k - 2}"
         assert src.args.sole.glob == sigma_theta(k - 2)
-        tgt = th.cell_tgt(kl)
+        tgt = th.cell_boundary(kl, "t")
         assert tgt.op == f"c{k - 1}"
         kr = app_cell(f"k_r_{k}", th.identity_term(globe(k - 1)))
-        assert th.cell_src(kr).args.sole.glob == tau_theta(k - 2)
+        assert th.cell_boundary(kr, "s").args.sole.glob == tau_theta(k - 2)
 
 
 def test_groupoidalize_idempotent():
@@ -381,5 +380,5 @@ def test_codim_one_inverse_stored_boundary():
         ]
     )
     inst = app_cell("omega", th.identity_term(globe(2)))
-    assert th.cell_src(inst) == glob_cell(tau_theta(1))
-    assert th.cell_tgt(inst) == glob_cell(sigma_theta(1))
+    assert th.cell_boundary(inst, "s") == glob_cell(tau_theta(1))
+    assert th.cell_boundary(inst, "t") == glob_cell(sigma_theta(1))

@@ -125,9 +125,9 @@ def X_cell_top(k):
 
 
 def test_embed_globular_of_source_edge():
-    from globwork.globsets import globe_src_map
+    from globwork.globsets import globe_face_map
 
-    f = embed_globular(globe_src_map(1))
+    f = embed_globular(globe_face_map(1, "s"))
     assert f.phi == (0, 1)
     assert f.components[0][0].phi == (0,)
     assert f == sigma_theta(1)
