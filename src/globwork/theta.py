@@ -363,9 +363,11 @@ def is_homogeneous(f: ThetaMap) -> bool:
     """No nontrivial globular map can be split off the target side."""
     fact = hg_factorize(f)
     ok = fact.globular == identity(f.target)
-    if ok and f.source == globe(tree_dim(f.source)):
+    if ok:
         # dimension consequence for globe-sourced operations
-        assert tree_dim(f.source) >= tree_dim(f.target)
+        k = tree_dim(f.source)
+        if f.source == globe(k) and k < tree_dim(f.target):
+            raise DomainError(f"homogeneous map out of D_{k} into a sum of higher dimension")
     return ok
 
 
@@ -378,8 +380,21 @@ def support(c: ThetaMap):
 
 
 def all_globular_monos(B: Tree, T: Tree):
-    """Every globular injection B -> T (enumeration + filter)."""
-    return [m for m in hom(B, T) if is_globular(m)]
+    """Every globular injection B -> T, in hom order.
+
+    A globular map sends the root gaps of B onto a consecutive run
+    a..a+arity(B) of root gaps of T, each branch by a globular map; the
+    choices are ordered by a, then lexicographically by component.
+    """
+    if B.is_leaf:
+        return [ThetaMap(B, T, (c,), ()) for c in range(T.arity + 1)]
+    m = B.arity
+    out = []
+    for a in range(T.arity - m + 1):
+        per_gap = [all_globular_monos(B.children[i], T.children[a + i]) for i in range(m)]
+        for picks in itertools.product(*per_gap):
+            out.append(ThetaMap(B, T, tuple(range(a, a + m + 1)), tuple((p,) for p in picks)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +445,15 @@ def boundary_maps(t: Tree):
     return mk("s"), mk("t")
 
 
-def is_admissible_categorical(f: ThetaMap, g: ThetaMap, max_size=DEFAULT_HOM_BOUND) -> bool:
+def is_admissible_categorical(f: ThetaMap, g: ThetaMap) -> bool:
     """k = 0 pairs, pairs of homogeneous maps, or pairs factoring
-    homogeneously through the two boundary inclusions."""
+    homogeneously through the two boundary inclusions.
+
+    A homogeneous h with h;d_sigma = f is the homogeneous half of the
+    unique homogeneous-globular factorization of f, so f factors that way
+    exactly when the globular half of hg_factorize(f) is d_sigma (and g
+    likewise through d_tau).
+    """
     if f.target != g.target:
         raise TypingError("admissible pairs need a common target")
     k = tree_dim(f.source)
@@ -441,26 +462,45 @@ def is_admissible_categorical(f: ThetaMap, g: ThetaMap, max_size=DEFAULT_HOM_BOU
     if is_homogeneous(f) and is_homogeneous(g):
         return True
     A = f.target
-    if tree_dim(A) == 0:
+    if tree_dim(A) == 0 or f.source != globe(k) or g.source != globe(k):
         return False
-    d_sigma, d_tau = boundary_maps(A)
-    bt = tree_boundary(A)
-    candidates = [h for h in hom(globe(k), bt, max_size) if is_homogeneous(h)]
-    f_ok = any(compose(h, d_sigma) == f for h in candidates)
-    g_ok = any(compose(h, d_tau) == g for h in candidates)
-    return f_ok and g_ok
+    return all(
+        hg_factorize(m).globular == d for m, d in zip((f, g), boundary_maps(A))
+    )
 
 
-def filler(f: ThetaMap, g: ThetaMap, max_size=DEFAULT_HOM_BOUND):
-    """First h in canonical order with h.sigma = f and h.tau = g, or None."""
+def filler(f: ThetaMap, g: ThetaMap):
+    """First h in canonical order with h.sigma = f and h.tau = g, or None.
+
+    At k = 0 the points a <= b span h; above, sigma_k;h and tau_k;h keep
+    h's phi and restrict each gap's component to its sigma/tau face, so h
+    shares phi with f and g and fills their components gap by gap.  The
+    fillers form a product over gaps, and the first one in hom order takes
+    the first filler in every gap.
+    """
     if f.source != g.source or f.target != g.target:
         raise TypingError("filler needs a parallel pair")
     k = tree_dim(f.source)
-    s, t = face_theta(k, "s"), face_theta(k, "t")
-    for h in hom(globe(k + 1), f.target, max_size):
-        if compose(s, h) == f and compose(t, h) == g:
-            return h
-    return None
+    if f.source != globe(k):
+        return None
+    return _fill(k, f, g)
+
+
+def _fill(k: int, f: ThetaMap, g: ThetaMap):
+    if k == 0:
+        (a,), (b,) = f.phi, g.phi
+        if a > b:
+            return None
+        phi = (a, b)
+        block = tuple(ThetaMap(LEAF, f.target.children[j], (0,), ()) for j in range(a, b))
+    else:
+        if f.phi != g.phi:
+            return None
+        phi = f.phi
+        block = tuple(_fill(k - 1, p, q) for p, q in zip(f.components[0], g.components[0]))
+        if any(h is None for h in block):
+            return None
+    return ThetaMap(globe(k + 1), f.target, phi, (block,))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from .errors import ParseError, InvalidTableError, DomainError
+from .errors import ParseError, InvalidTableError, DomainError, SizeGuardError
 
 # Classification tags for one-vertex extensions, keyed to the insertion
 # height and the position of the new vertex in its parent's fiber.
@@ -83,20 +83,34 @@ def globe(k: int) -> Tree:
     return t
 
 
+MAX_PARSE_DEPTH = 100
+
+
+def _too_deep():
+    return SizeGuardError(f"tree is deeper than the bound {MAX_PARSE_DEPTH}")
+
+
 def parse_tree(text: str) -> Tree:
     """Parse the bracket grammar ``tree := '[' tree* ']'``.
 
-    The shorthand ``Dk`` (e.g. ``D2``) is accepted for globes.
+    The shorthand ``Dk`` (e.g. ``D2``) is accepted for globes.  Trees of
+    dimension above ``MAX_PARSE_DEPTH`` are refused: the package recurses
+    along the height of a tree.
     """
     s = text.strip()
     if s and s[0] in "Dd" and s[1:].isdigit():
-        return globe(int(s[1:]))
+        k = int(s[1:])
+        if k > MAX_PARSE_DEPTH:
+            raise _too_deep()
+        return globe(k)
     pos = 0
 
-    def parse_node():
+    def parse_node(depth):
         nonlocal pos
         if pos >= len(s) or s[pos] != "[":
             raise ParseError("expected '['", pos)
+        if depth > MAX_PARSE_DEPTH:
+            raise _too_deep()
         pos += 1
         kids = []
         while True:
@@ -105,9 +119,9 @@ def parse_tree(text: str) -> Tree:
             if s[pos] == "]":
                 pos += 1
                 return Tree(tuple(kids))
-            kids.append(parse_node())
+            kids.append(parse_node(depth + 1))
 
-    t = parse_node()
+    t = parse_node(0)
     if pos != len(s):
         raise ParseError("stray characters after tree", pos)
     return t

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from globwork.cli import main
+from globwork.theta import compose, hom, map_from_json, sigma_theta, tau_theta
+from globwork.trees import globe, parse_tree
 
 NINE_TREE = "[[[][]][]]"
 
@@ -130,6 +132,15 @@ def test_check_suites(capsys):
     assert code == 0
 
 
+def cli_env():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+
+
+def cli_command(*argv):
+    return [sys.executable, "-m", "globwork.cli", *argv]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -144,11 +155,7 @@ def test_check_suites(capsys):
     ],
 )
 def test_out_of_range_index_is_a_domain_error(argv):
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "globwork.cli", *argv], capture_output=True, text=True, env=env
-    )
+    proc = subprocess.run(cli_command(*argv), capture_output=True, text=True, env=cli_env())
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
@@ -158,3 +165,42 @@ def test_theta_admissible_defaults_second_to_first(capsys):
     code, out = run(capsys, "theta", "admissible", "D1", "D1", "--index", "0")
     assert code == 0
     assert out.strip() == "True"
+
+
+def test_theta_filler_wide_target(capsys):
+    # hom(D2, T) has 1234567 maps, above the default hom bound
+    target = "[" + "[[][][]]" * 6 + "]"
+    code, out = run(capsys, "theta", "filler", "D1", target, "--index", "0", "--json")
+    assert code == 0
+    T = parse_tree(target)
+    f = hom(globe(1), T)[0]
+    h = map_from_json(globe(2), T, json.loads(out))
+    assert compose(sigma_theta(1), h) == f
+    assert compose(tau_theta(1), h) == f
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["D5000", "[" * 1500 + "]" * 1500],
+    ids=["globe-shorthand", "nested-brackets"],
+)
+def test_too_deep_tree_is_a_size_guard_error(literal):
+    proc = subprocess.run(cli_command("tree", "dim", literal), capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+def test_closed_pipe_exits_quietly():
+    # about 700 kB of JSON: more than the pipe holds, so the command is
+    # still writing when the reader goes away
+    argv = ["theta", "hom", "D2", "[" + "[[][][]]" * 3 + "]", "--json"]
+    proc = subprocess.Popen(
+        cli_command(*argv), stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env()
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert stderr == ""

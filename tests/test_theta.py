@@ -1,10 +1,11 @@
+import functools
 import itertools
 
 import pytest
 
 from globwork.errors import DomainError, SizeGuardError
 from globwork import steiner, theta
-from globwork.trees import LEAF, Tree, all_trees, dim, globe, parse_tree
+from globwork.trees import LEAF, Tree, all_trees, boundary, dim, globe, parse_tree
 from globwork.theta import (
     ThetaMap,
     assemble,
@@ -353,3 +354,104 @@ def test_boundary_maps_bijectivity_level_small():
             g = realize_map(f)
             assert gs.is_m_bijective(g, m - 2)
             assert not gs.is_m_bijective(g, m - 1)
+
+
+# ---------------------------------------------------------------------------
+# the hom scans the constructions replaced, kept as oracles
+
+def scan_fillers(k, T):
+    """The filler scan over hom(D_{k+1}, T), run once for every boundary
+    pair: the first h in hom order with the given sigma and tau faces."""
+    first = {}
+    for h in hom(globe(k + 1), T):
+        first.setdefault((compose(sigma_theta(k), h), compose(tau_theta(k), h)), h)
+    return first
+
+
+@functools.lru_cache(maxsize=None)
+def boundary_factored(k, A):
+    """The maps h;d_sigma and h;d_tau for homogeneous h in hom(D_k, dA)."""
+    candidates = [h for h in hom(globe(k), boundary(A)) if is_homogeneous(h)]
+    return tuple({compose(h, d) for h in candidates} for d in boundary_maps(A))
+
+
+def scan_admissible_categorical(f, g):
+    """Admissibility with the boundary factorisation found by filtering
+    hom(D_k, dA) for homogeneous maps."""
+    k = dim(f.source)
+    if k == 0 or (is_homogeneous(f) and is_homogeneous(g)):
+        return True
+    if dim(f.target) == 0:
+        return False
+    via_sigma, via_tau = boundary_factored(k, f.target)
+    return f in via_sigma and g in via_tau
+
+
+def filter_globular_monos(B, T):
+    return [m for m in hom(B, T) if is_globular(m)]
+
+
+def oracle_pairs():
+    """Every ordered pair from hom(D_k, T), k <= 2, T of up to 5 nodes
+    (4940 pairs; no such hom set has more than 18 maps)."""
+    for T in all_trees(5):
+        for k in range(3):
+            maps = hom(globe(k), T)
+            yield T, k, [(f, g) for f in maps for g in maps]
+
+
+def test_filler_matches_scan():
+    found = 0
+    for T, k, pairs in oracle_pairs():
+        first = scan_fillers(k, T)
+        for f, g in pairs:
+            h = filler(f, g)
+            assert h == first.get((f, g))
+            found += h is not None
+    assert found > 0
+
+
+def test_admissible_categorical_matches_scan():
+    positive = 0
+    for T, k, pairs in oracle_pairs():
+        for f, g in pairs:
+            ok = is_admissible_categorical(f, g)
+            assert ok == scan_admissible_categorical(f, g)
+            positive += ok and not (is_homogeneous(f) and is_homogeneous(g))
+    assert positive > 0
+
+
+def test_admissible_categorical_boundary_factored_pairs():
+    # pairs built as h;d_sigma and h';d_tau from homogeneous h, h', as in
+    # the towers; random pairs are rarely of this kind
+    checked = 0
+    for T in all_trees(6):
+        if dim(T) == 0:
+            continue
+        d_sigma, d_tau = boundary_maps(T)
+        for k in (1, 2):
+            homog = [h for h in hom(globe(k), boundary(T)) if is_homogeneous(h)]
+            for h, h2 in itertools.product(homog, repeat=2):
+                f, g = compose(h, d_sigma), compose(h2, d_tau)
+                assert is_admissible_categorical(f, g)
+                assert scan_admissible_categorical(f, g)
+                checked += 1
+    assert checked > 0
+
+
+def test_globular_monos_match_filter():
+    for B in all_trees(4):
+        for T in all_trees(5):
+            assert theta.all_globular_monos(B, T) == filter_globular_monos(B, T)
+
+
+WIDE_TARGET = parse_tree("[" + "[[][][]]" * 6 + "]")
+
+
+def test_filler_wide_target():
+    # hom(D2, T) has 1234567 maps here, above the default hom bound
+    edges = hom(globe(1), WIDE_TARGET)
+    for f, g in [(edges[0], edges[0]), (edges[1], edges[4])]:
+        h = filler(f, g)
+        assert compose(sigma_theta(1), h) == f
+        assert compose(tau_theta(1), h) == g

@@ -1,6 +1,6 @@
 import pytest
 
-from globwork.errors import DomainError, InvalidTableError, ParseError
+from globwork.errors import DomainError, InvalidTableError, ParseError, SizeGuardError
 from globwork import trees
 from globwork.trees import (
     DimensionTable,
@@ -49,6 +49,14 @@ def test_parse_errors_carry_position():
         parse_tree("[]x")
     with pytest.raises(ParseError):
         parse_tree("x")
+
+
+def test_parse_depth_bound():
+    k = trees.MAX_PARSE_DEPTH
+    assert parse_tree(f"D{k}") == parse_tree(str(globe(k))) == globe(k)
+    for text in (f"D{k + 1}", str(globe(k + 1))):
+        with pytest.raises(SizeGuardError):
+            parse_tree(text)
 
 
 def test_pretty_print_round_trip():
