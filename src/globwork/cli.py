@@ -97,9 +97,21 @@ def cmd_lins(args):
     return 0
 
 
+def _decode(what, build):
+    """build() on JSON given on the command line; malformed input is a domain error."""
+    try:
+        return build()
+    except GlobworkError:
+        raise
+    except OSError as e:
+        raise GlobworkError(f"cannot read {what}: {e.strerror}") from None
+    except (ValueError, LookupError, TypeError, AttributeError) as e:
+        raise GlobworkError(f"malformed {what}: {type(e).__name__}: {e}") from None
+
+
 def _map_from_args(args, source, target):
     if args.map is not None:
-        return th_mod.map_from_json(source, target, json.loads(args.map))
+        return _decode("--map", lambda: th_mod.map_from_json(source, target, json.loads(args.map)))
     if args.index is None:
         raise GlobworkError("need --index or --map")
     return _pick(hom(source, target, args.max_homs), args.index, "--index")
@@ -159,6 +171,11 @@ def _build_theory(args):
     return th
 
 
+def _read_batches(path):
+    with open(path) as fh:
+        return [list(batch) for batch in json.load(fh)["batches"]]
+
+
 def cmd_theory(args):
     if args.action == "cofibs":
         I_n, J_n = theory_mod.generating_cofibrations(args.n)
@@ -170,10 +187,8 @@ def cmd_theory(args):
         return 0
     th = _build_theory(args)
     if args.file:
-        with open(args.file) as fh:
-            spec = json.load(fh)
-        for batch in spec["batches"]:
-            th = th.extend([theory_mod.batch_from_json(th, item) for item in batch])
+        for batch in _decode("--file", lambda: _read_batches(args.file)):
+            th = th.extend(_decode("--file", lambda: [theory_mod.batch_from_json(th, item) for item in batch]))
     if args.action == "build":
         payload = tower_report(th)
         _emit(args, payload, render_tower(payload))
@@ -243,6 +258,8 @@ def cmd_cyl(args):
         return 0
     if args.action == "stack":
         A = parse_tree(args.tree)
+        if args.k not in (1, 2):
+            raise GlobworkError("stacks are built for operations of dimension 1 and 2")
         cands = [f for f in hom(globe(args.k), A, args.max_homs) if is_homogeneous(f)]
         if not cands:
             raise GlobworkError("no homogeneous operations into that sum")
@@ -281,7 +298,7 @@ def cmd_check(args):
         note("tree invariants", ok)
     if suite in ("theta", "all"):
         ok = True
-        for T in all_trees(4):
+        for T in all_trees(args.max_nodes):
             for k in range(4):
                 if hom_count(globe(k), T) != steiner.count_cells(T, k):
                     ok = False

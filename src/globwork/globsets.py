@@ -299,6 +299,8 @@ _SPHERE_COLIMITS: dict[int, Colimit] = {}
 
 def _sphere_colimit(k: int) -> Colimit:
     """The defining pushout of S^k = D_k u_{S^{k-1}} D_k, for k >= 0."""
+    if k < 0:
+        raise DomainError("sphere index must be >= -1")
     if k not in _SPHERE_COLIMITS:
         jk = boundary_inclusion(k)
         _, _, _, co = pushout(jk, jk)

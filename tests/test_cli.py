@@ -1,12 +1,15 @@
+import argparse
+import collections
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
-from globwork.cli import main
+from globwork.cli import build_parser, main
 from globwork.theta import compose, hom, map_from_json, sigma_theta, tau_theta
 from globwork.trees import globe, parse_tree
 
@@ -204,3 +207,100 @@ def test_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait() == 1
     assert stderr == ""
+
+
+def test_check_theta_honours_max_nodes(capsys):
+    code, out = run(capsys, "check", "theta", "--max-nodes", "5")
+    assert code == 0
+    assert out.strip() == "PASS operation/oracle equivalence"
+
+
+FUZZ_TREES = [
+    "[]", "[[]]", "[[][]]", "[[[]][]]", "[[[][]][]]", "D0", "D1", "D2", "D3",
+    "", "[", "]", "[[]", "[]]", "][", "[x]", "[] []", "D", "D-1", "Dx", "D1.5", "D500",
+]
+# options that pick an item or bound a search: any integer goes
+FUZZ_INDICES = ["0", "1", "2", "7", "-1", "-5", "99", str(10**6), str(10**30), "x", "1e3"]
+# options that set how much work a command does, kept small so the run
+# stays short; negative values and non-integers are still in
+FUZZ_SIZES = ["0", "1", "2", "3", "-1", "-7", "x"]
+FUZZ_MAPS = [
+    "{", "null", "1", "[]", "{}", '{"phi": [0, 1]}', '{"phi": "x", "components": []}',
+    '{"phi": [0, 1], "components": [[]]}', '{"phi": [0, 1], "components": [[{}]]}',
+    '{"phi": [0, 0], "components": [[]]}', '{"phi": [1, 0], "components": [[]]}',
+]
+FUZZ_SIZE_OPTIONS = {"--n", "--count", "--max-nodes"}
+
+
+def fuzz_files(tmp_path):
+    texts = {
+        "bad.json": "{",
+        "list.json": "[]",
+        "empty.json": "{}",
+        "batches.json": '{"batches": 1}',
+        "items.json": '{"batches": [[{"name": "x"}]]}',
+        "typed.json": '{"batches": [[{"name": "x", "arity": "[]", "k": "1", "src": {}, "tgt": {}}]]}',
+        "fraction.json": '{"batches": [[{"name": "x", "arity": "[[]]", "k": 1.5, "src": {"cells": []}, "tgt": {"cells": []}}]]}',
+        "truth.json": '{"batches": [[{"name": "x", "arity": "[[]]", "k": true, "src": {"cells": []}, "tgt": {"cells": []}}]]}',
+        "cells.json": '{"batches": [[{"name": "x", "arity": "[[]]", "k": 1, "src": {"cells": [{"leaf": 9}]}, "tgt": {"cells": [1]}}]]}',
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / name) for name in texts] + [str(tmp_path / "missing.json")]
+
+
+def fuzz_argv(rng, parser, files):
+    """One command line drawn from the parser's own subcommands and options."""
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    name = rng.choice(sorted(subs.choices))
+    argv = [name]
+    for action in subs.choices[name]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:
+            if rng.random() < 0.05:
+                break  # a missing positional
+            if action.choices and rng.random() < 0.9:
+                argv.append(rng.choice(action.choices))
+            else:
+                argv.append(rng.choice(FUZZ_TREES))
+            continue
+        if rng.random() < 0.6:
+            continue
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            argv.append(flag)
+        elif action.choices:
+            argv += [flag, rng.choice(list(action.choices) + ["nonsense"])]
+        elif flag == "--map":
+            argv += [flag, rng.choice(FUZZ_MAPS)]
+        elif flag == "--file":
+            argv += [flag, rng.choice(files)]
+        elif flag in FUZZ_SIZE_OPTIONS:
+            argv += [flag, rng.choice(FUZZ_SIZES)]
+        elif action.type is int:
+            argv += [flag, rng.choice(FUZZ_INDICES)]
+        else:
+            argv += [flag, rng.choice(FUZZ_TREES)]
+        if rng.random() < 0.05:
+            argv.pop()  # an option without its value
+    return argv
+
+
+def test_cli_fuzz_exits_cleanly(tmp_path, capsys):
+    rng = random.Random(20240)
+    parser = build_parser()
+    files = fuzz_files(tmp_path)
+    codes = collections.Counter()
+    for _ in range(200):
+        argv = fuzz_argv(rng, parser, files)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        except Exception as e:  # pragma: no cover - the failure message names the argv
+            pytest.fail(f"{argv!r} raised {type(e).__name__}: {e}")
+        assert code in (0, 1, 2), argv
+        codes[code] += 1
+        capsys.readouterr()
+    assert all(codes[c] for c in (0, 1, 2)), codes
