@@ -105,7 +105,7 @@ def _decode(what, build):
         raise
     except OSError as e:
         raise GlobworkError(f"cannot read {what}: {e.strerror}") from None
-    except (ValueError, LookupError, TypeError, AttributeError) as e:
+    except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as e:
         raise GlobworkError(f"malformed {what}: {type(e).__name__}: {e}") from None
 
 

@@ -67,10 +67,7 @@ class PastingComplex:
         """
         atoms = self.atoms[k] if k <= self.n else []
         faces = [tuple(zip(self.d.get(a, ()), (-1, 1))) for a in atoms]
-        last = {}
-        for i, fs in enumerate(faces):
-            for v, _ in fs:
-                last[v] = i
+        last = {v: i for i, fs in enumerate(faces) for v, _ in fs}
         if any(v not in last for v in target):
             return []
         if not atoms:

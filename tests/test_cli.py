@@ -221,13 +221,14 @@ FUZZ_TREES = [
 ]
 # options that pick an item or bound a search: any integer goes
 FUZZ_INDICES = ["0", "1", "2", "7", "-1", "-5", "99", str(10**6), str(10**30), "x", "1e3"]
-# options that set how much work a command does, kept small so the run
-# stays short; negative values and non-integers are still in
+# options that set how much work a command does: small values only, since
+# large ones run for minutes (``theory build --n 1000`` has no size guard);
+# negative values and non-integers are still in
 FUZZ_SIZES = ["0", "1", "2", "3", "-1", "-7", "x"]
 FUZZ_MAPS = [
     "{", "null", "1", "[]", "{}", '{"phi": [0, 1]}', '{"phi": "x", "components": []}',
     '{"phi": [0, 1], "components": [[]]}', '{"phi": [0, 1], "components": [[{}]]}',
-    '{"phi": [0, 0], "components": [[]]}', '{"phi": [1, 0], "components": [[]]}',
+    '{"phi": [0, 0], "components": [[]]}', '{"phi": [1, 0], "components": [[]]}', "[" * 5000,
 ]
 FUZZ_SIZE_OPTIONS = {"--n", "--count", "--max-nodes"}
 
@@ -235,6 +236,7 @@ FUZZ_SIZE_OPTIONS = {"--n", "--count", "--max-nodes"}
 def fuzz_files(tmp_path):
     texts = {
         "bad.json": "{",
+        "deep.json": "[" * 5000,
         "list.json": "[]",
         "empty.json": "{}",
         "batches.json": '{"batches": 1}',
@@ -298,7 +300,7 @@ def test_cli_fuzz_exits_cleanly(tmp_path, capsys):
             code = main(argv)
         except SystemExit as e:
             code = e.code
-        except Exception as e:  # pragma: no cover - the failure message names the argv
+        except Exception as e:
             pytest.fail(f"{argv!r} raised {type(e).__name__}: {e}")
         assert code in (0, 1, 2), argv
         codes[code] += 1

@@ -10,7 +10,7 @@ import itertools
 
 from globwork import steiner
 from globwork.steiner import PastingComplex, chain_sub, enumerate_cells
-from globwork.trees import LEAF, all_trees, dim
+from globwork.trees import all_trees, dim
 
 SCAN_TREES = list(all_trees(5))
 
@@ -97,20 +97,6 @@ def test_solve_matches_scan():
                     assert K.solve(k, target, bound) == scan_solve(K, k, target, bound), (str(T), k, target, bound)
                     cases += 1
     assert cases > 1000
-
-
-def test_unsolvable_targets_have_no_solution():
-    for T in SCAN_TREES:
-        K = PastingComplex(T)
-        for k in range(dim(T) + 2):
-            for target in unsolvable_targets(K, k)[:3]:
-                assert K.solve(k, target) == []
-
-
-def test_empty_complex_level_solves_only_the_empty_target():
-    K = PastingComplex(LEAF)
-    assert K.solve(K.n + 1, {}) == [steiner.ZERO]
-    assert K.solve(K.n + 1, {K.atoms[0][0]: 1}) == []
 
 
 def test_enumerate_cells_matches_scan_enumeration():
