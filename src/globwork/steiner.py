@@ -85,8 +85,9 @@ class PastingComplex:
             c = e * (want[v] - net[v])
             return (c,) if 0 <= c <= bound else ()
 
-        # depth-first over coefficient vectors; the stack holds (atom, value)
-        # in reverse so that values come off it in ascending order
+        # depth-first over coefficient vectors with an explicit stack (a level
+        # may have more atoms than the recursion limit); choices() lists
+        # values in descending order so that they come off it ascending
         stack = [(0, c) for c in choices(0)]
         while stack:
             i, c = stack.pop()

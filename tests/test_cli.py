@@ -9,9 +9,10 @@ import sys
 
 import pytest
 
+from globwork import steiner
 from globwork.cli import build_parser, main
 from globwork.theta import compose, hom, map_from_json, sigma_theta, tau_theta
-from globwork.trees import globe, parse_tree
+from globwork.trees import all_trees, globe, parse_tree
 
 NINE_TREE = "[[[][]][]]"
 
@@ -209,10 +210,14 @@ def test_closed_pipe_exits_quietly():
     assert stderr == ""
 
 
-def test_check_theta_honours_max_nodes(capsys):
+def test_check_theta_honours_max_nodes(capsys, monkeypatch):
+    checked = []
+    count_cells = steiner.count_cells
+    monkeypatch.setattr(steiner, "count_cells", lambda T, k: checked.append(T) or count_cells(T, k))
     code, out = run(capsys, "check", "theta", "--max-nodes", "5")
     assert code == 0
     assert out.strip() == "PASS operation/oracle equivalence"
+    assert set(checked) == set(all_trees(5))
 
 
 FUZZ_TREES = [
