@@ -4,15 +4,22 @@ Each case renders one deterministic text; the expected bytes live in
 ``tests/golden/<case>.txt``.  The files pin behaviour that refactors must
 keep exactly: the ``--json`` output of the main commands, the boundary
 terms of every symbol of the shipped towers (``theory build`` does not
-print them), the whiskering sums, the coherence-cylinder boundary pairs and
-the order of ``all_trees``.
+print them), the whiskering sums, the coherence-cylinder boundary pairs,
+the order of ``all_trees``, and the cylinder layer: every presentation, the
+division and promotion composites, and the stacks and sum cylinders over
+the criterion-9 family (trees of at most 9 nodes, dimension at most 2, at
+most 5 leaves).  The two families are large, so each stack and each sum
+cylinder is pinned by a sha256 prefix of its full rendering; to see what
+changed, print the renderings from both versions and diff them.
 
 Regenerate only for an intended change of output:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
+import hashlib
 import io
+import json
 import pathlib
 
 import pytest
@@ -20,8 +27,15 @@ import pytest
 from globwork.cli import main
 from globwork import cylinders as cyl
 from globwork.errors import DomainError
-from globwork.theory import groupoidalize, standard_library, whisker_sum
-from globwork.trees import all_trees
+from globwork.theory import (
+    division_term,
+    groupoidalize,
+    promote_inverse_term,
+    standard_library,
+    whisker_sum,
+)
+from globwork.theta import hom, is_homogeneous
+from globwork.trees import all_trees, dim, globe
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 NINE_TREE = "[[[][]][]]"
@@ -110,12 +124,94 @@ def _all_trees():
     return "".join(f"{t}\n" for t in all_trees(9))
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _dumps(payload):
+    return json.dumps(payload, indent=1, sort_keys=True)
+
+
+def _stack_family():
+    return [A for A in all_trees(9) if dim(A) <= 2 and A.n_leaves() <= 5]
+
+
+def _stacks():
+    th = groupoidalize(standard_library(3))
+    lines = []
+    for k in (1, 2):
+        for A in _stack_family():
+            for rho in hom(globe(k), A):
+                if not is_homogeneous(rho):
+                    continue
+                squares = cyl.stack(rho, th)
+                meta = json.dumps(cyl.vcompose_meta(squares), sort_keys=True)
+                lines.append(f"k={k} {A} {_digest(cyl.stack_to_json(squares))} {meta}")
+    return "\n".join(lines) + "\n"
+
+
+def _sum_cylinders():
+    th = groupoidalize(standard_library(3))
+    lines = []
+    for A in _stack_family():
+        S = cyl.cyl_glob_sum(A, th)
+        maps = "".join(
+            f"{i} {path} {gap}: {cell}\n"
+            for i, incl in enumerate(S.inclusions)
+            for (path, gap), cell in sorted(incl["mapping"].items())
+        )
+        lines.append(
+            f"{A} {S.presentation.counts()} {_digest(_dumps(S.presentation.to_json()))} {_digest(maps)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _cylinder_presentations():
+    th = groupoidalize(standard_library(3))
+    out = []
+    for k in range(4):
+        out.append(f"# cyl_presentation({k})\n{_dumps(cyl.cyl_presentation(k, th).to_json())}")
+        try:
+            P, data = cyl.boundary_cyl(k, th)
+        except DomainError as e:
+            out.append(f"# boundary_cyl({k})\nDomainError: {e}")
+            continue
+        out.append(f"# boundary_cyl({k})\n{_dumps({'presentation': P.to_json(), 'data': data})}")
+    for k in (1, 2):
+        for p in (None, *range(k)):
+            for q in (None, *range(k)):
+                P = cyl.degenerate_cyl(k, p, q, th)
+                out.append(f"# degenerate_cyl({k}, {p}, {q})\n{_dumps(P.to_json())}")
+    for k in range(3):
+        P, xi = cyl.modification_presentation(k, th)
+        out.append(f"# modification_presentation({k})\n{_dumps({'presentation': P.to_json(), 'xi': xi})}")
+    return "\n".join(out) + "\n"
+
+
+def _schema_terms():
+    th = groupoidalize(standard_library(3))
+    lines = []
+    for name, (factors, out) in [
+        ("division_term(1)", division_term(1, th)),
+        ("division_term(2)", division_term(2, th)),
+        ("promote_inverse_term", promote_inverse_term(th)),
+    ]:
+        lines.append(f"# {name}")
+        lines += [f"factor: {f} : {f.src} => {f.tgt}" for f in factors]
+        lines.append(f"out: {out} : {out.src} => {out.tgt}")
+    return "\n".join(lines) + "\n"
+
+
 CASES = {name: (lambda argv=argv: _cli(argv)) for name, argv in CLI_CASES.items()}
 CASES.update(
     tower_terms=_tower_terms,
     whisker_sums=_whisker_sums,
     coherence_boundaries=_coherence_boundaries,
     all_trees_9=_all_trees,
+    stacks=_stacks,
+    sum_cylinders=_sum_cylinders,
+    cylinder_presentations=_cylinder_presentations,
+    schema_terms=_schema_terms,
 )
 
 
@@ -127,5 +223,5 @@ def test_golden(name):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, render in CASES.items():
+    for name, render in sorted(CASES.items()):
         (GOLDEN / f"{name}.txt").write_bytes(render().encode())
