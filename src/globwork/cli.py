@@ -260,10 +260,10 @@ def cmd_cyl(args):
         A = parse_tree(args.tree)
         if args.k not in (1, 2):
             raise GlobworkError("stacks are built for operations of dimension 1 and 2")
-        cands = [f for f in hom(globe(args.k), A, args.max_homs) if is_homogeneous(f)]
-        if not cands:
+        rho = th_mod.homogeneous_op(args.k, A)
+        if rho is None:
             raise GlobworkError("no homogeneous operations into that sum")
-        squares = cyl_mod.stack(_pick(cands, args.index, "--index"), th)
+        squares = cyl_mod.stack(_pick([rho], args.index, "--index"), th)
         if args.dot is not None:
             print(cyl_mod.stack_to_dot(squares))
             return 0
@@ -329,13 +329,9 @@ def cmd_check(args):
         for A in all_trees(args.max_nodes):
             if dim(A) > 2 or A.n_leaves() > 5:
                 continue
-            for rho in hom(globe(2), A):
-                if not is_homogeneous(rho):
-                    continue
-                squares = cyl_mod.stack(rho, th)
-                meta = cyl_mod.vcompose_meta(squares)
-                if meta["top"] != "C_t*rho(U)" or meta["bottom"] != "rho(V)*C_s":
-                    ok = False
+            meta = cyl_mod.vcompose_meta(cyl_mod.stack(th_mod.homogeneous_op(2, A), th))
+            if meta["top"] != "C_t*rho(U)" or meta["bottom"] != "rho(V)*C_s":
+                ok = False
         note("stack composability", ok)
     return 0 if not failures else 1
 
@@ -385,7 +381,6 @@ def build_parser():
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", type=int, default=None)
-    p.add_argument("--max-homs", type=int, default=th_mod.DEFAULT_HOM_BOUND)
     p.set_defaults(func=cmd_cyl)
 
     p = sub.add_parser("check", help="property suites")

@@ -72,36 +72,22 @@ def fcomp(parts) -> FCell:
     return FCell("comp", "", tuple(flat), flat[0].dim, flat[0].src, flat[-1].tgt)
 
 
-def whisker_r(cell: FCell, edge: FCell, op_name="w") -> FCell:
-    """Whisker a cell on its target side by a lower- or equal-dimensional one."""
+def fwhisker(cell: FCell, edge: FCell, side: str) -> FCell:
+    """Whisker a cell by a lower- or equal-dimensional edge on its target
+    ("r") or source ("l") side; the pair keeps its left-to-right order."""
     if cell.dim < 1 or edge.dim < 1 or cell.dim < edge.dim:
         raise TypingError("whiskering needs positive compatible dimensions")
     if edge.is_unit:
         return cell
+    pair = (cell, edge) if side == "r" else (edge, cell)
     if cell.dim == edge.dim:
-        return fcomp([cell, edge])
+        return fcomp(pair)
     return fop(
-        op_name + "r",
-        (cell, edge),
+        "w" + side,
+        pair,
         cell.dim,
-        whisker_r(cell.src, edge, op_name),
-        whisker_r(cell.tgt, edge, op_name),
-    )
-
-
-def whisker_l(edge: FCell, cell: FCell, op_name="w") -> FCell:
-    if cell.dim < 1 or edge.dim < 1 or cell.dim < edge.dim:
-        raise TypingError("whiskering needs positive compatible dimensions")
-    if edge.is_unit:
-        return cell
-    if cell.dim == edge.dim:
-        return fcomp([edge, cell])
-    return fop(
-        op_name + "l",
-        (edge, cell),
-        cell.dim,
-        whisker_l(edge, cell.src, op_name),
-        whisker_l(edge, cell.tgt, op_name),
+        fwhisker(cell.src, edge, side),
+        fwhisker(cell.tgt, edge, side),
     )
 
 

@@ -24,7 +24,7 @@ from .trees import (
     linearization,
 )
 from . import trees as tree_mod
-from .computads import Computad, FCell, fcomp, funit, whisker_l, whisker_r
+from .computads import Computad, FCell, fcomp, funit, fwhisker
 from .theta import ThetaMap, compose, face_theta, hg_factorize, is_homogeneous, render
 from .theory import TheoryPresentation, whisker
 
@@ -74,8 +74,8 @@ def cyl_presentation(k: int, th: TheoryPresentation) -> Computad:
     B = _add_globe_pair(P, "B", k)
     f = P.add("f", 1, P["A0s"], P["B0s"])
     g = P.add("g", 1, P["A0t"], P["B0t"])
-    top = whisker_r(A, g)
-    bottom = whisker_l(f, B)
+    top = fwhisker(A, g, "r")
+    bottom = fwhisker(B, f, "l")
     # connecting seams enter bottom-up in dimension, each whiskering the
     # remaining pair one homotopy level deeper
     for level in range(2, k + 1):
@@ -83,8 +83,8 @@ def cyl_presentation(k: int, th: TheoryPresentation) -> Computad:
         for side in ("s", "t"):
             ends = (_bd_to(top, level - 1, side), _bd_to(bottom, level - 1, side))
             seam[side] = P.add(f"E{level}{side}", level, *ends)
-        top = whisker_r(top, seam["t"])
-        bottom = whisker_l(seam["s"], bottom)
+        top = fwhisker(top, seam["t"], "r")
+        bottom = fwhisker(bottom, seam["s"], "l")
     P.designated["filler"] = P.add("C", top.dim + 1, top, bottom)
     P.designated["iota0"] = A
     P.designated["iota1"] = B
@@ -153,10 +153,8 @@ def degenerate_cyl(k: int, p, q, th: TheoryPresentation) -> Computad:
         beta = P.add("beta", 1, c, d)
         f = funit(a) if f_unit else P.add("f", 1, a, c)
         g = funit(b) if g_unit else P.add("g", 1, b, d)
-        P.designated["filler"] = P.add(
-            "C", 2, fcomp([alpha, g]) if not g_unit else alpha,
-            fcomp([f, beta]) if not f_unit else beta,
-        )
+        # a unit leg drops out of its composite
+        P.designated["filler"] = P.add("C", 2, fcomp([alpha, g]), fcomp([f, beta]))
         P.designated["iota0"] = alpha
         P.designated["iota1"] = beta
         P.typecheck()
@@ -170,17 +168,13 @@ def degenerate_cyl(k: int, p, q, th: TheoryPresentation) -> Computad:
     B = P.add("B", 2, sB, tB)
     f = funit(a) if f_unit else P.add("f", 1, a, c)
     g = funit(b) if g_unit else P.add("g", 1, b, d)
-    top = whisker_r(A, g) if not g_unit else A
-    bottom = whisker_l(f, B) if not f_unit else B
-    if merge_src:
-        e_s = funit(top.src)
-    else:
-        e_s = P.add("Es", 2, top.src, bottom.src)
-    if merge_tgt:
-        e_t = funit(top.tgt)
-    else:
-        e_t = P.add("Et", 2, top.tgt, bottom.tgt)
-    P.designated["filler"] = P.add("C", 3, fcomp([top, e_t]), fcomp([e_s, bottom]))
+    top = fwhisker(A, g, "r")
+    bottom = fwhisker(B, f, "l")
+    seam = {}
+    for side, merged in (("s", merge_src), ("t", merge_tgt)):
+        ends = (_bd_to(top, 1, side), _bd_to(bottom, 1, side))
+        seam[side] = funit(ends[0]) if merged else P.add(f"E{side}", 2, *ends)
+    P.designated["filler"] = P.add("C", 3, fcomp([top, seam["t"]]), fcomp([seam["s"], bottom]))
     P.designated["iota0"] = A
     P.designated["iota1"] = B
     P.typecheck()
@@ -198,17 +192,6 @@ class SumCylinder:
     inclusions: list  # one per linearization element: dict cell -> FCell
 
 
-def _block_shapes(A: Tree):
-    """Per block: 'edge' for a line, or the cell count of a suspension."""
-    shapes = []
-    for child in A.children:
-        if child.is_leaf:
-            shapes.append(("edge", 0))
-        else:
-            shapes.append(("susp", child.arity))
-    return shapes
-
-
 def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
     """Present cyl(A) for dim(A) <= 2 with one inclusion per tree extension."""
     if tree_dim(A) > 2:
@@ -222,26 +205,14 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
             atoms[(side, j)] = P.add(f"{side}{j}", 0)
     for j in range(p + 1):
         atoms[("c", j)] = P.add(f"c{j}", 1, atoms[("u", j)], atoms[("v", j)])
-    shapes = _block_shapes(A)
-    for j, (kind, m) in enumerate(shapes, start=1):
-        lo = {("u", j): atoms[("u", j - 1)], ("v", j): atoms[("v", j - 1)]}
-        hi = {("u", j): atoms[("u", j)], ("v", j): atoms[("v", j)]}
-        if kind == "edge":
-            for side in ("u", "v"):
-                atoms[(side, j, "e", 0)] = P.add(
-                    f"{side}e{j}", 1, lo[(side, j)], hi[(side, j)]
-                )
-            atoms[("seam", j, 0)] = P.add(
-                f"s{j}_0",
-                2,
-                fcomp([atoms[("u", j, "e", 0)], atoms[("c", j)]]),
-                fcomp([atoms[("c", j - 1)], atoms[("v", j, "e", 0)]]),
-            )
-            continue
+    for j, block in enumerate(A.children, start=1):
+        # block j suspends its m cells; a leaf block is the case m = 0
+        m = block.arity
         for side in ("u", "v"):
             for level in range(m + 1):
+                name = f"{side}e{j}" if block.is_leaf else f"{side}e{j}_{level}"
                 atoms[(side, j, "e", level)] = P.add(
-                    f"{side}e{j}_{level}", 1, lo[(side, j)], hi[(side, j)]
+                    name, 1, atoms[(side, j - 1)], atoms[(side, j)]
                 )
             for r in range(1, m + 1):
                 atoms[(side, j, "x", r)] = P.add(
@@ -262,10 +233,10 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
                 f"om{j}_{r}",
                 3,
                 fcomp(
-                    [whisker_r(atoms[("u", j, "x", r)], atoms[("c", j)]), atoms[("seam", j, r)]]
+                    [fwhisker(atoms[("u", j, "x", r)], atoms[("c", j)], "r"), atoms[("seam", j, r)]]
                 ),
                 fcomp(
-                    [atoms[("seam", j, r - 1)], whisker_l(atoms[("c", j - 1)], atoms[("v", j, "x", r)])]
+                    [atoms[("seam", j, r - 1)], fwhisker(atoms[("v", j, "x", r)], atoms[("c", j - 1)], "l")]
                 ),
             )
     P.typecheck()
@@ -335,17 +306,13 @@ def _structural_inclusion(A: Tree, ext: ExtendedTree, atoms) -> dict:
 
 
 def _seam_block_image(ext, atoms, j, cl, cr, path, gap) -> FCell:
-    """Cells of the seam block, in the extended tree's own coordinates."""
-    sector = ext.sector
-    klass = ext.klass
-    if klass == tree_mod.H2_OVER_EDGE:
-        if len(path) == 1:
-            if gap == 0:
-                return fcomp([atoms[("u", j, "e", 0)], cr])
-            return fcomp([cl, atoms[("v", j, "e", 0)]])
-        return atoms[("seam", j, 0)]
+    """Cells of the seam block, in the extended tree's own coordinates.
 
-    if klass in (tree_mod.H2_MAX, tree_mod.H2_MIN, tree_mod.H2_MID):
+    A sector of height 2 at gap s splits the block's cells at s; an
+    over-edge sector is the leaf-block case, at gap 0.
+    """
+    sector = ext.sector
+    if ext.klass != tree_mod.H3:
         s = sector.gap
         if len(path) == 1:
             if gap <= s:
@@ -353,10 +320,10 @@ def _seam_block_image(ext, atoms, j, cl, cr, path, gap) -> FCell:
             return fcomp([cl, atoms[("v", j, "e", gap - 1)]])
         r = path[1] + 1
         if r <= s:
-            return whisker_r(atoms[("u", j, "x", r)], cr)
+            return fwhisker(atoms[("u", j, "x", r)], cr, "r")
         if r == s + 1:
             return atoms[("seam", j, s)]
-        return whisker_l(cl, atoms[("v", j, "x", r - 1)])
+        return fwhisker(atoms[("v", j, "x", r - 1)], cl, "l")
 
     # H3 over the r-th cell of the block
     r = sector.path[1] + 1
@@ -367,9 +334,9 @@ def _seam_block_image(ext, atoms, j, cl, cr, path, gap) -> FCell:
     if len(path) == 2:
         t = path[1] + 1
         if t < r:
-            return whisker_r(atoms[("u", j, "x", t)], cr)
+            return fwhisker(atoms[("u", j, "x", t)], cr, "r")
         if t > r:
-            return whisker_l(cl, atoms[("v", j, "x", t)])
+            return fwhisker(atoms[("v", j, "x", t)], cl, "l")
         fill = atoms[("fill", j, r)]
         return fill.src if gap == 0 else fill.tgt
     return atoms[("fill", j, r)]
@@ -431,56 +398,32 @@ def _side_name(q: int, p: int) -> str:
     return f"c{q}"
 
 
-def _blocks(A: Tree):
-    return A.arity, _block_shapes(A)
+def _corner(state, side: str):
+    """The source ("s") or target ("t") 1-cell boundary of an edge state: a
+    mid state restricts through the seam on that side."""
+    if state[0] == "mid":
+        return ("btau" if side == "s" else "bsig", state[1])
+    return state
 
 
-def _mixed_args(state, A: Tree) -> str:
-    p, _ = _blocks(A)
-    kind = state[0]
-    j = state[1]
-    parts = []
-    if j > 1:
-        parts.append(f"U_<{j}")
+def _render(state, A: Tree, side: str = "") -> str:
+    """An edge state, or with side "s"/"t" a corner state, as a restriction
+    of rho."""
+    d = f"d{side}" if side else ""
+    if state[0] == "pre":
+        return f"C_t*rho{side}({d}U)"
+    if state[0] == "post":
+        return f"rho{side}({d}V)*C_s"
+    p = A.arity
+    kind, j = state[:2]
     if kind == "btau":
-        parts.append(f"{_side_name(j, p)}*U_{j}")
+        seam = f"{_side_name(j, p)}*{d}U_{j}"
     elif kind == "bsig":
-        parts.append(f"V_{j}*{_side_name(j - 1, p)}")
+        seam = f"{d}V_{j}*{_side_name(j - 1, p)}"
     else:
         r = state[2]
-        parts.append(f"{_side_name(j, p)}*U_{j}^<={r}, a_{j}.{r}, V_{j}^>{r}*{_side_name(j - 1, p)}")
-    if j < p:
-        parts.append(f"V_>{j}")
-    return ", ".join(parts)
-
-
-def render_edge(state, A: Tree) -> str:
-    if state[0] == "pre":
-        return "C_t*rho(U)"
-    if state[0] == "post":
-        return "rho(V)*C_s"
-    return f"rho({_mixed_args(state, A)})"
-
-
-def _corner(state, A: Tree, side: str) -> str:
-    """The source ("s") or target ("t") 1-cell boundary of an edge, as a
-    rendered restriction."""
-    p, _ = _blocks(A)
-    if state[0] == "pre":
-        return f"C_t*rho{side}(d{side}U)"
-    if state[0] == "post":
-        return f"rho{side}(d{side}V)*C_s"
-    j = state[1]
-    if state[0] == "btau" or (state[0] == "mid" and side == "s"):
-        seam = f"{_side_name(j, p)}*d{side}U_{j}"
-    else:
-        seam = f"d{side}V_{j}*{_side_name(j - 1, p)}"
-    parts = []
-    if j > 1:
-        parts.append(f"d{side}U_<{j}")
-    parts.append(seam)
-    if j < p:
-        parts.append(f"d{side}V_>{j}")
+        seam = f"{_side_name(j, p)}*U_{j}^<={r}, a_{j}.{r}, V_{j}^>{r}*{_side_name(j - 1, p)}"
+    parts = ([f"{d}U_<{j}"] if j > 1 else []) + [seam] + ([f"{d}V_>{j}"] if j < p else [])
     return f"rho{side}(" + ", ".join(parts) + ")"
 
 
@@ -571,14 +514,14 @@ def stack(ρ: ThetaMap, th: TheoryPresentation):
     squares = []
     for idx, ext in enumerate(linearization(A)):
         top_state, bottom_state = _square_states(ext, p)
-        top = render_edge(top_state, A)
-        bottom = render_edge(bottom_state, A)
+        top = _render(top_state, A)
+        bottom = _render(bottom_state, A)
         record = {"s": None, "t": None}
         degenerate = {"s": False, "t": False}
         if k >= 2:
             j = ext.sector.path[0] + 1 if ext.sector.path else None
             for side in ("s", "t"):
-                top_c, bottom_c = _corner(top_state, A, side), _corner(bottom_state, A, side)
+                top_c, bottom_c = _corner(top_state, side), _corner(bottom_state, side)
                 degenerate[side] = ext.klass in _DEGENERATE_KLASSES[side]
                 if (top_c == bottom_c) != degenerate[side]:
                     what = "source" if side == "s" else "target"
@@ -593,7 +536,11 @@ def stack(ρ: ThetaMap, th: TheoryPresentation):
                     args = f"(d{side}U_<{j}, a_{j}.{gap}, d{side}V_>{j})"
                     record[side] = _rho_star(ρ, A, ext, side, args)
                 else:
-                    record[side] = {"kind": "coh", "src": top_c, "tgt": bottom_c}
+                    record[side] = {
+                        "kind": "coh",
+                        "src": _render(top_c, A, side),
+                        "tgt": _render(bottom_c, A, side),
+                    }
         squares.append(
             StackSquare(
                 index=idx,
@@ -623,22 +570,19 @@ def vcompose_meta(squares) -> dict:
             raise DomainError(
                 f"stack is not composable between squares {a.index} and {b.index}"
             )
-    ps = [sq.p for sq in squares]
-    qs = [sq.q for sq in squares]
-    return {
-        "p": None if all(v is None for v in ps) else min(v for v in ps if v is not None),
-        "q": None if all(v is None for v in qs) else min(v for v in qs if v is not None),
-        "top": squares[0].top,
-        "bottom": squares[-1].bottom,
-        "source_record": tuple(
-            "degenerate" if sq.source_degenerate else (sq.left or {}).get("kind", "coh")
+    meta = {"top": squares[0].top, "bottom": squares[-1].bottom}
+    for index, flag, record, key in (
+        ("p", "source_degenerate", "left", "source_record"),
+        ("q", "target_degenerate", "right", "target_record"),
+    ):
+        meta[index] = min(
+            (getattr(sq, index) for sq in squares if getattr(sq, index) is not None), default=None
+        )
+        meta[key] = tuple(
+            "degenerate" if getattr(sq, flag) else (getattr(sq, record) or {}).get("kind", "coh")
             for sq in squares
-        ),
-        "target_record": tuple(
-            "degenerate" if sq.target_degenerate else (sq.right or {}).get("kind", "coh")
-            for sq in squares
-        ),
-    }
+        )
+    return meta
 
 
 def stack_to_dot(squares) -> str:
@@ -671,6 +615,7 @@ def modification_presentation(k: int, th: TheoryPresentation):
         raise DomainError("modification presentations are built for k <= 2")
     _require_systems(th, max(k, 1))
     P = Computad(f"M{k}")
+    equations = []
     if k == 0:
         a = P.add("a", 0)
         b = P.add("b", 0)
@@ -678,8 +623,7 @@ def modification_presentation(k: int, th: TheoryPresentation):
         D = P.add("D", 1, a, b)
         P.designated["filler"] = P.add("Theta", 2, C, D)
         xi0 = {"a": "a", "b": "b", "C": "C"}
-        xi1 = {"a": "a", "b": "b", "C": "D"}
-        equations = []
+        second = {"C": "D"}
     elif k == 1:
         a = P.add("a", 0)
         b = P.add("b", 0)
@@ -698,18 +642,14 @@ def modification_presentation(k: int, th: TheoryPresentation):
         P.designated["filler"] = P.add(
             "Theta",
             3,
-            fcomp([whisker_l(alpha, Tt), FC, whisker_r(Ts, beta)]),
+            fcomp([fwhisker(Tt, alpha, "l"), FC, fwhisker(Ts, beta, "r")]),
             FD,
         )
         xi0 = {
             "A0s": "a", "A0t": "b", "B0s": "c", "B0t": "d",
             "A1": "alpha", "B1": "beta", "f": "f", "g": "g", "C": "FC",
         }
-        xi1 = {
-            "A0s": "a", "A0t": "b", "B0s": "c", "B0t": "d",
-            "A1": "alpha", "B1": "beta", "f": "f2", "g": "g2", "C": "FD",
-        }
-        equations = []
+        second = {"f": "f2", "g": "g2", "C": "FD"}
     else:
         a = P.add("a", 0)
         b = P.add("b", 0)
@@ -729,34 +669,25 @@ def modification_presentation(k: int, th: TheoryPresentation):
         Et = P.add("Et", 2, fcomp([tA, g]), fcomp([f, tB]))
         Es2 = P.add("Es2", 2, fcomp([sA, g2]), fcomp([f2, sB]))
         Et2 = P.add("Et2", 2, fcomp([tA, g2]), fcomp([f2, tB]))
-        OmC = P.add("OmC", 3, fcomp([whisker_r(A, g), Et]), fcomp([Es, whisker_l(f, B)]))
-        OmD = P.add("OmD", 3, fcomp([whisker_r(A, g2), Et2]), fcomp([Es2, whisker_l(f2, B)]))
+        OmC = P.add("OmC", 3, fcomp([fwhisker(A, g, "r"), Et]), fcomp([Es, fwhisker(B, f, "l")]))
+        OmD = P.add("OmD", 3, fcomp([fwhisker(A, g2, "r"), Et2]), fcomp([Es2, fwhisker(B, f2, "l")]))
         Ts = P.add("Ts", 2, f, f2)
         Tt = P.add("Tt", 2, g2, g)
         # recursive modification data: its sides compare the whisker-corrected
         # seams (through the chosen whisker cylinders) with the second copy
-        Gs = P.add("Gs", 3, fcomp([whisker_l(sA, Tt), Es, whisker_r(Ts, sB)]), Es2)
-        Gt = P.add("Gt", 3, fcomp([whisker_l(tA, Tt), Et, whisker_r(Ts, tB)]), Et2)
-        equations = [
-            (
-                "modification_top",
-                "paste(OmC, Gs, Gt) = OmD",
-            )
-        ]
+        Gs = P.add("Gs", 3, fcomp([fwhisker(Tt, sA, "l"), Es, fwhisker(Ts, sB, "r")]), Es2)
+        Gt = P.add("Gt", 3, fcomp([fwhisker(Tt, tA, "l"), Et, fwhisker(Ts, tB, "r")]), Et2)
+        equations = [("modification_top", "paste(OmC, Gs, Gt) = OmD")]
         xi0 = {
             "A0s": "a", "A0t": "b", "B0s": "c", "B0t": "d",
             "A1s": "sA", "A1t": "tA", "B1s": "sB", "B1t": "tB",
             "A2": "A", "B2": "B", "f": "f", "g": "g",
             "E2s": "Es", "E2t": "Et", "C": "OmC",
         }
-        xi1 = {
-            "A0s": "a", "A0t": "b", "B0s": "c", "B0t": "d",
-            "A1s": "sA", "A1t": "tA", "B1s": "sB", "B1t": "tB",
-            "A2": "A", "B2": "B", "f": "f2", "g": "g2",
-            "E2s": "Es2", "E2t": "Et2", "C": "OmD",
-        }
+        second = {"f": "f2", "g": "g2", "E2s": "Es2", "E2t": "Et2", "C": "OmD"}
     P.typecheck()
-    xi = {"Xi0": xi0, "Xi1": xi1, "equations": equations}
+    # the second cylinder copy shares the globes and renames the rest
+    xi = {"Xi0": xi0, "Xi1": {**xi0, **second}, "equations": equations}
     _verify_xi(k, th, P, xi)
     return P, xi
 

@@ -371,6 +371,23 @@ def is_homogeneous(f: ThetaMap) -> bool:
     return ok
 
 
+def homogeneous_op(k: int, A: Tree):
+    """The homogeneous operation D_k -> A, or None; it exists iff dim A <= k.
+
+    A homogeneous map leaves no globular map to split off, so it covers
+    every root gap of A (phi = (0, arity A)) and is homogeneous in each
+    gap: it is built child by child, and at k = 0 only the point has one.
+    """
+    if k < 0:
+        raise DomainError("operations have dimension at least 0")
+    if k == 0:
+        return ThetaMap(LEAF, A, (0,), ()) if A.is_leaf else None
+    block = tuple(homogeneous_op(k - 1, child) for child in A.children)
+    if any(c is None for c in block):
+        return None
+    return ThetaMap(globe(k), A, (0, A.arity), (block,))
+
+
 def support(c: ThetaMap):
     """Minimal globular subobject through which a globe-sourced cell factors."""
     if c.source != globe(tree_dim(c.source)):

@@ -122,6 +122,14 @@ def test_cyl_stack(capsys):
     assert "composite: C_t*rho(U) ~> rho(V)*C_s" in out
 
 
+def test_cyl_stack_wide_tree(capsys):
+    # hom(D2, A) has 1234567 maps, above the default hom bound; the one
+    # homogeneous operation is built, not searched for
+    code, out = run(capsys, "cyl", "stack", "--k", "2", "--tree", "[" + "[[][][]]" * 6 + "]", "--json")
+    assert code == 0
+    assert len(json.loads(out)) == 49  # one square per extension of the 25-node tree
+
+
 def test_cyl_stack_dot(capsys):
     code, out = run(capsys, "cyl", "stack", "--tree", NINE_TREE, "--dot", "0")
     assert code == 0
@@ -226,16 +234,16 @@ FUZZ_TREES = [
 ]
 # options that pick an item or bound a search: any integer goes
 FUZZ_INDICES = ["0", "1", "2", "7", "-1", "-5", "99", str(10**6), str(10**30), "x", "1e3"]
-# options that set how much work a command does: small values only, since
-# large ones run for minutes (``theory build --n 1000`` has no size guard);
-# negative values and non-integers are still in
+# options that set how much work a command does and have no size guard:
+# small values only, since large ones run for minutes; negative values and
+# non-integers are still in
 FUZZ_SIZES = ["0", "1", "2", "3", "-1", "-7", "x"]
 FUZZ_MAPS = [
     "{", "null", "1", "[]", "{}", '{"phi": [0, 1]}', '{"phi": "x", "components": []}',
     '{"phi": [0, 1], "components": [[]]}', '{"phi": [0, 1], "components": [[{}]]}',
     '{"phi": [0, 0], "components": [[]]}', '{"phi": [1, 0], "components": [[]]}', "[" * 5000,
 ]
-FUZZ_SIZE_OPTIONS = {"--n", "--count", "--max-nodes"}
+FUZZ_SIZE_OPTIONS = {"--count", "--max-nodes"}
 
 
 def fuzz_files(tmp_path):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from globwork.errors import AdmissibilityError, DomainError, TypingError
+from globwork.errors import AdmissibilityError, DomainError, SizeGuardError, TypingError
 from globwork import globsets as gs
 from globwork import theory as T
 from globwork.computads import typecheck as ftypecheck
@@ -336,6 +336,16 @@ def test_generating_cofibrations_counts():
     collapse = I3[-1]
     tops = {collapse.maps[3][c] for c in collapse.dom.cells[3]}
     assert tops == set(gs.globe_set(3).cells[3])
+
+
+def test_truncation_bound():
+    # refused before any work, however large the truncation
+    for n in (T.MAX_TRUNCATION + 1, 10**30):
+        with pytest.raises(SizeGuardError):
+            base_theory(n)
+        with pytest.raises(SizeGuardError):
+            generating_cofibrations(n)
+    assert base_theory(T.MAX_TRUNCATION).n == T.MAX_TRUNCATION
 
 
 def test_division_term_shapes():

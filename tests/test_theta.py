@@ -17,6 +17,7 @@ from globwork.theta import (
     hg_factorize,
     hom,
     hom_count,
+    homogeneous_op,
     identity,
     is_admissible_categorical,
     is_admissible_groupoidal,
@@ -446,6 +447,22 @@ def test_globular_monos_match_filter():
 
 
 WIDE_TARGET = parse_tree("[" + "[[][][]]" * 6 + "]")
+
+
+def test_homogeneous_op_matches_scan():
+    # the filtered scan is the oracle; the constructed op must be its only
+    # element, and exist exactly when dim A <= k
+    found = 0
+    for A in all_trees(7):
+        for k in range(4):
+            scan = [f for f in hom(globe(k), A) if is_homogeneous(f)]
+            op = homogeneous_op(k, A)
+            assert (op is not None) == (dim(A) <= k)
+            assert scan == ([op] if op is not None else [])
+            found += op is not None
+    assert found == 217
+    with pytest.raises(DomainError):
+        homogeneous_op(-1, LEAF)
 
 
 def test_filler_wide_target():
