@@ -14,7 +14,7 @@ import os
 import random
 import sys
 
-from .errors import GlobworkError
+from .errors import GlobworkError, SizeGuardError
 from . import globsets as gs
 from . import steiner
 from . import theta as th_mod
@@ -278,7 +278,24 @@ def cmd_cyl(args):
     raise GlobworkError(f"unknown cyl action {args.action!r}")
 
 
+# The largest sizes the check suites accept.  On a 2-core Xeon VM each
+# bound runs in at most 4.1 s; one step more took 7.6 s (trees at 11
+# nodes), 14.8 s (theta at 9), 7.3 s (stack at 13) and 8.5 s
+# (factorization --count 20000).
+CHECK_MAX_NODES = {"trees": 10, "theta": 8, "stack": 12}
+CHECK_MAX_COUNT = 10_000
+
+
+def _guard_check_sizes(args):
+    for suite, bound in CHECK_MAX_NODES.items():
+        if args.suite in (suite, "all") and args.max_nodes > bound:
+            raise SizeGuardError(f"--max-nodes {args.max_nodes} is above the bound {bound} of the {suite} suite")
+    if args.suite in ("factorization", "all") and args.count > CHECK_MAX_COUNT:
+        raise SizeGuardError(f"--count {args.count} is above the bound {CHECK_MAX_COUNT}")
+
+
 def cmd_check(args):
+    _guard_check_sizes(args)
     rng = random.Random(args.seed)
     failures = []
 

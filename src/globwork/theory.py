@@ -9,7 +9,7 @@ map or an opaque symbol applied to a term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from .errors import AdmissibilityError, DomainError, SizeGuardError, TypingError
 from .trees import LEAF, Tree, dim as tree_dim, globe, suspend
 from . import theta as th_ops
@@ -38,13 +38,22 @@ def _junction_height(p: tuple, q: tuple) -> int:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermCell:
     """A single morphism D_k -> B: a globular map or an applied symbol."""
 
     glob: ThetaMap | None = None
     op: str | None = None
     args: "Term | None" = None
+    _h: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        # memoised like Tree.__hash__
+        h = self._h
+        if h is None:
+            h = hash((self.glob, self.op, self.args))
+            object.__setattr__(self, "_h", h)
+        return h
 
     def __post_init__(self):
         if (self.glob is None) == (self.op is None):
@@ -60,13 +69,22 @@ class TermCell:
         return f"{self.op}({self.args})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """A morphism source -> target: one cell per leaf of the source."""
 
     source: Tree
     target: Tree
     cells: tuple[TermCell, ...]
+    _h: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        # memoised like Tree.__hash__
+        h = self._h
+        if h is None:
+            h = hash((self.source, self.target, self.cells))
+            object.__setattr__(self, "_h", h)
+        return h
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.cells) + ")"
@@ -128,14 +146,24 @@ class TheoryPresentation:
         self.symbols: dict[str, OperationSymbol] = {}
         self.chosen: dict[str, str] = {}
         self._boundary_cache: dict = {}
+        self._eval_cache: dict[Term, ThetaMap] = {}
 
     # -- basic views --------------------------------------------------------
 
     def copy(self) -> "TheoryPresentation":
+        """The same symbols in a new presentation, which takes over the caches.
+
+        A copy only ever gains symbols, so every cached entry stays true of
+        it.  The original starts cold: a second copy of it may define the
+        same names differently, and entries the first copy adds may use
+        symbols the original does not have.
+        """
         out = TheoryPresentation(self.n, self.kind)
         out.stages = {k: list(v) for k, v in self.stages.items()}
         out.symbols = dict(self.symbols)
         out.chosen = dict(self.chosen)
+        out._boundary_cache, self._boundary_cache = self._boundary_cache, {}
+        out._eval_cache, self._eval_cache = self._eval_cache, {}
         return out
 
     def symbol(self, name: str) -> OperationSymbol:
@@ -254,14 +282,11 @@ class TheoryPresentation:
         return compose(sym.theta_image, self.eval_term(cell.args))
 
     def eval_term(self, t: Term) -> ThetaMap:
-        return assemble(t.source, t.target, [self.eval_cell(c) for c in t.cells])
-
-    def evaluable(self, t: Term) -> bool:
-        try:
-            self.eval_term(t)
-            return True
-        except DomainError:
-            return False
+        hit = self._eval_cache.get(t)
+        if hit is None:
+            hit = assemble(t.source, t.target, [self.eval_cell(c) for c in t.cells])
+            self._eval_cache[t] = hit
+        return hit
 
     # -- the tower ----------------------------------------------------------
 
@@ -299,8 +324,13 @@ class TheoryPresentation:
                 )
             image = None
             is_eq = k == out.n + 1
-            if not is_eq and out.evaluable(src) and out.evaluable(tgt):
-                image = filler(out.eval_term(src), out.eval_term(tgt))
+            if not is_eq:
+                # a categorical admissibility test has evaluated both sides
+                # already; eval_term keeps them
+                try:
+                    image = filler(out.eval_term(src), out.eval_term(tgt))
+                except DomainError:  # a side uses a symbol without strict image
+                    pass
                 if image is None and out.kind == CATEGORICAL:
                     raise AdmissibilityError(
                         f"no strict filler for categorical pair {name!r}"

@@ -12,20 +12,29 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from .errors import DomainError, SizeGuardError, TypingError
-from .trees import LEAF, Tree, boundary as tree_boundary, dim as tree_dim, globe
+from .trees import LEAF, Tree, boundary as tree_boundary, dim as tree_dim, globe, suspend
 from .globsets import GlobMap, realize
 
 DEFAULT_HOM_BOUND = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThetaMap:
     source: Tree
     target: Tree
     phi: tuple[int, ...]
     components: tuple[tuple["ThetaMap", ...], ...]
+    _h: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        # memoised like Tree.__hash__
+        h = self._h
+        if h is None:
+            h = hash((self.source, self.target, self.phi, self.components))
+            object.__setattr__(self, "_h", h)
+        return h
 
     def __post_init__(self):
         m, n = self.source.arity, self.target.arity
@@ -524,8 +533,6 @@ def _fill(k: int, f: ThetaMap, g: ThetaMap):
 # suspension and assembly
 
 def suspend_map(f: ThetaMap) -> ThetaMap:
-    from .trees import suspend
-
     return ThetaMap(suspend(f.source), suspend(f.target), (0, 1), ((f,),))
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from .errors import ParseError, InvalidTableError, DomainError, SizeGuardError
 
 # Classification tags for one-vertex extensions, keyed to the insertion
@@ -26,9 +26,19 @@ H3 = "H3"
 ALL_KLASSES = (H1_RIGHT, H1_LEFT, H1_MID, H2_OVER_EDGE, H2_MAX, H2_MIN, H2_MID, H3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tree:
     children: tuple["Tree", ...] = ()
+    _h: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        # the dataclass hash of the fields, memoised: unmemoised, every call
+        # walks the whole tree
+        h = self._h
+        if h is None:
+            h = hash((self.children,))
+            object.__setattr__(self, "_h", h)
+        return h
 
     def __str__(self):
         return "[" + "".join(str(c) for c in self.children) + "]"
@@ -72,17 +82,8 @@ class Tree:
 LEAF = Tree()
 
 
-@functools.lru_cache(maxsize=None)
-def globe(k: int) -> Tree:
-    """The k-globe: a chain of k+1 nodes."""
-    if k < 0:
-        raise DomainError(f"globe dimension must be >= 0, got {k}")
-    t = LEAF
-    for _ in range(k):
-        t = Tree((t,))
-    return t
-
-
+# The package recurses along the height of a tree, so parsing, globes and
+# suspensions refuse trees of dimension above this bound.
 MAX_PARSE_DEPTH = 100
 
 
@@ -90,19 +91,28 @@ def _too_deep():
     return SizeGuardError(f"tree is deeper than the bound {MAX_PARSE_DEPTH}")
 
 
+@functools.lru_cache(maxsize=None)
+def globe(k: int) -> Tree:
+    """The k-globe: a chain of k+1 nodes."""
+    if k < 0:
+        raise DomainError(f"globe dimension must be >= 0, got {k}")
+    if k > MAX_PARSE_DEPTH:
+        raise _too_deep()
+    t = LEAF
+    for _ in range(k):
+        t = Tree((t,))
+    return t
+
+
 def parse_tree(text: str) -> Tree:
     """Parse the bracket grammar ``tree := '[' tree* ']'``.
 
     The shorthand ``Dk`` (e.g. ``D2``) is accepted for globes.  Trees of
-    dimension above ``MAX_PARSE_DEPTH`` are refused: the package recurses
-    along the height of a tree.
+    dimension above ``MAX_PARSE_DEPTH`` are refused.
     """
     s = text.strip()
     if s and s[0] in "Dd" and s[1:].isdigit():
-        k = int(s[1:])
-        if k > MAX_PARSE_DEPTH:
-            raise _too_deep()
-        return globe(k)
+        return globe(int(s[1:]))
     pos = 0
 
     def parse_node(depth):
@@ -252,6 +262,8 @@ def boundary_table_oracle(t: Tree) -> Tree:
 
 def suspend(t: Tree) -> Tree:
     """New root with the old tree as its single branch; all heights shift up."""
+    if dim(t) >= MAX_PARSE_DEPTH:
+        raise _too_deep()
     return Tree((t,))
 
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from globwork import steiner
+from globwork import cli, steiner
 from globwork.cli import build_parser, main
 from globwork.theta import compose, hom, map_from_json, sigma_theta, tau_theta
 from globwork.trees import all_trees, globe, parse_tree
@@ -144,6 +144,33 @@ def test_check_suites(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "trees", "--max-nodes", "11"],
+        ["check", "theta", "--max-nodes", "9"],
+        ["check", "stack", "--max-nodes", "13"],
+        ["check", "all", "--max-nodes", "9"],
+        ["check", "factorization", "--count", "10001"],
+        ["check", "all", "--count", str(10**30)],
+    ],
+)
+def test_check_sizes_are_guarded(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "above the bound" in captured.err
+
+
+def test_check_size_bounds_are_accepted():
+    for suite, bound in cli.CHECK_MAX_NODES.items():
+        cli._guard_check_sizes(argparse.Namespace(suite=suite, max_nodes=bound, count=10**30))
+    all_bound = min(cli.CHECK_MAX_NODES.values())
+    cli._guard_check_sizes(argparse.Namespace(suite="all", max_nodes=all_bound, count=cli.CHECK_MAX_COUNT))
+    # suites that do not use an option ignore it
+    cli._guard_check_sizes(argparse.Namespace(suite="tower", max_nodes=10**30, count=10**30))
+
+
 def cli_env():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     return dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
@@ -232,18 +259,14 @@ FUZZ_TREES = [
     "[]", "[[]]", "[[][]]", "[[[]][]]", "[[[][]][]]", "D0", "D1", "D2", "D3",
     "", "[", "]", "[[]", "[]]", "][", "[x]", "[] []", "D", "D-1", "Dx", "D1.5", "D500",
 ]
-# options that pick an item or bound a search: any integer goes
+# integer options, which pick an item, bound a search or size a check suite:
+# any integer goes
 FUZZ_INDICES = ["0", "1", "2", "7", "-1", "-5", "99", str(10**6), str(10**30), "x", "1e3"]
-# options that set how much work a command does and have no size guard:
-# small values only, since large ones run for minutes; negative values and
-# non-integers are still in
-FUZZ_SIZES = ["0", "1", "2", "3", "-1", "-7", "x"]
 FUZZ_MAPS = [
     "{", "null", "1", "[]", "{}", '{"phi": [0, 1]}', '{"phi": "x", "components": []}',
     '{"phi": [0, 1], "components": [[]]}', '{"phi": [0, 1], "components": [[{}]]}',
     '{"phi": [0, 0], "components": [[]]}', '{"phi": [1, 0], "components": [[]]}', "[" * 5000,
 ]
-FUZZ_SIZE_OPTIONS = {"--count", "--max-nodes"}
 
 
 def fuzz_files(tmp_path):
@@ -291,8 +314,6 @@ def fuzz_argv(rng, parser, files):
             argv += [flag, rng.choice(FUZZ_MAPS)]
         elif flag == "--file":
             argv += [flag, rng.choice(files)]
-        elif flag in FUZZ_SIZE_OPTIONS:
-            argv += [flag, rng.choice(FUZZ_SIZES)]
         elif action.type is int:
             argv += [flag, rng.choice(FUZZ_INDICES)]
         else:

@@ -1,0 +1,65 @@
+"""The memoised hashes of the value classes equal the dataclass hashes of
+their fields, so sets and dicts keep the iteration order they had when the
+hash was recomputed on every call."""
+
+import dataclasses
+
+from globwork.theta import ThetaMap, hom
+from globwork.theory import Term, TermCell, groupoidalize, standard_library
+from globwork.trees import Tree, all_trees, globe
+
+VALUES = (Tree, ThetaMap, TermCell, Term)
+
+
+class StandIn:
+    """An item of a tuple with a given hash: a tuple's hash reads only the
+    hashes of its items."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def field_hash(v):
+    """hash of v's compared fields, recomputed all the way down."""
+    return hash(tuple(stand_in(getattr(v, f.name)) for f in dataclasses.fields(v) if f.compare))
+
+
+def stand_in(x):
+    if isinstance(x, VALUES):
+        return StandIn(field_hash(x))
+    if isinstance(x, tuple):
+        return tuple(stand_in(y) for y in x)
+    return x
+
+
+def assert_memo_matches(values):
+    for v in values:
+        assert hash(v) == field_hash(v)
+        assert v._h == hash(v)
+
+
+def test_tree_hashes():
+    assert_memo_matches(list(all_trees(7)))
+
+
+def test_map_hashes():
+    assert_memo_matches([f for T in all_trees(5) for k in range(3) for f in hom(globe(k), T)])
+
+
+def test_term_hashes():
+    th = standard_library(3)
+    for tower in (th, groupoidalize(th)):
+        terms = [t for s in tower.symbols.values() for t in (s.src, s.tgt)]
+        assert_memo_matches(terms + [c for t in terms for c in t.cells])
+
+
+def test_equal_values_share_the_hash():
+    for t in all_trees(5):
+        fresh = Tree.from_json(t.to_json())
+        assert fresh is not t and fresh._h is None
+        assert hash(fresh) == hash(t) and fresh == t

@@ -11,6 +11,7 @@ from globwork.trees import LEAF, Tree, globe, parse_tree
 from globwork.theory import (
     GROUPOIDAL,
     Term,
+    TermCell,
     app_cell,
     base_theory,
     division_term,
@@ -116,6 +117,62 @@ def test_extend_generator_pair_gets_generator_filler():
         ]
     )
     assert th.symbol("gen2").theta_image == identity(globe(2))
+
+
+def x_item(end):
+    """x : D_1 -> [[][]] from the 0-cell 0 to the 0-cell ``end``."""
+    return {
+        "name": "x",
+        "arity": TWO,
+        "k": 1,
+        "src": single(0, TWO, zero_cell_pick(TWO, 0)),
+        "tgt": single(0, TWO, zero_cell_pick(TWO, end)),
+    }
+
+
+def answers(th, op):
+    """Boundaries and strict images of ``op`` over [[][]] and of its identity."""
+    cell = app_cell(op, th.identity_term(TWO))
+    out = []
+    for c in (cell, app_cell("id1", single(1, TWO, cell))):
+        term = Term(globe(th.cell_dim(c)), TWO, (c,))
+        th.validate_term(term)
+        out.append((th.cell_boundary(c, "s"), th.cell_boundary(c, "t"), th.eval_term(term)))
+    return out
+
+
+def test_extensions_of_one_parent_keep_their_caches_apart():
+    # extend hands the parent's caches on; each branch must still answer as
+    # the same branch built from scratch, and the parent must not know x
+    parent = standard_systems(base_theory(3))
+    expected = answers(standard_systems(base_theory(3)), "c1")
+    branches = {}
+    for end in (2, 1):
+        assert answers(parent, "c1") == expected  # warm caches to hand on
+        branches[end] = parent.extend([x_item(end)])
+        answers(branches[end], "x")
+    assert answers(branches[1], "x") != answers(branches[2], "x")
+    for end, th in branches.items():
+        assert answers(th, "x") == answers(standard_systems(base_theory(3)).extend([x_item(end)]), "x")
+
+    def parent_knows_no_x(x, target):
+        with pytest.raises(TypingError):
+            parent.cell_boundary(x, "s")
+        with pytest.raises(TypingError):
+            parent.eval_term(single(1, target, x))
+
+    parent_knows_no_x(app_cell("x", parent.identity_term(TWO)), TWO)
+    # a batch that defines x and then fails on a pair through x: the two
+    # 1-cells from 0 to 2 in [[][][]] do not factor through its boundary
+    three = Tree((LEAF, LEAF, LEAF))
+    first_two = Term(TWO, three, tuple(glob_cell(leaf_inclusion(three, j)) for j in (0, 1)))
+    x, c = (app_cell(op, first_two) for op in ("x", "c1"))
+    y = {"name": "y", "arity": three, "k": 2, "src": single(1, three, x), "tgt": single(1, three, c)}
+    assert answers(parent, "c1") == expected
+    with pytest.raises(AdmissibilityError):
+        parent.extend([x_item(2), y])
+    parent_knows_no_x(x, three)
+    assert answers(parent, "c1") == expected
 
 
 def test_systems_boundary_laws():
@@ -261,16 +318,21 @@ def glob_pool(B, k):
 
 
 def random_cell_term(rng, th, k, B, depth=1):
+    """A globular k-cell of B or, while depth lasts, a symbol with a strict
+    image applied to random arguments.  The pick comes first and only the
+    picked symbol's arguments are built; a symbol whose arguments cannot
+    be built leaves the draw."""
     choices = list(glob_pool(B, k))
     if depth > 0:
-        for sym in th.operations():
-            if sym.dim == k and sym.theta_image is not None:
-                args = random_term(rng, th, sym.arity, B, depth - 1)
-                if args is not None:
-                    choices.append(app_cell(sym.name, args))
-    if not choices:
-        return None
-    return rng.choice(choices)
+        choices += [s for s in th.operations() if s.dim == k and s.theta_image is not None]
+    while choices:
+        pick = choices.pop(rng.randrange(len(choices)))
+        if isinstance(pick, TermCell):
+            return pick
+        args = random_term(rng, th, pick.arity, B, depth - 1)
+        if args is not None:
+            return app_cell(pick.name, args)
+    return None
 
 
 def random_term(rng, th, A, B, depth=1, tries=12):

@@ -1,7 +1,7 @@
 import pytest
 
 from globwork.errors import DomainError, InvalidTableError, ParseError, SizeGuardError
-from globwork import trees
+from globwork import theta, trees
 from globwork.trees import (
     DimensionTable,
     Tree,
@@ -54,9 +54,24 @@ def test_parse_errors_carry_position():
 def test_parse_depth_bound():
     k = trees.MAX_PARSE_DEPTH
     assert parse_tree(f"D{k}") == parse_tree(str(globe(k))) == globe(k)
-    for text in (f"D{k + 1}", str(globe(k + 1))):
+    # the literal of the (k + 1)-globe, which globe() itself refuses
+    for text in (f"D{k + 1}", "[" * (k + 2) + "]" * (k + 2)):
         with pytest.raises(SizeGuardError):
             parse_tree(text)
+
+
+def test_library_depth_bound():
+    k = trees.MAX_PARSE_DEPTH
+    assert trees.suspend(globe(k - 1)) == globe(k)
+    assert theta.render(theta.suspend_map(theta.identity(globe(k - 1)))) == theta.render(theta.identity(globe(k)))
+    # at 400 theta.render overflowed the stack with RecursionError
+    for height in (k + 1, 400):
+        with pytest.raises(SizeGuardError):
+            theta.render(theta.identity(globe(height)))
+    with pytest.raises(SizeGuardError):
+        trees.suspend(globe(k))
+    with pytest.raises(SizeGuardError):
+        theta.suspend_map(theta.identity(globe(k)))
 
 
 def test_pretty_print_round_trip():
