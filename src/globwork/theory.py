@@ -282,6 +282,7 @@ class TheoryPresentation:
         return compose(sym.theta_image, self.eval_term(cell.args))
 
     def eval_term(self, t: Term) -> ThetaMap:
+        """The strict image of t, memoised in the presentation."""
         hit = self._eval_cache.get(t)
         if hit is None:
             hit = assemble(t.source, t.target, [self.eval_cell(c) for c in t.cells])
@@ -328,9 +329,11 @@ class TheoryPresentation:
                 # a categorical admissibility test has evaluated both sides
                 # already; eval_term keeps them
                 try:
-                    image = filler(out.eval_term(src), out.eval_term(tgt))
+                    pair = out.eval_term(src), out.eval_term(tgt)
                 except DomainError:  # a side uses a symbol without strict image
                     pass
+                else:
+                    image = filler(*pair)
                 if image is None and out.kind == CATEGORICAL:
                     raise AdmissibilityError(
                         f"no strict filler for categorical pair {name!r}"
