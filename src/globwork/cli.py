@@ -143,7 +143,8 @@ def cmd_theta(args):
         _emit(args, payload, f"middle {fact.middle}")
         return 0
     if args.action == "homogeneous":
-        _emit(args, is_homogeneous(f), str(is_homogeneous(f)))
+        ok = is_homogeneous(f)
+        _emit(args, ok, str(ok))
         return 0
     # filler and admissible take a second map, by default f itself
     g = f if args.second is None else _pick(hom(S, T, args.max_homs), args.second, "--second")

@@ -14,7 +14,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from .errors import DomainError, SizeGuardError, TypingError
-from .trees import LEAF, Tree, boundary as tree_boundary, dim as tree_dim, globe, suspend
+from .trees import LEAF, Tree, dim as tree_dim, globe, suspend
 from .globsets import GlobMap, realize
 
 DEFAULT_HOM_BOUND = 10**6
@@ -368,10 +368,26 @@ def hg_factorize(f: ThetaMap) -> HGFactorization:
     return HGFactorization(residue, mono)
 
 
+def splits_off(f: ThetaMap, g: ThetaMap) -> bool:
+    """Whether the globular map g into f's target is the globular half of
+    hg_factorize(f): the point phi[0] when f's span phi[0]..phi[-1] is one
+    0-cell, else the run of the span's gaps with, over each gap, the
+    globular half of f's component there."""
+    a, b = f.phi[0], f.phi[-1]
+    if g.source.is_leaf:
+        return a == b == g.phi[0]
+    if a == b or (a, b) != (g.phi[0], g.phi[-1]):
+        return False
+    # f's blocks cover the gaps a+1..b in order, one component per gap
+    gaps = itertools.chain.from_iterable(f.components)
+    return all(splits_off(c, h) for c, (h,) in zip(gaps, g.components))
+
+
 def is_homogeneous(f: ThetaMap) -> bool:
-    """No nontrivial globular map can be split off the target side."""
-    fact = hg_factorize(f)
-    ok = fact.globular == identity(f.target)
+    """No nontrivial globular map can be split off the target side: the
+    identity of the target is the globular half of f, which splits_off
+    reads off the wreath data without building the factorisation."""
+    ok = splits_off(f, identity(f.target))
     if ok:
         # dimension consequence for globe-sourced operations
         k = tree_dim(f.source)
@@ -449,26 +465,21 @@ def is_admissible_groupoidal(f: ThetaMap, g: ThetaMap) -> bool:
 
 
 def boundary_maps(t: Tree):
-    """The two inclusions of the boundary sum, induced by sigma and tau on
-    the maximal-height blocks."""
+    """The inclusions d_sigma, d_tau of the boundary sum: the identity
+    wreath below height dim t - 1, where each node receives the point in
+    its first (sigma) or last (tau) gap."""
     d = tree_dim(t)
     if d == 0:
         raise DomainError("the point has no boundary")
-    bt = tree_boundary(t)
-    X, Y = realize(bt), realize(t)
 
-    def mk(side):
-        maps = [dict() for _ in range(X.n + 1)]
-        for k in range(X.n + 1):
-            for (path, gap) in X.cells[k]:
-                node = t.subtree(path)
-                if k == d - 1 and node.arity > 0:
-                    maps[k][(path, gap)] = (path, 0 if side == "s" else node.arity)
-                else:
-                    maps[k][(path, gap)] = (path, gap)
-        return embed_globular(GlobMap(X, Y, maps))
+    def build(node, height, side):
+        if height == d - 1:
+            return ThetaMap(LEAF, node, (0 if side == "s" else node.arity,), ())
+        kids = tuple(build(c, height + 1, side) for c in node.children)
+        source = Tree(tuple(k.source for k in kids))
+        return ThetaMap(source, node, tuple(range(node.arity + 1)), tuple((k,) for k in kids))
 
-    return mk("s"), mk("t")
+    return build(t, 0, "s"), build(t, 0, "t")
 
 
 def is_admissible_categorical(f: ThetaMap, g: ThetaMap) -> bool:
@@ -477,8 +488,8 @@ def is_admissible_categorical(f: ThetaMap, g: ThetaMap) -> bool:
 
     A homogeneous h with h;d_sigma = f is the homogeneous half of the
     unique homogeneous-globular factorization of f, so f factors that way
-    exactly when the globular half of hg_factorize(f) is d_sigma (and g
-    likewise through d_tau).
+    exactly when splits_off(f, d_sigma) and splits_off(g, d_tau), read off
+    the wreath data with no factorisation or realization built.
     """
     if f.target != g.target:
         raise TypingError("admissible pairs need a common target")
@@ -490,9 +501,7 @@ def is_admissible_categorical(f: ThetaMap, g: ThetaMap) -> bool:
     A = f.target
     if tree_dim(A) == 0 or f.source != globe(k) or g.source != globe(k):
         return False
-    return all(
-        hg_factorize(m).globular == d for m, d in zip((f, g), boundary_maps(A))
-    )
+    return all(splits_off(m, d) for m, d in zip((f, g), boundary_maps(A)))
 
 
 def filler(f: ThetaMap, g: ThetaMap):

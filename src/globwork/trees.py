@@ -25,11 +25,28 @@ H3 = "H3"
 
 ALL_KLASSES = (H1_RIGHT, H1_LEFT, H1_MID, H2_OVER_EDGE, H2_MAX, H2_MIN, H2_MID, H3)
 
+# The package recurses along the height of a tree, so no tree of dimension
+# above this bound is built: the constructor refuses it, and the parser
+# refuses its literal before recursing that deep.
+MAX_PARSE_DEPTH = 100
+
+
+def _too_deep():
+    return SizeGuardError(f"tree is deeper than the bound {MAX_PARSE_DEPTH}")
+
 
 @dataclass(frozen=True, slots=True)
 class Tree:
     children: tuple["Tree", ...] = ()
     _h: int | None = field(default=None, init=False, repr=False, compare=False)
+    # the dimension, stored so that dim() does not walk the tree
+    _height: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        height = 1 + max(c._height for c in self.children) if self.children else 0
+        if height > MAX_PARSE_DEPTH:
+            raise _too_deep()
+        object.__setattr__(self, "_height", height)
 
     def __hash__(self):
         # the dataclass hash of the fields, memoised: unmemoised, every call
@@ -82,22 +99,11 @@ class Tree:
 LEAF = Tree()
 
 
-# The package recurses along the height of a tree, so parsing, globes and
-# suspensions refuse trees of dimension above this bound.
-MAX_PARSE_DEPTH = 100
-
-
-def _too_deep():
-    return SizeGuardError(f"tree is deeper than the bound {MAX_PARSE_DEPTH}")
-
-
 @functools.lru_cache(maxsize=None)
 def globe(k: int) -> Tree:
     """The k-globe: a chain of k+1 nodes."""
     if k < 0:
         raise DomainError(f"globe dimension must be >= 0, got {k}")
-    if k > MAX_PARSE_DEPTH:
-        raise _too_deep()
     t = LEAF
     for _ in range(k):
         t = Tree((t,))
@@ -173,9 +179,7 @@ class DimensionTable:
 
 def dim(t: Tree) -> int:
     """Dimension of the globular sum: the maximal leaf height."""
-    if t.is_leaf:
-        return 0
-    return 1 + max(dim(c) for c in t.children)
+    return t._height
 
 
 def tree_to_table(t: Tree) -> DimensionTable:
@@ -262,8 +266,6 @@ def boundary_table_oracle(t: Tree) -> Tree:
 
 def suspend(t: Tree) -> Tree:
     """New root with the old tree as its single branch; all heights shift up."""
-    if dim(t) >= MAX_PARSE_DEPTH:
-        raise _too_deep()
     return Tree((t,))
 
 

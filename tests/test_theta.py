@@ -28,6 +28,7 @@ from globwork.theta import (
     map_from_json,
     realize_map,
     sigma_theta,
+    splits_off,
     support,
     suspend_map,
     tau_theta,
@@ -358,7 +359,37 @@ def test_boundary_maps_bijectivity_level_small():
 
 
 # ---------------------------------------------------------------------------
-# the hom scans the constructions replaced, kept as oracles
+# the hom scans and routes the constructions replaced, kept as oracles
+
+def homogeneous_by_factorisation(f):
+    """Homogeneity as the factorisation defines it: the globular half of
+    hg_factorize(f) is the identity of the target."""
+    return hg_factorize(f).globular == identity(f.target)
+
+
+def boundary_maps_via_globsets(t):
+    """d_sigma and d_tau through the realizations: a cell of the boundary
+    at height dim t - 1 goes to the first (sigma) or last (tau) gap of its
+    node, every other cell to itself, and the map of schemes is embedded
+    along the wreath encoding."""
+    from globwork.globsets import GlobMap, realize
+
+    d = dim(t)
+    X, Y = realize(boundary(t)), realize(t)
+
+    def mk(side):
+        maps = [dict() for _ in range(X.n + 1)]
+        for k in range(X.n + 1):
+            for (path, gap) in X.cells[k]:
+                node = t.subtree(path)
+                if k == d - 1 and node.arity > 0:
+                    maps[k][(path, gap)] = (path, 0 if side == "s" else node.arity)
+                else:
+                    maps[k][(path, gap)] = (path, gap)
+        return embed_globular(GlobMap(X, Y, maps))
+
+    return mk("s"), mk("t")
+
 
 def scan_fillers(k, T):
     """The filler scan over hom(D_{k+1}, T), run once for every boundary
@@ -372,15 +403,15 @@ def scan_fillers(k, T):
 @functools.lru_cache(maxsize=None)
 def boundary_factored(k, A):
     """The maps h;d_sigma and h;d_tau for homogeneous h in hom(D_k, dA)."""
-    candidates = [h for h in hom(globe(k), boundary(A)) if is_homogeneous(h)]
-    return tuple({compose(h, d) for h in candidates} for d in boundary_maps(A))
+    candidates = [h for h in hom(globe(k), boundary(A)) if homogeneous_by_factorisation(h)]
+    return tuple({compose(h, d) for h in candidates} for d in boundary_maps_via_globsets(A))
 
 
 def scan_admissible_categorical(f, g):
     """Admissibility with the boundary factorisation found by filtering
     hom(D_k, dA) for homogeneous maps."""
     k = dim(f.source)
-    if k == 0 or (is_homogeneous(f) and is_homogeneous(g)):
+    if k == 0 or (homogeneous_by_factorisation(f) and homogeneous_by_factorisation(g)):
         return True
     if dim(f.target) == 0:
         return False
@@ -399,6 +430,55 @@ def oracle_pairs():
         for k in range(3):
             maps = hom(globe(k), T)
             yield T, k, [(f, g) for f in maps for g in maps]
+
+
+def test_homogeneous_matches_factorisation():
+    positive = 0
+    for S in all_trees(5):
+        for T in all_trees(5):
+            for f in hom(S, T):
+                ok = is_homogeneous(f)
+                assert ok == homogeneous_by_factorisation(f)
+                positive += ok
+    # cells D_k -> T; the hom sets are built uncached, since only this test
+    # walks these 251009 maps
+    for k in range(4):
+        for T in all_trees(9):
+            if hom_count(globe(k), T) <= 20000:
+                for f in theta._hom_cached.__wrapped__(globe(k), T):
+                    ok = is_homogeneous(f)
+                    assert ok == homogeneous_by_factorisation(f)
+                    positive += ok
+    assert positive > 0
+
+
+def test_splits_off_matches_factorisation():
+    # g runs over f's own globular half, the identity and the globular
+    # monos from the small trees and from T's boundary
+    small = list(all_trees(3))
+    positive = negative = 0
+    for T in all_trees(5):
+        monos = [m for B in small for m in theta.all_globular_monos(B, T)]
+        if dim(T) > 0:
+            monos += theta.all_globular_monos(boundary(T), T)
+        for S in all_trees(5):
+            for f in hom(S, T):
+                half = hg_factorize(f).globular
+                for g in [half, identity(T)] + monos:
+                    ok = splits_off(f, g)
+                    assert ok == (half == g)
+                    positive += ok
+                    negative += not ok
+    assert positive > 0 and negative > 0
+
+
+def test_boundary_maps_match_globsets():
+    checked = 0
+    for t in all_trees(9):
+        if dim(t) > 0:
+            assert boundary_maps(t) == boundary_maps_via_globsets(t)
+            checked += 1
+    assert checked == 2055
 
 
 def test_filler_matches_scan():
@@ -431,7 +511,7 @@ def test_admissible_categorical_boundary_factored_pairs():
             continue
         d_sigma, d_tau = boundary_maps(T)
         for k in (1, 2):
-            homog = [h for h in hom(globe(k), boundary(T)) if is_homogeneous(h)]
+            homog = [h for h in hom(globe(k), boundary(T)) if homogeneous_by_factorisation(h)]
             for h, h2 in itertools.product(homog, repeat=2):
                 f, g = compose(h, d_sigma), compose(h2, d_tau)
                 assert is_admissible_categorical(f, g)
@@ -455,7 +535,7 @@ def test_homogeneous_op_matches_scan():
     found = 0
     for A in all_trees(7):
         for k in range(4):
-            scan = [f for f in hom(globe(k), A) if is_homogeneous(f)]
+            scan = [f for f in hom(globe(k), A) if homogeneous_by_factorisation(f)]
             op = homogeneous_op(k, A)
             assert (op is not None) == (dim(A) <= k)
             assert scan == ([op] if op is not None else [])

@@ -74,6 +74,27 @@ def test_library_depth_bound():
         theta.suspend_map(theta.identity(globe(k)))
 
 
+def test_stored_height_and_constructor_bound():
+    # the height each tree stores is the largest top of its table
+    for t in all_trees(7):
+        assert dim(t) == max(tree_to_table(t).tops)
+    # no tree above the bound is built, whichever way it is constructed;
+    # before heights were stored these reached RecursionError
+    k = trees.MAX_PARSE_DEPTH
+    assert dim(table_to_tree(DimensionTable((k,), ()))) == k
+    deep = []
+    for _ in range(400):
+        deep = [deep]
+    with pytest.raises(SizeGuardError):
+        dim(table_to_tree(DimensionTable((400,), ())))
+    with pytest.raises(SizeGuardError):
+        Tree.from_json(deep)
+    with pytest.raises(SizeGuardError):
+        trees.suspend(table_to_tree(DimensionTable((400,), ())))
+    with pytest.raises(SizeGuardError):
+        Tree((globe(k),))
+
+
 def test_pretty_print_round_trip():
     for t in all_trees(6):
         assert parse_tree(str(t)) == t
