@@ -92,8 +92,12 @@ class Tree:
         return [c.to_json() for c in self.children]
 
     @staticmethod
-    def from_json(data):
-        return Tree(tuple(Tree.from_json(c) for c in data))
+    def from_json(data, depth=0):
+        # checked on the way down, as the parser does: the constructor's
+        # bound acts only once the recursion has reached the leaves
+        if depth > MAX_PARSE_DEPTH:
+            raise _too_deep()
+        return Tree(tuple(Tree.from_json(c, depth + 1) for c in data))
 
 
 LEAF = Tree()

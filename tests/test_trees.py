@@ -82,13 +82,15 @@ def test_stored_height_and_constructor_bound():
     # before heights were stored these reached RecursionError
     k = trees.MAX_PARSE_DEPTH
     assert dim(table_to_tree(DimensionTable((k,), ()))) == k
-    deep = []
-    for _ in range(400):
-        deep = [deep]
+    assert Tree.from_json(globe(k).to_json()) == globe(k)
     with pytest.raises(SizeGuardError):
         dim(table_to_tree(DimensionTable((400,), ())))
-    with pytest.raises(SizeGuardError):
-        Tree.from_json(deep)
+    for height in (400, 5000):
+        deep = []
+        for _ in range(height):
+            deep = [deep]
+        with pytest.raises(SizeGuardError):
+            Tree.from_json(deep)
     with pytest.raises(SizeGuardError):
         trees.suspend(table_to_tree(DimensionTable((400,), ())))
     with pytest.raises(SizeGuardError):
