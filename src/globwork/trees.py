@@ -26,8 +26,8 @@ H3 = "H3"
 ALL_KLASSES = (H1_RIGHT, H1_LEFT, H1_MID, H2_OVER_EDGE, H2_MAX, H2_MIN, H2_MID, H3)
 
 # The package recurses along the height of a tree, so no tree of dimension
-# above this bound is built: the constructor refuses it, and the parser
-# refuses its literal before recursing that deep.
+# above this bound is built: the constructor refuses it, and the parser and
+# from_json refuse their input on the way down, before recursing that deep.
 MAX_PARSE_DEPTH = 100
 
 
@@ -93,8 +93,6 @@ class Tree:
 
     @staticmethod
     def from_json(data, depth=0):
-        # checked on the way down, as the parser does: the constructor's
-        # bound acts only once the recursion has reached the leaves
         if depth > MAX_PARSE_DEPTH:
             raise _too_deep()
         return Tree(tuple(Tree.from_json(c, depth + 1) for c in data))
