@@ -25,7 +25,7 @@ from .trees import (
 )
 from . import trees as tree_mod
 from .computads import Computad, FCell, fcomp, funit, fwhisker
-from .theta import ThetaMap, compose, face_theta, hg_factorize, is_homogeneous, render
+from .theta import ThetaMap, homogeneous_op, is_homogeneous, render
 from .theory import TheoryPresentation, whisker
 
 
@@ -434,8 +434,10 @@ def boundary_plus(A: Tree, sector) -> Tree:
     vertex re-attaches to the deepest surviving ancestor; gaps are clamped
     to the surviving arity.
     """
-    d = tree_dim(A)
-    bt = tree_boundary(A)
+    return _reapply(tree_boundary(A), sector)
+
+
+def _reapply(bt: Tree, sector) -> Tree:
     path = sector.path
     while True:
         node = bt
@@ -451,16 +453,20 @@ def boundary_plus(A: Tree, sector) -> Tree:
         path = path[:-1]
 
 
-def _rho_star(ρ: ThetaMap, A: Tree, ext: ExtendedTree, side: str, args: str) -> dict:
-    k = tree_dim(ρ.source)
-    rho_eps = hg_factorize(compose(face_theta(k - 1, side), ρ)).homogeneous
-    plus = boundary_plus(A, ext.sector)
+def _rho_star(rho_eps: str, bt: Tree, ext: ExtendedTree, side: str, args: str) -> dict:
+    """A side of a square that restricts ρ along d_ε.
+
+    ``rho_eps`` is the rendered homogeneous half of d_ε ∘ ρ, the homogeneous
+    operation into ∂A (into A when dim A < k); it is the same for both sides
+    (see ``stack``).  ``bt`` is ∂A, on which the extension's sector is
+    re-applied.
+    """
     return {
         "kind": "rho_star",
         "eps": "sigma" if side == "s" else "tau",
         "args": args,
-        "plus_tree": str(plus),
-        "rho_eps": render(rho_eps),
+        "plus_tree": str(_reapply(bt, ext.sector)),
+        "rho_eps": rho_eps,
         "boundary": f"(d_sigma . rho_{side}, d_tau . rho_{side})",
     }
 
@@ -500,7 +506,15 @@ _EXTREME_KLASS = {"s": tree_mod.H2_MIN, "t": tree_mod.H2_MAX}
 
 
 def stack(ρ: ThetaMap, th: TheoryPresentation):
-    """The ordered squares interpreting a homogeneous operation on cylinders."""
+    """The ordered squares interpreting a homogeneous operation on cylinders.
+
+    Every side that restricts ρ along d_ε carries ρ_ε, the homogeneous half
+    of d_ε ∘ ρ.  As ρ is homogeneous, the globular half of d_ε ∘ ρ is the
+    boundary inclusion ∂A -> A when dim A = k and the identity of A when
+    dim A < k, so ρ_ε is a homogeneous (k-1)-operation into ∂A (or A).  A
+    homogeneous operation is determined by its target, so ρ_ε is the same
+    on both sides and is built once per stack with ``homogeneous_op``.
+    """
     k = tree_dim(ρ.source)
     if k not in (1, 2):
         raise DomainError("stacks are built for operations of dimension 1 and 2")
@@ -511,6 +525,8 @@ def stack(ρ: ThetaMap, th: TheoryPresentation):
     A = ρ.target
     _require_systems(th, k)
     p = A.arity
+    bt = tree_boundary(A) if tree_dim(A) else A
+    rho_eps = render(homogeneous_op(k - 1, bt if tree_dim(A) == k else A))
     squares = []
     for idx, ext in enumerate(linearization(A)):
         top_state, bottom_state = _square_states(ext, p)
@@ -530,11 +546,11 @@ def stack(ρ: ThetaMap, th: TheoryPresentation):
                     continue
                 if ext.klass == tree_mod.H2_OVER_EDGE:
                     args = f"(d{side}U_<{j}, d{side}V_>{j}, F_{j})"
-                    record[side] = _rho_star(ρ, A, ext, side, args)
+                    record[side] = _rho_star(rho_eps, bt, ext, side, args)
                 elif ext.klass == _EXTREME_KLASS[side]:
                     gap = 0 if side == "s" else A.children[j - 1].arity
                     args = f"(d{side}U_<{j}, a_{j}.{gap}, d{side}V_>{j})"
-                    record[side] = _rho_star(ρ, A, ext, side, args)
+                    record[side] = _rho_star(rho_eps, bt, ext, side, args)
                 else:
                     record[side] = {
                         "kind": "coh",

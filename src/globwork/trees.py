@@ -296,8 +296,12 @@ class Sector:
 class ExtendedTree:
     base: Tree
     sector: Sector
-    result: Tree
     klass: str
+
+    @property
+    def result(self) -> Tree:
+        """The extended tree, built on each read."""
+        return insert_at(self.base, self.sector)
 
 
 def insert_at(t: Tree, sector: Sector) -> Tree:
@@ -361,17 +365,7 @@ def sectors_counterclockwise(t: Tree) -> list[Sector]:
 
 def linearization(t: Tree) -> list[ExtendedTree]:
     """The ordered one-vertex extensions of ``t``."""
-    out = []
-    for sector in sectors_counterclockwise(t):
-        out.append(
-            ExtendedTree(
-                base=t,
-                sector=sector,
-                result=insert_at(t, sector),
-                klass=classify_sector(t, sector),
-            )
-        )
-    return out
+    return [ExtendedTree(t, s, classify_sector(t, s)) for s in sectors_counterclockwise(t)]
 
 
 def count_sectors(t: Tree) -> int:

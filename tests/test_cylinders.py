@@ -4,8 +4,18 @@ from globwork.errors import DomainError
 from globwork import cylinders as cyl
 from globwork.computads import find_computad_iso
 from globwork.theory import groupoidalize, standard_library
-from globwork.theta import compose, hg_factorize, hom, is_homogeneous, sigma_theta, tau_theta
-from globwork.trees import LEAF, all_trees, dim, globe, linearization, parse_tree
+from globwork.theta import (
+    compose,
+    face_theta,
+    hg_factorize,
+    hom,
+    homogeneous_op,
+    is_homogeneous,
+    render,
+    sigma_theta,
+    tau_theta,
+)
+from globwork.trees import LEAF, all_trees, boundary, dim, globe, linearization, parse_tree
 
 TH = groupoidalize(standard_library(3))
 NINE_TREE = parse_tree("[[[][]][]]")
@@ -13,6 +23,13 @@ NINE_TREE = parse_tree("[[[][]][]]")
 
 def homogeneous_ops(A, k):
     return [f for f in hom(globe(k), A) if is_homogeneous(f)]
+
+
+def rho_eps_by_factorisation(rho, side):
+    """The restriction of rho along d_side, as the homogeneous half of the
+    factorised composite."""
+    k = dim(rho.source)
+    return render(hg_factorize(compose(face_theta(k - 1, side), rho)).homogeneous)
 
 
 def test_cyl_counts():
@@ -210,6 +227,38 @@ def test_stack_source_target_restrictions_have_stacks():
                 meta = cyl.vcompose_meta(sub)
                 assert meta["top"] == "C_t*rho(U)"
                 assert meta["bottom"] == "rho(V)*C_s"
+
+
+def test_rho_eps_is_the_homogeneous_op_into_the_boundary():
+    cases = 0
+    for A in all_trees(11):
+        if not 1 <= dim(A) <= 2:
+            continue
+        built = render(homogeneous_op(1, boundary(A) if dim(A) == 2 else A))
+        rho = homogeneous_op(2, A)
+        for side in ("s", "t"):
+            assert built == rho_eps_by_factorisation(rho, side)
+            cases += 1
+    assert cases == 2046
+
+
+def test_stack_rho_star_records_match_factorisation():
+    records = 0
+    for A in all_trees(9):
+        if dim(A) > 2:
+            continue
+        for k in (1, 2):
+            rho = homogeneous_op(k, A)
+            if rho is None:
+                continue
+            for sq in cyl.stack(rho, TH):
+                for side, rec in (("s", sq.left), ("t", sq.right)):
+                    if rec is None or rec["kind"] != "rho_star":
+                        continue
+                    assert rec["rho_eps"] == rho_eps_by_factorisation(rho, side)
+                    assert rec["plus_tree"] == str(cyl.boundary_plus(A, sq.element.sector))
+                    records += 1
+    assert records > 0
 
 
 def test_vcompose_min_rule():

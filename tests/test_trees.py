@@ -228,12 +228,14 @@ def test_linearization_point_and_globe():
 
 
 def test_linearization_counts_brute_force():
-    for t in all_trees(6):
+    for t in all_trees(7):
         ext = linearization(t)
         assert len(ext) == count_sectors(t) == 2 * t.n_nodes() - 1
-        # all results valid one-vertex extensions
+        # all results valid one-vertex extensions, built on read
         for e in ext:
+            assert e.result == insert_at(e.base, e.sector)
             assert e.result.n_nodes() == t.n_nodes() + 1
+            assert classify_sector(t, e.sector) == e.klass
         # every tag well formed, and exactly one tag per sector
         assert all(e.klass in trees.ALL_KLASSES for e in ext)
 
