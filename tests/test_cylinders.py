@@ -258,7 +258,7 @@ def test_stack_rho_star_records_match_factorisation():
                     assert rec["rho_eps"] == rho_eps_by_factorisation(rho, side)
                     assert rec["plus_tree"] == str(cyl.boundary_plus(A, sq.element.sector))
                     records += 1
-    assert records > 0
+    assert records == 2048
 
 
 def test_vcompose_min_rule():
