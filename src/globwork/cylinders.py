@@ -1,11 +1,17 @@
 """Cylinder presentations and the ordered stack over tree extensions.
 
 The cylinder on a globe is presented by two globe copies, two connecting
-1-cells, one seam cell per level and a top filler.  The cylinder on a
-general sum is the colimit over the one-vertex extensions of its tree; each
-extension contributes a structural inclusion, and for a homogeneous
-operation the extensions index a stack of squares that composes vertically
-from the whiskered top to the whiskered bottom.
+1-cells, one seam cell per level and a top filler.  Every cylinder-shaped
+computad on a globe (the full one, the degenerate ones whose collapsed
+sides take units, and the copies inside a modification) is glued by one
+step, ``_glue``; a modification is two glued copies that share the globes,
+and its restriction maps Xi0/Xi1 onto the cylinder are read off the gluing
+and checked by ``_verify_xi``.
+
+The cylinder on a general sum is the colimit over the one-vertex extensions
+of its tree; each extension contributes a structural inclusion, and for a
+homogeneous operation the extensions index a stack of squares that composes
+vertically from the whiskered top to the whiskered bottom.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 from .errors import DomainError, TypingError
 from .trees import (
     LEAF,
+    DimensionTable,
     ExtendedTree,
     Tree,
     boundary as tree_boundary,
@@ -22,11 +29,12 @@ from .trees import (
     globe,
     insert_at,
     linearization,
+    table_to_tree,
 )
 from . import trees as tree_mod
-from .computads import Computad, FCell, fcomp, funit, fwhisker
-from .theta import ThetaMap, homogeneous_op, is_homogeneous, render
-from .theory import TheoryPresentation, whisker
+from .computads import Computad, FCell, fcomp, funit, fwhisker, rename
+from .theta import ThetaMap, homogeneous_op, is_homogeneous, leaf_inclusion, render
+from .theory import Term, TheoryPresentation, app_cell, glob_cell, single, whisker
 
 
 def _require_systems(th: TheoryPresentation, k: int):
@@ -57,6 +65,55 @@ def _add_globe_pair(P: Computad, name: str, k: int):
     return top
 
 
+def _globes(P: Computad, k: int, same_c=False, same_d=False, merged=()):
+    """The two globes of a cylinder over D_k, k in {1, 2}, added dimension by
+    dimension, returning the two tops.
+
+    ``same_c`` (``same_d``) identifies the second globe's source (target)
+    point with the first's; a side in ``merged`` shares its 1-cell too.
+    """
+    a = P.add("a", 0)
+    b = P.add("b", 0)
+    c = a if same_c else P.add("c", 0)
+    d = b if same_d else P.add("d", 0)
+    if k == 1:
+        return P.add("alpha", 1, a, b), P.add("beta", 1, c, d)
+    sA = P.add("sA", 1, a, b)
+    tA = P.add("tA", 1, a, b)
+    sB = sA if "s" in merged else P.add("sB", 1, c, d)
+    tB = tA if "t" in merged else P.add("tB", 1, c, d)
+    return P.add("A", 2, sA, tA), P.add("B", 2, sB, tB)
+
+
+def _glue(P: Computad, A: FCell, B: FCell, copies, seam: str, merged=()):
+    """Glue one cylinder per copy between the globe tops A and B.
+
+    A copy ``(tag, f, g, filler_name)`` brings its legs f, g between the
+    globes' source and target points.  The connecting seams enter bottom-up
+    in dimension, level by level across the copies, each whiskering the
+    remaining pair one homotopy level deeper; ``seam`` is the format of
+    their names (fields ``level``, ``side``, ``tag``) and a side in
+    ``merged`` takes the unit instead.  Returns, per copy, its legs, seams
+    and filler keyed by their ``cyl_presentation`` names.
+    """
+    pairs = [[fwhisker(A, g, "r"), fwhisker(B, f, "l")] for _, f, g, _ in copies]
+    parts = [{"f": f, "g": g} for _, f, g, _ in copies]
+    for level in range(2, A.dim + 1):
+        for (tag, *_), pair, part in zip(copies, pairs, parts):
+            for side in ("s", "t"):
+                top, bottom = (_bd_to(x, level - 1, side) for x in pair)
+                part[f"E{level}{side}"] = (
+                    funit(top)
+                    if side in merged
+                    else P.add(seam.format(level=level, side=side, tag=tag), level, top, bottom)
+                )
+            pair[0] = fwhisker(pair[0], part[f"E{level}t"], "r")
+            pair[1] = fwhisker(pair[1], part[f"E{level}s"], "l")
+    for (*_, name), (top, bottom), part in zip(copies, pairs, parts):
+        part["C"] = P.add(name, top.dim + 1, top, bottom)
+    return parts
+
+
 def cyl_presentation(k: int, th: TheoryPresentation) -> Computad:
     """The finite computad corepresenting k-cylinders, for k <= 3."""
     if k < 0 or k > 3:
@@ -74,21 +131,10 @@ def cyl_presentation(k: int, th: TheoryPresentation) -> Computad:
     B = _add_globe_pair(P, "B", k)
     f = P.add("f", 1, P["A0s"], P["B0s"])
     g = P.add("g", 1, P["A0t"], P["B0t"])
-    top = fwhisker(A, g, "r")
-    bottom = fwhisker(B, f, "l")
-    # connecting seams enter bottom-up in dimension, each whiskering the
-    # remaining pair one homotopy level deeper
-    for level in range(2, k + 1):
-        seam = {}
-        for side in ("s", "t"):
-            ends = (_bd_to(top, level - 1, side), _bd_to(bottom, level - 1, side))
-            seam[side] = P.add(f"E{level}{side}", level, *ends)
-        top = fwhisker(top, seam["t"], "r")
-        bottom = fwhisker(bottom, seam["s"], "l")
-    P.designated["filler"] = P.add("C", top.dim + 1, top, bottom)
+    (part,) = _glue(P, A, B, [("", f, g, "C")], "E{level}{side}")
+    P.designated["filler"] = part["C"]
     P.designated["iota0"] = A
     P.designated["iota1"] = B
-    P.typecheck()
     return P
 
 
@@ -141,43 +187,16 @@ def degenerate_cyl(k: int, p, q, th: TheoryPresentation) -> Computad:
     P = Computad(f"cyl^{p}_{q}(D{k})")
     f_unit = p in (0, 1) or q == 1
     g_unit = q in (0, 1) or p == 1
-    merge_src = p == 1
-    merge_tgt = q == 1
-
-    a = P.add("a", 0)
-    b = P.add("b", 0)
-    c = a if f_unit else P.add("c", 0)
-    d = b if g_unit else P.add("d", 0)
-    if k == 1:
-        alpha = P.add("alpha", 1, a, b)
-        beta = P.add("beta", 1, c, d)
-        f = funit(a) if f_unit else P.add("f", 1, a, c)
-        g = funit(b) if g_unit else P.add("g", 1, b, d)
-        # a unit leg drops out of its composite
-        P.designated["filler"] = P.add("C", 2, fcomp([alpha, g]), fcomp([f, beta]))
-        P.designated["iota0"] = alpha
-        P.designated["iota1"] = beta
-        P.typecheck()
-        return P
-    # k == 2
-    sA = P.add("sA", 1, a, b)
-    tA = P.add("tA", 1, a, b)
-    sB = sA if merge_src else P.add("sB", 1, c, d)
-    tB = tA if merge_tgt else P.add("tB", 1, c, d)
-    A = P.add("A", 2, sA, tA)
-    B = P.add("B", 2, sB, tB)
+    merged = ("s",) * (p == 1) + ("t",) * (q == 1)
+    A, B = _globes(P, k, f_unit, g_unit, merged)
+    a, b, c, d = (_bd_to(x, 0, side) for x in (A, B) for side in ("s", "t"))
+    # a unit leg drops out of its whiskerings
     f = funit(a) if f_unit else P.add("f", 1, a, c)
     g = funit(b) if g_unit else P.add("g", 1, b, d)
-    top = fwhisker(A, g, "r")
-    bottom = fwhisker(B, f, "l")
-    seam = {}
-    for side, merged in (("s", merge_src), ("t", merge_tgt)):
-        ends = (_bd_to(top, 1, side), _bd_to(bottom, 1, side))
-        seam[side] = funit(ends[0]) if merged else P.add(f"E{side}", 2, *ends)
-    P.designated["filler"] = P.add("C", 3, fcomp([top, seam["t"]]), fcomp([seam["s"], bottom]))
+    (part,) = _glue(P, A, B, [("", f, g, "C")], "E{side}", merged)
+    P.designated["filler"] = part["C"]
     P.designated["iota0"] = A
     P.designated["iota1"] = B
-    P.typecheck()
     return P
 
 
@@ -239,7 +258,6 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
                     [atoms[("seam", j, r - 1)], fwhisker(atoms[("v", j, "x", r)], atoms[("c", j - 1)], "l")]
                 ),
             )
-    P.typecheck()
     inclusions = [
         _structural_inclusion(A, e, atoms) for e in linearization(A)
     ]
@@ -626,7 +644,13 @@ def stack_to_json(squares) -> str:
 
 def modification_presentation(k: int, th: TheoryPresentation):
     """The computad corepresenting modifications of k-cylinders, with the
-    restriction maps onto the two cylinder copies."""
+    restriction maps onto the two cylinder copies.
+
+    For k >= 1 the two copies are glued on shared globes; comparison cells
+    Ts : f => f2 and Tt : g2 => g tie their legs, and one comparison per top
+    seam (k = 2) or filler (k = 1) compares the first copy's cell, whiskered
+    by Tt and Ts, with the second's.
+    """
     if k < 0 or k > 2:
         raise DomainError("modification presentations are built for k <= 2")
     _require_systems(th, max(k, 1))
@@ -639,71 +663,43 @@ def modification_presentation(k: int, th: TheoryPresentation):
         D = P.add("D", 1, a, b)
         P.designated["filler"] = P.add("Theta", 2, C, D)
         xi0 = {"a": "a", "b": "b", "C": "C"}
-        second = {"C": "D"}
-    elif k == 1:
-        a = P.add("a", 0)
-        b = P.add("b", 0)
-        c = P.add("c", 0)
-        d = P.add("d", 0)
-        alpha = P.add("alpha", 1, a, b)
-        beta = P.add("beta", 1, c, d)
-        f = P.add("f", 1, a, c)
-        g = P.add("g", 1, b, d)
-        f2 = P.add("f2", 1, a, c)
-        g2 = P.add("g2", 1, b, d)
-        FC = P.add("FC", 2, fcomp([alpha, g]), fcomp([f, beta]))
-        FD = P.add("FD", 2, fcomp([alpha, g2]), fcomp([f2, beta]))
-        Ts = P.add("Ts", 2, f, f2)
-        Tt = P.add("Tt", 2, g2, g)
-        P.designated["filler"] = P.add(
-            "Theta",
-            3,
-            fcomp([fwhisker(Tt, alpha, "l"), FC, fwhisker(Ts, beta, "r")]),
-            FD,
-        )
-        xi0 = {
-            "A0s": "a", "A0t": "b", "B0s": "c", "B0t": "d",
-            "A1": "alpha", "B1": "beta", "f": "f", "g": "g", "C": "FC",
-        }
-        second = {"f": "f2", "g": "g2", "C": "FD"}
+        xi = {"Xi0": xi0, "Xi1": {**xi0, "C": "D"}}
     else:
-        a = P.add("a", 0)
-        b = P.add("b", 0)
-        c = P.add("c", 0)
-        d = P.add("d", 0)
-        sA = P.add("sA", 1, a, b)
-        tA = P.add("tA", 1, a, b)
-        sB = P.add("sB", 1, c, d)
-        tB = P.add("tB", 1, c, d)
-        A = P.add("A", 2, sA, tA)
-        B = P.add("B", 2, sB, tB)
-        f = P.add("f", 1, a, c)
-        g = P.add("g", 1, b, d)
-        f2 = P.add("f2", 1, a, c)
-        g2 = P.add("g2", 1, b, d)
-        Es = P.add("Es", 2, fcomp([sA, g]), fcomp([f, sB]))
-        Et = P.add("Et", 2, fcomp([tA, g]), fcomp([f, tB]))
-        Es2 = P.add("Es2", 2, fcomp([sA, g2]), fcomp([f2, sB]))
-        Et2 = P.add("Et2", 2, fcomp([tA, g2]), fcomp([f2, tB]))
-        OmC = P.add("OmC", 3, fcomp([fwhisker(A, g, "r"), Et]), fcomp([Es, fwhisker(B, f, "l")]))
-        OmD = P.add("OmD", 3, fcomp([fwhisker(A, g2, "r"), Et2]), fcomp([Es2, fwhisker(B, f2, "l")]))
-        Ts = P.add("Ts", 2, f, f2)
-        Tt = P.add("Tt", 2, g2, g)
-        # recursive modification data: its sides compare the whisker-corrected
-        # seams (through the chosen whisker cylinders) with the second copy
-        Gs = P.add("Gs", 3, fcomp([fwhisker(Tt, sA, "l"), Es, fwhisker(Ts, sB, "r")]), Es2)
-        Gt = P.add("Gt", 3, fcomp([fwhisker(Tt, tA, "l"), Et, fwhisker(Ts, tB, "r")]), Et2)
-        equations = [("modification_top", "paste(OmC, Gs, Gt) = OmD")]
-        xi0 = {
-            "A0s": "a", "A0t": "b", "B0s": "c", "B0t": "d",
-            "A1s": "sA", "A1t": "tA", "B1s": "sB", "B1t": "tB",
-            "A2": "A", "B2": "B", "f": "f", "g": "g",
-            "E2s": "Es", "E2t": "Et", "C": "OmC",
+        A, B = _globes(P, k)
+        a, b, c, d = (_bd_to(x, 0, side) for x in (A, B) for side in ("s", "t"))
+        copies = [
+            (tag, P.add(f"f{tag}", 1, a, c), P.add(f"g{tag}", 1, b, d), filler)
+            for tag, filler in zip(("", "2"), ("FC", "FD") if k == 1 else ("OmC", "OmD"))
+        ]
+        first, second = _glue(P, A, B, copies, "E{side}{tag}")
+        Ts = P.add("Ts", 2, first["f"], second["f"])
+        Tt = P.add("Tt", 2, second["g"], first["g"])
+
+        def compare(name, x, y, key):
+            src = fcomp([fwhisker(Tt, x, "l"), first[key], fwhisker(Ts, y, "r")])
+            return P.add(name, src.dim + 1, src, second[key])
+
+        if k == 1:
+            P.designated["filler"] = compare("Theta", A, B, "C")
+        else:
+            # recursive modification data: its sides compare the whisker-corrected
+            # seams (through the chosen whisker cylinders) with the second copy
+            for side in ("s", "t"):
+                compare(f"G{side}", _bd_to(A, 1, side), _bd_to(B, 1, side), f"E2{side}")
+            equations.append(("modification_top", "paste(OmC, Gs, Gt) = OmD"))
+        # the restriction maps send the globes to the shared globes and the
+        # rest to each copy's own cells
+        globes = {}
+        for name, top in (("A", A), ("B", B)):
+            globes[f"{name}{k}"] = top.name
+            for j in range(k):
+                for side in ("s", "t"):
+                    globes[f"{name}{j}{side}"] = _bd_to(top, j, side).name
+        xi = {
+            f"Xi{i}": {**globes, **{key: cell.name for key, cell in part.items()}}
+            for i, part in enumerate((first, second))
         }
-        second = {"f": "f2", "g": "g2", "E2s": "Es2", "E2t": "Et2", "C": "OmD"}
-    P.typecheck()
-    # the second cylinder copy shares the globes and renames the rest
-    xi = {"Xi0": xi0, "Xi1": {**xi0, **second}, "equations": equations}
+    xi["equations"] = equations
     _verify_xi(k, th, P, xi)
     return P, xi
 
@@ -711,8 +707,6 @@ def modification_presentation(k: int, th: TheoryPresentation):
 def _verify_xi(k, th, P, xi):
     """The restriction maps must send cylinder generators to cells with the
     renamed boundaries."""
-    from .computads import rename
-
     cyl = cyl_presentation(k, th)
     for key in ("Xi0", "Xi1"):
         mapping = xi[key]
@@ -731,9 +725,6 @@ def _verify_xi(k, th, P, xi):
 
 def _wrap(th, cell, target, lefts, rights, order="lr"):
     """Whisker a single-cell term by edges of the target, inner to outer."""
-    from .theory import glob_cell
-    from .theta import leaf_inclusion
-
     seq = (
         [(i, "l") for i in lefts] + [(i, "r") for i in rights]
         if order == "lr"
@@ -752,9 +743,6 @@ def coherence_boundary(kind: str, indices, level: int, th: TheoryPresentation):
     codimension in, bundled by the suspended whiskering.  The extensions
     themselves are opaque choices; only their boundary pair is built.
     """
-    from .theory import Term, app_cell, glob_cell, single
-    from .theta import leaf_inclusion
-
     if kind == "psi":
         m, k = indices
         mid_dim = level + 1
@@ -792,8 +780,6 @@ def coherence_boundary(kind: str, indices, level: int, th: TheoryPresentation):
     j = level + m
     if j + 1 > th.n + 1 or j > th.n:
         raise DomainError("component dimension exceeds the truncation")
-    from .trees import DimensionTable, table_to_tree
-
     fused = table_to_tree(
         DimensionTable((m + 1, j), (m,))
         if kind == "phi"

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .errors import AdmissibilityError, DomainError, SizeGuardError, TypingError
-from .trees import LEAF, Tree, dim as tree_dim, globe, suspend
+from .trees import LEAF, Tree, dim as tree_dim, globe, parse_tree, suspend
+from . import globsets as gs
 from . import theta as th_ops
+from .computads import Computad, fcomp, fop, funit, fvar, fwhisker, typecheck as ftypecheck
 from .theta import (
     ThetaMap,
     assemble,
@@ -21,6 +23,7 @@ from .theta import (
     filler,
     identity,
     is_admissible_categorical,
+    iterated_boundary,
     leaf_inclusion,
     leaf_paths,
     sigma_theta,
@@ -170,9 +173,6 @@ class TheoryPresentation:
         if name not in self.symbols:
             raise TypingError(f"unknown operation symbol {name!r}")
         return self.symbols[name]
-
-    def equations(self):
-        return [s for syms in self.stages.values() for s in syms if s.is_equation]
 
     def operations(self):
         return [s for syms in self.stages.values() for s in syms if not s.is_equation]
@@ -371,40 +371,6 @@ class TheoryPresentation:
                 except (TypingError, DomainError) as e:
                     problems.append((sym.name, str(e)))
         return problems
-
-    # -- equations as oriented rules ----------------------------------------
-
-    def rewrite_once(self, cell: TermCell) -> TermCell | None:
-        """One top-level left-to-right step along a stored equation.
-
-        Only directly invertible left-hand patterns are matched: a bare
-        identity over a globe arity, or a symbol applied to the identity
-        arguments.  Deeper matching is not attempted; see the equations'
-        overlap check for why these rules cannot run as a normalizer.
-        """
-        k = self.cell_dim(cell)
-        for eq in self.equations():
-            lhs = eq.src.sole
-            if lhs.is_glob:
-                if (
-                    eq.arity == globe(tree_dim(eq.arity))
-                    and lhs.glob == identity(eq.arity)
-                    and k == tree_dim(eq.arity)
-                ):
-                    u = Term(eq.arity, self.cell_target(cell), (cell,))
-                    return self.substitute(eq.tgt, u).sole
-            elif not cell.is_glob and cell.op == lhs.op:
-                if lhs.args == self.identity_term(eq.arity):
-                    return self.substitute(eq.tgt, cell.args).sole
-        return None
-
-    def equations_overlap(self) -> bool:
-        """Whether two distinct oriented rules share a top-level lhs symbol."""
-        heads = []
-        for eq in self.equations():
-            head = eq.src.sole.op if not eq.src.sole.is_glob else "<glob>"
-            heads.append(head)
-        return len(heads) != len(set(heads))
 
 
 def base_theory(n: int, kind: str = CATEGORICAL) -> TheoryPresentation:
@@ -748,8 +714,6 @@ def interval_presentation(th: TheoryPresentation):
     Two objects, three 1-cells and two comparison 2-cells tying the two
     composites to identities; the designated cell is the backwards arrow.
     """
-    from .computads import Computad, fop, funit
-
     P = Computad("interval")
     zero = P.add("0", 0)
     one = P.add("1", 0)
@@ -762,7 +726,6 @@ def interval_presentation(th: TheoryPresentation):
     P.add("left_cell", 2, funit(zero), fg)
     P.add("right_cell", 2, funit(one), kf)
     P.designated["alpha_1"] = f
-    P.typecheck()
     return P
 
 
@@ -775,8 +738,6 @@ def division_term(n: int, th: TheoryPresentation):
     Returns the formal composite (a list of factors plus the assembled
     cell); the outer factors are opaque coherence constraints.
     """
-    from .computads import fcomp, fop, fvar, fwhisker, typecheck as ftypecheck
-
     if n not in (1, 2):
         raise DomainError("division schema implemented for n = 1, 2")
     a = fvar("a", 0)
@@ -827,8 +788,6 @@ def promote_inverse_term(th: TheoryPresentation):
     then whisker the inverted left-inverse witness by the right inverse.
     Unit cells are absorbed by composite normalization.
     """
-    from .computads import fcomp, fop, funit, fvar, fwhisker, typecheck as ftypecheck
-
     x = fvar("x", 0)
     y = fvar("y", 0)
     f = fvar("f", 1, x, y)
@@ -853,8 +812,6 @@ def promote_inverse_term(th: TheoryPresentation):
 def generating_cofibrations(n: int):
     """(I_n, J_n): boundary inclusions with the parallel-pair collapse, and
     the source maps; all as realization-level data."""
-    from . import globsets as gs
-
     _guard_truncation(n)
     I_n = [gs.boundary_inclusion(k) for k in range(n + 1)]
     I_n.append(gs.sphere_collapse(n))
@@ -866,8 +823,6 @@ def generating_cofibrations(n: int):
 # JSON codecs for terms and batches
 
 def ref_glob(t: Tree, leaf: int, chain: str) -> ThetaMap:
-    from .theta import iterated_boundary, leaf_inclusion
-
     f = leaf_inclusion(t, leaf)
     for ch in chain:
         f = iterated_boundary(f, 1, ch)
@@ -889,8 +844,6 @@ def term_from_json(th: TheoryPresentation, source: Tree, target: Tree, data) -> 
 
 
 def batch_from_json(th: TheoryPresentation, item: dict) -> dict:
-    from .trees import parse_tree
-
     arity = parse_tree(item["arity"])
     k = item["k"]
     return {

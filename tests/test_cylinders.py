@@ -77,6 +77,13 @@ def test_degenerate_cyl_none_is_full():
     assert P.counts() == (4, 4, 1)
     P2 = cyl.degenerate_cyl(2, None, None, TH)
     assert P2.counts() == (4, 6, 4, 1)
+    # with no collapse it is the cylinder, designated cells included
+    for k, P in ((1, P), (2, P2)):
+        Q = cyl.cyl_presentation(k, TH)
+        iso = find_computad_iso(P, Q)
+        assert iso is not None
+        for key in ("iota0", "iota1", "filler"):
+            assert iso[P.designated[key].name] == Q.designated[key].name
 
 
 def test_degenerate_cyl_both():
@@ -344,7 +351,13 @@ def test_modification_k1_shape():
 def test_modification_xi_restricts():
     for k in range(3):
         P, xi = cyl.modification_presentation(k, TH)
-        assert set(xi["Xi0"]) == set(xi["Xi1"])
+        order = cyl.cyl_presentation(k, TH).order
+        globes = [n for n in order if n not in ("f", "g", "C") and not n.startswith("E")]
+        for key in ("Xi0", "Xi1"):
+            assert set(xi[key]) == set(order)
+            assert len(set(xi[key].values())) == len(order)
+        for n in order:
+            assert (xi["Xi0"][n] == xi["Xi1"][n]) == (n in globes), (k, n)
 
 
 # ---------------------------------------------------------------------------

@@ -292,16 +292,6 @@ def test_tower_stages_respect_dimension():
             assert s.stage == k
 
 
-def test_equation_rewrite_one_step():
-    th = groupoidalize(standard_library(3))
-    some3cell = glob_cell(identity(globe(3)))
-    out = th.rewrite_once(some3cell)
-    assert out is not None and out.op in ("c3",)
-    # the standard oriented rules overlap on identity cells; they are stored
-    # as equations rather than run as a normalizing system
-    assert th.equations_overlap()
-
-
 _GLOB_POOL = {}
 
 
