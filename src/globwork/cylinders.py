@@ -67,7 +67,7 @@ def _add_globe_pair(P: Computad, name: str, k: int):
 
 def _globes(P: Computad, k: int, same_c=False, same_d=False, merged=()):
     """The two globes of a cylinder over D_k, k in {1, 2}, added dimension by
-    dimension, returning the two tops.
+    dimension, returning the two tops and the points a, b, c, d.
 
     ``same_c`` (``same_d``) identifies the second globe's source (target)
     point with the first's; a side in ``merged`` shares its 1-cell too.
@@ -77,12 +77,12 @@ def _globes(P: Computad, k: int, same_c=False, same_d=False, merged=()):
     c = a if same_c else P.add("c", 0)
     d = b if same_d else P.add("d", 0)
     if k == 1:
-        return P.add("alpha", 1, a, b), P.add("beta", 1, c, d)
+        return P.add("alpha", 1, a, b), P.add("beta", 1, c, d), (a, b, c, d)
     sA = P.add("sA", 1, a, b)
     tA = P.add("tA", 1, a, b)
     sB = sA if "s" in merged else P.add("sB", 1, c, d)
     tB = tA if "t" in merged else P.add("tB", 1, c, d)
-    return P.add("A", 2, sA, tA), P.add("B", 2, sB, tB)
+    return P.add("A", 2, sA, tA), P.add("B", 2, sB, tB), (a, b, c, d)
 
 
 def _glue(P: Computad, A: FCell, B: FCell, copies, seam: str, merged=()):
@@ -188,8 +188,7 @@ def degenerate_cyl(k: int, p, q, th: TheoryPresentation) -> Computad:
     f_unit = p in (0, 1) or q == 1
     g_unit = q in (0, 1) or p == 1
     merged = ("s",) * (p == 1) + ("t",) * (q == 1)
-    A, B = _globes(P, k, f_unit, g_unit, merged)
-    a, b, c, d = (_bd_to(x, 0, side) for x in (A, B) for side in ("s", "t"))
+    A, B, (a, b, c, d) = _globes(P, k, f_unit, g_unit, merged)
     # a unit leg drops out of its whiskerings
     f = funit(a) if f_unit else P.add("f", 1, a, c)
     g = funit(b) if g_unit else P.add("g", 1, b, d)
@@ -665,8 +664,7 @@ def modification_presentation(k: int, th: TheoryPresentation):
         xi0 = {"a": "a", "b": "b", "C": "C"}
         xi = {"Xi0": xi0, "Xi1": {**xi0, "C": "D"}}
     else:
-        A, B = _globes(P, k)
-        a, b, c, d = (_bd_to(x, 0, side) for x in (A, B) for side in ("s", "t"))
+        A, B, (a, b, c, d) = _globes(P, k)
         copies = [
             (tag, P.add(f"f{tag}", 1, a, c), P.add(f"g{tag}", 1, b, d), filler)
             for tag, filler in zip(("", "2"), ("FC", "FD") if k == 1 else ("OmC", "OmD"))
