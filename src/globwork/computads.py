@@ -91,8 +91,14 @@ def fwhisker(cell: FCell, edge: FCell, side: str) -> FCell:
     )
 
 
-def typecheck(cell: FCell):
-    """Boundary sanity: dims drop by one and higher boundaries are parallel."""
+def typecheck(cell: FCell, gens=None):
+    """Boundary sanity: dims drop by one and higher boundaries are parallel.
+
+    The walk stops at a ``var`` cell that is (by identity) one of ``gens``,
+    the generators of a computad: each was checked when it was added.
+    """
+    if gens is not None and cell.kind == "var" and gens.get(cell.name) is cell:
+        return
     if cell.dim > 0:
         if cell.src is None or cell.tgt is None:
             raise TypingError(f"{cell} lacks a boundary")
@@ -101,10 +107,10 @@ def typecheck(cell: FCell):
         if cell.dim >= 2:
             if cell.src.src != cell.tgt.src or cell.src.tgt != cell.tgt.tgt:
                 raise TypingError(f"{cell} has a non-parallel boundary pair")
-        typecheck(cell.src)
-        typecheck(cell.tgt)
+        typecheck(cell.src, gens)
+        typecheck(cell.tgt, gens)
     for a in cell.args:
-        typecheck(a)
+        typecheck(a, gens)
 
 
 def rename(cell: FCell, mapping: dict) -> FCell:
@@ -143,7 +149,7 @@ class Computad:
         if dim > 0 and (src is None or tgt is None):
             raise TypingError(f"positive-dimensional generator {name!r} needs a boundary")
         cell = fvar(name, dim, src, tgt)
-        typecheck(cell)
+        typecheck(cell, self.gens)
         self.gens[name] = cell
         self.order.append(name)
         return cell

@@ -8,17 +8,25 @@ step, ``_glue``; a modification is two glued copies that share the globes,
 and its restriction maps Xi0/Xi1 onto the cylinder are read off the gluing
 and checked by ``_verify_xi``.
 
-The cylinder on a general sum is the colimit over the one-vertex extensions
-of its tree; each extension contributes a structural inclusion, and for a
-homogeneous operation the extensions index a stack of squares that composes
-vertically from the whiskered top to the whiskered bottom.
+The cylinder on a sum of dimension <= 2 follows one rule, the recursion of
+Lafont, Metayer & Worytkiewicz: each cell x of the tree has a top copy
+u(x), a bottom copy v(x) and a connecting cell c(x) from lax(u, x), u(x)
+whiskered by the c's over its target faces, to lax(v, x), v(x) whiskered by
+the c's over its source faces.  The c's over points, 1-cells and 2-cells
+are the sides, seams and fillers.  Each one-vertex extension of the tree
+gives a structural inclusion by the same rule: its new vertex goes to c
+over the sector's cell, and any other cell to its copy on the side where it
+leaves the sector path, whiskered by the c's over its faces below that
+depth.  For a homogeneous operation the extensions index a stack of squares
+that composes vertically from the whiskered top to the whiskered bottom.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from .errors import DomainError, TypingError
+from .errors import DomainError, SizeGuardError, TypingError
 from .trees import (
     LEAF,
     DimensionTable,
@@ -202,167 +210,134 @@ def degenerate_cyl(k: int, p, q, th: TheoryPresentation) -> Computad:
 # ---------------------------------------------------------------------------
 # cylinders on globular sums, with the structural inclusions
 
+# Every one-vertex extension maps every cell of its scheme, so the sum
+# cylinder costs time and memory quadratic in the tree: on a 2-core Xeon VM
+# a root with 400 leaves takes 1.2-2.1 s and 109 MB, one with 800 leaves
+# 5.6-7.7 s and 413 MB.  Trees with more nodes than the first are refused.
+MAX_SUM_NODES = 401
+
+
 @dataclass
 class SumCylinder:
     tree: Tree
     presentation: Computad
-    atoms: dict
+    atoms: dict  # (side, cell of the tree) -> generator, side "u", "v" or "c"
     inclusions: list  # one per linearization element: dict cell -> FCell
 
 
+def _cells_of(t: Tree, path=()) -> list:
+    """The cells (node path, gap) of a tree in preorder; a cell at a node of
+    depth n is an n-cell."""
+    cells = [(path, gap) for gap in range(t.arity + 1)]
+    for i, child in enumerate(t.children):
+        # a leaf has one cell, and is not worth a call
+        cells += _cells_of(child, path + (i,)) if child.children else [(path + (i,), 0)]
+    return cells
+
+
+def _face(x, e: int, which: str):
+    """The e-dimensional source ("s") or target ("t") face of the cell x."""
+    path, _ = x
+    return path[:e], path[e] + (which == "t")
+
+
+def _gen_name(A: Tree, side: str, x) -> str:
+    path, gap = x
+    if not path:
+        return f"{side}{gap}"
+    j = path[0] + 1
+    if side == "c":
+        return f"om{j}_{path[1] + 1}" if len(path) == 2 else f"s{j}_{gap}"
+    if len(path) == 2:
+        return f"{side}x{j}_{path[1] + 1}"
+    return f"{side}e{j}" + ("" if A.children[path[0]].is_leaf else f"_{gap}")
+
+
 def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
-    """Present cyl(A) for dim(A) <= 2 with one inclusion per tree extension."""
+    """Present cyl(A) for dim(A) <= 2 with one inclusion per tree extension.
+
+    Each cell x of A has a top copy u(x), a bottom copy v(x) and a
+    connecting cell c(x) : lax(u, x) => lax(v, x).  Generators come for the
+    root's points, then for each root branch; within a group the u copies,
+    the v copies, then the c's, each in dimension order.
+    """
     if tree_dim(A) > 2:
         raise DomainError("sum cylinders are implemented through dimension 2")
+    if A.n_nodes() > MAX_SUM_NODES:
+        raise SizeGuardError(f"tree has {A.n_nodes()} nodes, above the bound {MAX_SUM_NODES} for sum cylinders")
     _require_systems(th, max(tree_dim(A), 1))
     P = Computad(f"cyl({A})")
-    p = A.arity
     atoms = {}
-    for side in ("u", "v"):
-        for j in range(p + 1):
-            atoms[(side, j)] = P.add(f"{side}{j}", 0)
-    for j in range(p + 1):
-        atoms[("c", j)] = P.add(f"c{j}", 1, atoms[("u", j)], atoms[("v", j)])
-    for j, block in enumerate(A.children, start=1):
-        # block j suspends its m cells; a leaf block is the case m = 0
-        m = block.arity
-        for side in ("u", "v"):
-            for level in range(m + 1):
-                name = f"{side}e{j}" if block.is_leaf else f"{side}e{j}_{level}"
-                atoms[(side, j, "e", level)] = P.add(
-                    name, 1, atoms[(side, j - 1)], atoms[(side, j)]
-                )
-            for r in range(1, m + 1):
-                atoms[(side, j, "x", r)] = P.add(
-                    f"{side}x{j}_{r}",
-                    2,
-                    atoms[(side, j, "e", r - 1)],
-                    atoms[(side, j, "e", r)],
-                )
-        for level in range(m + 1):
-            atoms[("seam", j, level)] = P.add(
-                f"s{j}_{level}",
-                2,
-                fcomp([atoms[("u", j, "e", level)], atoms[("c", j)]]),
-                fcomp([atoms[("c", j - 1)], atoms[("v", j, "e", level)]]),
-            )
-        for r in range(1, m + 1):
-            atoms[("fill", j, r)] = P.add(
-                f"om{j}_{r}",
-                3,
-                fcomp(
-                    [fwhisker(atoms[("u", j, "x", r)], atoms[("c", j)], "r"), atoms[("seam", j, r)]]
-                ),
-                fcomp(
-                    [atoms[("seam", j, r - 1)], fwhisker(atoms[("v", j, "x", r)], atoms[("c", j - 1)], "l")]
-                ),
-            )
-    inclusions = [
-        _structural_inclusion(A, e, atoms) for e in linearization(A)
-    ]
-    for incl in inclusions:
-        _verify_inclusion(incl)
+
+    @functools.cache
+    def lax(side, x, d):
+        """The copy of x on side u (v) whiskered on the right (left) by the
+        c's over its target (source) faces of dimension below d; at d = 0 the
+        generator over x on any side.  At d = dim x it is the lax cell: the
+        last whiskering composes with c(t x) (c(s x))."""
+        if d == 0:
+            return atoms[(side, x)]
+        which, hand = ("t", "r") if side == "u" else ("s", "l")
+        return fwhisker(lax(side, x, d - 1), atoms[("c", _face(x, d - 1, which))], hand)
+
+    groups = {}
+    for x in _cells_of(A):
+        # preorder within a root branch of height <= 1 is dimension order
+        groups.setdefault(x[0][:1], []).append(x)
+    for cells in groups.values():
+        for side in ("u", "v", "c"):
+            for x in cells:
+                n = len(x[0])
+                if side == "c":
+                    bd = (lax("u", x, n), lax("v", x, n))
+                else:
+                    bd = tuple(atoms[(side, _face(x, n - 1, w))] for w in "st") if n else ()
+                atoms[(side, x)] = P.add(_gen_name(A, side, x), n + (side == "c"), *bd)
+    inclusions = [_structural_inclusion(ext, lax) for ext in linearization(A)]
     return SumCylinder(A, P, atoms, inclusions)
 
 
-def _cells_of(t: Tree):
-    out = []
-    for path in t.nodes():
-        node = t.subtree(path)
-        for gap in range(node.arity + 1):
-            out.append((path, gap))
-    return out
+def _structural_inclusion(ext: ExtendedTree, lax) -> dict:
+    """Map the cells of the extension's scheme B into the cylinder.
 
-
-def _copy_atom(atoms, side, block, path_rest, gap):
-    """An untouched cell of a non-seam block (coordinates local to it)."""
-    if not path_rest:
-        return atoms[(side, block, "e", gap)]
-    return atoms[(side, block, "x", path_rest[0] + 1)]
-
-
-def _structural_inclusion(A: Tree, ext: ExtendedTree, atoms) -> dict:
-    """Map the cells of the extension's scheme into the cylinder presentation.
-
-    Cells left of the seam read off the top copy, cells right of it read
-    off the bottom copy (whiskered through the side below the seam); the
-    new vertex lands on the side, seam or filler generator its sector
-    points at.
+    The new vertex goes to c over the sector's cell.  Any other cell of B,
+    read as the sequence path + (gap,), leaves the sector's sequence at
+    some depth d: it lies on the top side u if its entry there is smaller
+    (or it is a prefix of the sector's), on the bottom side v if larger.  At
+    the sector's node the new vertex and its extra gap sit between the
+    sides, so an entry there on v drops by one; this gives a cell x of A.
+    The image is lax(side, x, d), which is the full lax cell for a cell at
+    a node on the sector path.
     """
+    path0, gap0 = ext.sector.path, ext.sector.gap
+    target = path0 + (gap0,)
+    h = len(path0)
     B = ext.result
-    sector = ext.sector
     mapping = {}
-    if sector.path == ():
-        s = sector.gap
-        for (path, gap) in _cells_of(B):
-            if path == ():
-                side = "u" if gap <= s else "v"
-                mapping[(path, gap)] = atoms[(side, gap if gap <= s else gap - 1)]
-            elif path == (s,):
-                mapping[(path, gap)] = atoms[("c", s)]
-            else:
-                i = path[0] if path[0] < s else path[0] - 1
-                side = "u" if i < s else "v"
-                mapping[(path, gap)] = _copy_atom(atoms, side, i + 1, path[1:], gap)
-        return {"extension": ext, "scheme": B, "mapping": mapping}
-
-    i = sector.path[0]
-    j = i + 1
-    cl, cr = atoms[("c", j - 1)], atoms[("c", j)]
-    for (path, gap) in _cells_of(B):
-        if path == ():
-            side = "u" if gap <= i else "v"
-            mapping[(path, gap)] = atoms[(side, gap)]
+    for path, gap in _cells_of(B):
+        seq = path + (gap,)
+        d = 0
+        while d < len(seq) - 1 and seq[d] == target[d]:
+            d += 1
+        if d > h:  # the new vertex
+            mapping[(path, gap)] = lax("c", (path0, gap0), 0)
             continue
-        if path[0] != i:
-            side = "u" if path[0] < i else "v"
-            mapping[(path, gap)] = _copy_atom(atoms, side, path[0] + 1, path[1:], gap)
-            continue
-        mapping[(path, gap)] = _seam_block_image(ext, atoms, j, cl, cr, path, gap)
-    return {"extension": ext, "scheme": B, "mapping": mapping}
-
-
-def _seam_block_image(ext, atoms, j, cl, cr, path, gap) -> FCell:
-    """Cells of the seam block, in the extended tree's own coordinates.
-
-    A sector of height 2 at gap s splits the block's cells at s; an
-    over-edge sector is the leaf-block case, at gap 0.
-    """
-    sector = ext.sector
-    if ext.klass != tree_mod.H3:
-        s = sector.gap
-        if len(path) == 1:
-            if gap <= s:
-                return fcomp([atoms[("u", j, "e", gap)], cr])
-            return fcomp([cl, atoms[("v", j, "e", gap - 1)]])
-        r = path[1] + 1
-        if r <= s:
-            return fwhisker(atoms[("u", j, "x", r)], cr, "r")
-        if r == s + 1:
-            return atoms[("seam", j, s)]
-        return fwhisker(atoms[("v", j, "x", r - 1)], cl, "l")
-
-    # H3 over the r-th cell of the block
-    r = sector.path[1] + 1
-    if len(path) == 1:
-        if gap <= r - 1:
-            return fcomp([atoms[("u", j, "e", gap)], cr])
-        return fcomp([cl, atoms[("v", j, "e", gap)]])
-    if len(path) == 2:
-        t = path[1] + 1
-        if t < r:
-            return fwhisker(atoms[("u", j, "x", t)], cr, "r")
-        if t > r:
-            return fwhisker(atoms[("v", j, "x", t)], cl, "l")
-        fill = atoms[("fill", j, r)]
-        return fill.src if gap == 0 else fill.tgt
-    return atoms[("fill", j, r)]
+        side = "u" if seq[d] <= target[d] else "v"
+        if side == "v" and d == h:
+            seq = seq[:h] + (seq[h] - 1,) + seq[h + 1 :]
+        mapping[(path, gap)] = lax(side, (seq[:-1], seq[-1]), d)
+    incl = {"extension": ext, "scheme": B, "mapping": mapping}
+    _verify_inclusion(incl)
+    return incl
 
 
 def _verify_inclusion(incl):
-    """A structural inclusion must be a map of schemes into formal cells."""
+    """A structural inclusion must be a map of schemes into formal cells:
+    defined on exactly the cells of its scheme, and preserving boundaries."""
     B = incl["scheme"]
     mapping = incl["mapping"]
+    if mapping.keys() != set(_cells_of(B)):
+        raise TypingError(f"structural inclusion is not defined on exactly the cells of {B}")
     for (path, gap), cell in mapping.items():
         if len(path) == 0:
             continue

@@ -11,6 +11,7 @@ import pytest
 
 from globwork import cli, steiner
 from globwork.cli import build_parser, main
+from globwork.cylinders import MAX_SUM_NODES
 from globwork.theta import compose, hom, map_from_json, sigma_theta, tau_theta
 from globwork.trees import all_trees, globe, parse_tree
 
@@ -160,6 +161,17 @@ def test_check_sizes_are_guarded(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "above the bound" in captured.err
+
+
+def test_cyl_sum_size_is_guarded(capsys):
+    # a root with n leaves has n + 1 nodes
+    assert main(["cyl", "sum", "--tree", "[" + "[]" * MAX_SUM_NODES + "]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "above the bound" in captured.err
+    code, out = run(capsys, "cyl", "sum", "--tree", "[" + "[]" * (MAX_SUM_NODES - 1) + "]", "--json")
+    assert code == 0
+    assert json.loads(out)["inclusions"] == 2 * MAX_SUM_NODES - 1
 
 
 def test_check_size_bounds_are_accepted():

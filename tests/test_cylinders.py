@@ -1,8 +1,8 @@
 import pytest
 
-from globwork.errors import DomainError
+from globwork.errors import DomainError, TypingError
 from globwork import cylinders as cyl
-from globwork.computads import find_computad_iso
+from globwork.computads import fcomp, find_computad_iso, fwhisker
 from globwork.theory import groupoidalize, standard_library
 from globwork.theta import (
     compose,
@@ -15,7 +15,7 @@ from globwork.theta import (
     sigma_theta,
     tau_theta,
 )
-from globwork.trees import LEAF, all_trees, boundary, dim, globe, linearization, parse_tree
+from globwork.trees import H3, LEAF, all_trees, boundary, dim, globe, linearization, parse_tree
 
 TH = groupoidalize(standard_library(3))
 NINE_TREE = parse_tree("[[[][]][]]")
@@ -126,6 +126,93 @@ def test_cyl_glob_sum_inclusions_verified_small():
 def test_cyl_glob_sum_rejects_high_dimension():
     with pytest.raises(DomainError):
         cyl.cyl_glob_sum(globe(3), TH)
+
+
+def inclusion_by_cases(S, ext):
+    """The structural inclusion of one extension by a case analysis on its
+    sector: at the root, in a root branch (height 2) and over a 2-cell (H3),
+    with the generators looked up by name."""
+    gen = S.presentation.gens
+    blocks = S.tree.children
+
+    def e(side, j, level):
+        return gen[f"{side}e{j}" if blocks[j - 1].is_leaf else f"{side}e{j}_{level}"]
+
+    def copy(side, j, rest, gap):
+        return e(side, j, gap) if not rest else gen[f"{side}x{j}_{rest[0] + 1}"]
+
+    B, sector = ext.result, ext.sector
+    cells = [(path, gap) for path in B.nodes() for gap in range(B.subtree(path).arity + 1)]
+    mapping = {}
+    if sector.path == ():
+        s = sector.gap
+        for path, gap in cells:
+            if path == ():
+                mapping[(path, gap)] = gen[f"u{gap}" if gap <= s else f"v{gap - 1}"]
+            elif path == (s,):
+                mapping[(path, gap)] = gen[f"c{s}"]
+            else:
+                i = path[0] if path[0] < s else path[0] - 1
+                mapping[(path, gap)] = copy("u" if i < s else "v", i + 1, path[1:], gap)
+        return mapping
+    i = sector.path[0]
+    j = i + 1
+    cl, cr = gen[f"c{j - 1}"], gen[f"c{j}"]
+    for path, gap in cells:
+        if path == ():
+            mapping[(path, gap)] = gen[f"u{gap}" if gap <= i else f"v{gap}"]
+        elif path[0] != i:
+            mapping[(path, gap)] = copy("u" if path[0] < i else "v", path[0] + 1, path[1:], gap)
+        elif ext.klass != H3:
+            # height 2 at gap s splits the branch's cells at s
+            s = sector.gap
+            if len(path) == 1:
+                img = fcomp([e("u", j, gap), cr]) if gap <= s else fcomp([cl, e("v", j, gap - 1)])
+            else:
+                r = path[1] + 1
+                if r <= s:
+                    img = fwhisker(gen[f"ux{j}_{r}"], cr, "r")
+                elif r == s + 1:
+                    img = gen[f"s{j}_{s}"]
+                else:
+                    img = fwhisker(gen[f"vx{j}_{r - 1}"], cl, "l")
+            mapping[(path, gap)] = img
+        else:
+            # H3 over the r-th cell of the branch
+            r = sector.path[1] + 1
+            fill = gen[f"om{j}_{r}"]
+            if len(path) == 1:
+                img = fcomp([e("u", j, gap), cr]) if gap <= r - 1 else fcomp([cl, e("v", j, gap)])
+            elif len(path) == 3:
+                img = fill
+            elif path[1] + 1 == r:
+                img = fill.src if gap == 0 else fill.tgt
+            elif path[1] + 1 < r:
+                img = fwhisker(gen[f"ux{j}_{path[1] + 1}"], cr, "r")
+            else:
+                img = fwhisker(gen[f"vx{j}_{path[1] + 1}"], cl, "l")
+            mapping[(path, gap)] = img
+    return mapping
+
+
+def test_structural_inclusions_match_the_case_analysis():
+    trees = [A for A in all_trees(10) if dim(A) <= 2]
+    assert len(trees) == 512
+    for A in trees:
+        S = cyl.cyl_glob_sum(A, TH)
+        for incl in S.inclusions:
+            assert incl["mapping"] == inclusion_by_cases(S, incl["extension"]), (A, incl["extension"].sector)
+
+
+def test_verify_inclusion_needs_every_cell():
+    S = cyl.cyl_glob_sum(NINE_TREE, TH)
+    for incl in S.inclusions:
+        cyl._verify_inclusion(incl)
+        for cell in list(incl["mapping"]):
+            partial = dict(incl["mapping"])
+            del partial[cell]
+            with pytest.raises(TypingError):
+                cyl._verify_inclusion({**incl, "mapping": partial})
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from globwork.errors import AdmissibilityError, DomainError, SizeGuardError, TypingError
 from globwork import globsets as gs
 from globwork import theory as T
-from globwork.computads import typecheck as ftypecheck
+from globwork.computads import Computad, fvar, typecheck as ftypecheck
 from globwork.theta import ThetaMap, compose, identity, leaf_inclusion, sigma_theta, tau_theta
 from globwork.trees import LEAF, Tree, globe, parse_tree
 from globwork.theory import (
@@ -427,6 +427,19 @@ def test_interval_presentation():
     assert P.counts() == (2, 3, 2)
     assert P.designated["alpha_1"].name == "f"
     P.typecheck()
+
+
+def test_add_checks_a_boundary_that_only_reuses_a_generator_name():
+    # add stops its walk at a generator of the computad, found by identity:
+    # an ill-typed cell under a generator's name is still walked, and fails
+    P = Computad("P")
+    a = P.add("a", 0)
+    b = P.add("b", 0)
+    P.add("f", 1, a, b)
+    forged = fvar("f", 1)  # named like f, with no boundary
+    with pytest.raises(TypingError):
+        P.add("alpha", 2, forged, forged)
+    assert "alpha" not in P.gens
 
 
 def test_codim_one_inverse_stored_boundary():
