@@ -212,7 +212,7 @@ def degenerate_cyl(k: int, p, q, th: TheoryPresentation) -> Computad:
 
 # Every one-vertex extension maps every cell of its scheme, so the sum
 # cylinder costs time and memory quadratic in the tree: on a 2-core Xeon VM
-# a root with 400 leaves takes 1.2-2.1 s and 109 MB, one with 800 leaves
+# a root with 400 leaves takes 1.2-1.5 s and 109 MB, one with 800 leaves
 # 5.6-7.7 s and 413 MB.  Trees with more nodes than the first are refused.
 MAX_SUM_NODES = 401
 
