@@ -236,6 +236,8 @@ def render_tower(payload):
 
 
 def cmd_cyl(args):
+    if args.dot and args.action != "stack":
+        raise GlobworkError("--dot draws stacks only")
     th = theory_mod.groupoidalize(theory_mod.standard_library(3))
     if args.action == "present":
         P = cyl_mod.cyl_presentation(args.k, th)
@@ -265,7 +267,7 @@ def cmd_cyl(args):
         if rho is None:
             raise GlobworkError("no homogeneous operations into that sum")
         squares = cyl_mod.stack(_pick([rho], args.index, "--index"), th)
-        if args.dot is not None:
+        if args.dot:
             print(cyl_mod.stack_to_dot(squares))
             return 0
         if args.json:
@@ -398,7 +400,7 @@ def build_parser():
     p.add_argument("--tree", default="[[[][]][]]")
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--dot", type=int, default=None)
+    p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_cyl)
 
     p = sub.add_parser("check", help="property suites")

@@ -13,18 +13,20 @@ Lafont, Metayer & Worytkiewicz: each cell x of the tree has a top copy
 u(x), a bottom copy v(x) and a connecting cell c(x) from lax(u, x), u(x)
 whiskered by the c's over its target faces, to lax(v, x), v(x) whiskered by
 the c's over its source faces.  The c's over points, 1-cells and 2-cells
-are the sides, seams and fillers.  Each one-vertex extension of the tree
-gives a structural inclusion by the same rule: its new vertex goes to c
-over the sector's cell, and any other cell to its copy on the side where it
-leaves the sector path, whiskered by the c's over its faces below that
-depth.  For a homogeneous operation the extensions index a stack of squares
-that composes vertically from the whiskered top to the whiskered bottom.
+are the sides, seams and fillers.  The ordered one-vertex extensions of
+the tree give one chain of sections s_ε(i) = incl_{B_i} ∘ δ_ε from the u
+copies to the v copies, with s_τ(i) = s_σ(i+1).  Both every structural
+inclusion and, for a homogeneous operation, every square of the stack are
+read off that chain; the stack composes vertically from the whiskered top
+to the whiskered bottom.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 from .errors import DomainError, SizeGuardError, TypingError
 from .trees import (
@@ -280,53 +282,75 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
         which, hand = ("t", "r") if side == "u" else ("s", "l")
         return fwhisker(lax(side, x, d - 1), atoms[("c", _face(x, d - 1, which))], hand)
 
+    cells = _cells_of(A)
     groups = {}
-    for x in _cells_of(A):
+    for x in cells:
         # preorder within a root branch of height <= 1 is dimension order
         groups.setdefault(x[0][:1], []).append(x)
-    for cells in groups.values():
+    for group in groups.values():
         for side in ("u", "v", "c"):
-            for x in cells:
+            for x in group:
                 n = len(x[0])
                 if side == "c":
                     bd = (lax("u", x, n), lax("v", x, n))
                 else:
                     bd = tuple(atoms[(side, _face(x, n - 1, w))] for w in "st") if n else ()
                 atoms[(side, x)] = P.add(_gen_name(A, side, x), n + (side == "c"), *bd)
-    inclusions = [_structural_inclusion(ext, lax) for ext in linearization(A)]
+    exts = linearization(A)
+    span = _spans(A)
+    images = ([lax(side, x, d) for (side, d), x in zip(s, cells)] for s in _section_chain(exts, span))
+    inclusions = [
+        _structural_inclusion(ext, span, before, after, atoms[("c", (ext.sector.path, ext.sector.gap))])
+        for ext, (before, after) in zip(exts, itertools.pairwise(images))
+    ]
     return SumCylinder(A, P, atoms, inclusions)
 
 
-def _structural_inclusion(ext: ExtendedTree, lax) -> dict:
-    """Map the cells of the extension's scheme B into the cylinder.
+def _spans(t: Tree, path=(), start=0, span=None) -> dict:
+    """Each node's (start, stop) range in the preorder ``_cells_of`` list:
+    the node's gaps, then its children's subtrees."""
+    span = {} if span is None else span
+    stop = start + t.arity + 1
+    for i, child in enumerate(t.children):
+        stop = _spans(child, path + (i,), stop, span)[path + (i,)][1]
+    span[path] = (start, stop)
+    return span
 
-    The new vertex goes to c over the sector's cell.  Any other cell of B,
-    read as the sequence path + (gap,), leaves the sector's sequence at
-    some depth d: it lies on the top side u if its entry there is smaller
-    (or it is a prefix of the sector's), on the bottom side v if larger.  At
-    the sector's node the new vertex and its extra gap sit between the
-    sides, so an entry there on v drops by one; this gives a cell x of A.
-    The image is lax(side, x, d), which is the full lax cell for a cell at
-    a node on the sector path.
-    """
-    path0, gap0 = ext.sector.path, ext.sector.gap
-    target = path0 + (gap0,)
-    h = len(path0)
+
+def _section_chain(exts, span):
+    """The sections s_σ(0), s_τ(0) = s_σ(1), ..., s_τ(last) of the ordered
+    extensions, s_ε(i) = incl_{B_i} ∘ δ_ε for the Θ-faces δ_ε : A -> B_i.
+    A section holds one pair (side, depth), standing for lax(side, x,
+    depth), per cell x of A in preorder.  It starts at the u copies, and
+    extension i, at gap g of a node p of height h, moves that gap to
+    ("v", h), the subtree of child g-1 to ("u", h+1) and that of child g to
+    ("v", h)."""
+    section = [("u", 0)] * span[()][1]
+    yield tuple(section)
+    for ext in exts:
+        path, gap = ext.sector.path, ext.sector.gap
+        h = len(path)
+        a, b = span.get(path + (gap - 1,), (0, 0))
+        section[a:b] = [("u", h + 1)] * (b - a)
+        a, b = span.get(path + (gap,), (0, 0))
+        section[a:b] = [("v", h)] * (b - a)
+        section[span[path][0] + gap] = ("v", h)
+        yield tuple(section)
+
+
+def _structural_inclusion(ext: ExtendedTree, span, before, after, new) -> dict:
+    """Map the cells of the extension's scheme B into the cylinder, given
+    its sections s_σ, s_τ as formal cells (``before``, ``after``) and c over
+    the sector's cell (``new``), the image of the new vertex.  B's cells in
+    preorder are A's with the sector's gap g doubled and the new vertex
+    before child g's subtree; those before it take s_σ, the rest s_τ."""
+    path, g = ext.sector.path, ext.sector.gap
+    gaps = span[path][0]
+    end = gaps + ext.base.subtree(path).arity + 1
+    cut = span[path + (g - 1,)][1] if g else end
     B = ext.result
-    mapping = {}
-    for path, gap in _cells_of(B):
-        seq = path + (gap,)
-        d = 0
-        while d < len(seq) - 1 and seq[d] == target[d]:
-            d += 1
-        if d > h:  # the new vertex
-            mapping[(path, gap)] = lax("c", (path0, gap0), 0)
-            continue
-        side = "u" if seq[d] <= target[d] else "v"
-        if side == "v" and d == h:
-            seq = seq[:h] + (seq[h] - 1,) + seq[h + 1 :]
-        mapping[(path, gap)] = lax(side, (seq[:-1], seq[-1]), d)
-    incl = {"extension": ext, "scheme": B, "mapping": mapping}
+    images = before[: gaps + g + 1] + after[gaps + g : end] + before[end:cut] + [new] + after[cut:]
+    incl = {"extension": ext, "scheme": B, "mapping": dict(zip(_cells_of(B), images))}
     _verify_inclusion(incl)
     return incl
 
@@ -343,7 +367,8 @@ def _verify_inclusion(incl):
             continue
         src_cell = mapping[(path[:-1], path[-1])]
         tgt_cell = mapping[(path[:-1], path[-1] + 1)]
-        if cell.src != src_cell or cell.tgt != tgt_cell:
+        # the lax cells are shared, so an identical boundary is the usual case
+        if not (cell.src is src_cell or cell.src == src_cell) or not (cell.tgt is tgt_cell or cell.tgt == tgt_cell):
             raise TypingError(
                 f"structural inclusion breaks at {(path, gap)}: "
                 f"{cell.src} vs {src_cell} / {cell.tgt} vs {tgt_cell}"
@@ -358,16 +383,16 @@ class StackSquare:
     index: int
     element: ExtendedTree
     case: str
-    top_state: tuple
-    bottom_state: tuple
+    top_section: tuple
+    bottom_section: tuple
     top: str
     bottom: str
-    left: dict | None
-    right: dict | None
-    source_degenerate: bool
-    target_degenerate: bool
-    p: int | None
-    q: int | None
+    left: dict | None = None
+    right: dict | None = None
+    source_degenerate: bool = False
+    target_degenerate: bool = False
+    p: int | None = None
+    q: int | None = None
 
     def to_json(self):
         return {
@@ -380,6 +405,11 @@ class StackSquare:
             "right": self.right,
             "degenerate": [self.source_degenerate, self.target_degenerate],
         }
+
+
+# per side of a square: its StackSquare fields for the degenerate index, the
+# degenerate flag and the side's record
+_SIDE_FIELDS = {"s": ("p", "source_degenerate", "left"), "t": ("q", "target_degenerate", "right")}
 
 
 def _side_name(q: int, p: int) -> str:
@@ -420,88 +450,73 @@ def _render(state, A: Tree, side: str = "") -> str:
 
 
 def boundary_plus(A: Tree, sector) -> Tree:
-    """The boundary tree with the same sector re-applied.
-
-    If the sector's parent was deleted (it sat at maximal height), the new
-    vertex re-attaches to the deepest surviving ancestor; gaps are clamped
-    to the surviving arity.
-    """
-    return _reapply(tree_boundary(A), sector)
+    """The boundary tree with the same sector re-applied (see ``_reapplied``)."""
+    bt = tree_boundary(A)
+    return insert_at(bt, _reapplied(bt, sector))
 
 
-def _reapply(bt: Tree, sector) -> Tree:
-    path = sector.path
-    while True:
-        node = bt
-        ok = True
-        for i in path:
-            if i >= node.arity:
-                ok = False
-                break
-            node = node.children[i]
-        if ok:
-            gap = min(sector.gap, node.arity)
-            return insert_at(bt, tree_mod.Sector(path, gap))
-        path = path[:-1]
+def _reapplied(bt: Tree, sector) -> tree_mod.Sector:
+    """The sector moved onto the boundary tree ``bt``.  If the sector's parent
+    was deleted (it sat at maximal height), the new vertex re-attaches to the
+    deepest surviving ancestor; the gap is clamped to the surviving arity."""
+    node, depth = bt, 0
+    for i in sector.path:
+        if i >= node.arity:
+            break
+        node, depth = node.children[i], depth + 1
+    return tree_mod.Sector(sector.path[:depth], min(sector.gap, node.arity))
 
 
-def _rho_star(rho_eps: str, bt: Tree, ext: ExtendedTree, side: str, args: str) -> dict:
-    """A side of a square that restricts ρ along d_ε.
+def _state(section, A: Tree, span) -> tuple:
+    """The typed edge state of a section.  With m of the root's p+1 points
+    on u it is pre (m = p+1) or post (m = 0); else it crosses in root branch
+    j = m and is btau j (bsig j) when the whole branch is at ("u", 1)
+    (("v", 1)), otherwise mid j r with r of the branch's leaves on u."""
+    p = A.arity
+    m = section[: p + 1].count(("u", 0))
+    if m == p + 1:
+        return ("pre",)
+    if m == 0:
+        return ("post",)
+    start, stop = span[(m - 1,)]
+    branch = section[start:stop]
+    for kind, pair in (("btau", ("u", 1)), ("bsig", ("v", 1))):
+        if branch.count(pair) == stop - start:
+            return (kind, m)
+    leaves = branch[A.children[m - 1].arity + 1 :]
+    return ("mid", m, [side for side, _ in leaves].count("u"))
 
-    ``rho_eps`` is the rendered homogeneous half of d_ε ∘ ρ, the homogeneous
-    operation into ∂A (into A when dim A < k); it is the same for both sides
-    (see ``stack``).  ``bt`` is ∂A, on which the extension's sector is
-    re-applied.
-    """
+
+def _rho_star(rho_eps: str, plus_tree: str, side: str, A: Tree, j: int) -> dict:
+    """A side of a square in root branch j that restricts ρ along d_ε, with
+    ρ_ε rendered and ∂A with the sector re-applied; it passes the branch's
+    cell F_j when the branch is a leaf, else its first (σ) or last (τ) cell."""
+    if A.children[j - 1].is_leaf:
+        args = f"(d{side}U_<{j}, d{side}V_>{j}, F_{j})"
+    else:
+        gap = 0 if side == "s" else A.children[j - 1].arity
+        args = f"(d{side}U_<{j}, a_{j}.{gap}, d{side}V_>{j})"
     return {
         "kind": "rho_star",
         "eps": "sigma" if side == "s" else "tau",
         "args": args,
-        "plus_tree": str(_reapply(bt, ext.sector)),
+        "plus_tree": plus_tree,
         "rho_eps": rho_eps,
         "boundary": f"(d_sigma . rho_{side}, d_tau . rho_{side})",
     }
 
 
-def _square_states(ext: ExtendedTree, p: int):
-    """Top and bottom edge states of the square attached to one extension."""
-    klass = ext.klass
-    sector = ext.sector
-    if klass == tree_mod.H1_RIGHT:
-        return ("pre",), (("btau", p) if p > 0 else ("post",))
-    if klass == tree_mod.H1_LEFT:
-        return ("bsig", 1), ("post",)
-    if klass == tree_mod.H1_MID:
-        q = sector.gap
-        return ("bsig", q + 1), ("btau", q)
-    j = sector.path[0] + 1
-    if klass == tree_mod.H2_OVER_EDGE:
-        return ("btau", j), ("bsig", j)
-    if klass == tree_mod.H2_MAX:
-        return ("btau", j), ("mid", j, sector.gap)
-    if klass == tree_mod.H2_MIN:
-        return ("mid", j, 0), ("bsig", j)
-    if klass == tree_mod.H2_MID:
-        return ("mid", j, sector.gap), ("mid", j, sector.gap)
-    # H3 over the r-th cell
-    r = sector.path[1] + 1
-    return ("mid", j, r), ("mid", j, r - 1)
-
-
-# per side: the classes whose square is degenerate there, and the class
-# whose side restricts rho through the block's first (s) or last (t) cell
-_DEGENERATE_KLASSES = {
-    "s": (tree_mod.H2_MAX, tree_mod.H2_MID, tree_mod.H3),
-    "t": (tree_mod.H2_MIN, tree_mod.H2_MID, tree_mod.H3),
-}
-_EXTREME_KLASS = {"s": tree_mod.H2_MIN, "t": tree_mod.H2_MAX}
-
-
 def stack(ρ: ThetaMap, th: TheoryPresentation):
     """The ordered squares interpreting a homogeneous operation on cylinders.
 
-    Every side that restricts ρ along d_ε carries ρ_ε, the homogeneous half
-    of d_ε ∘ ρ.  As ρ is homogeneous, the globular half of d_ε ∘ ρ is the
+    Square i runs from s_σ(i) to s_τ(i) in the chain of sections, and its
+    edges are their typed states.  Its side ε is degenerate when the two
+    sections agree on A's ε-boundary cells: the root's points and each root
+    branch's first (σ) or last (τ) 1-cell.  Any other side is a coherence
+    cell when the sector is at the root, and otherwise restricts ρ along d_ε
+    and carries ρ_ε, the homogeneous half of d_ε ∘ ρ.
+
+    As ρ is homogeneous, the globular half of d_ε ∘ ρ is the
     boundary inclusion ∂A -> A when dim A = k and the identity of A when
     dim A < k, so ρ_ε is a homogeneous (k-1)-operation into ∂A (or A).  A
     homogeneous operation is determined by its target, so ρ_ε is the same
@@ -516,56 +531,42 @@ def stack(ρ: ThetaMap, th: TheoryPresentation):
         raise DomainError("stacks interpret homogeneous operations only")
     A = ρ.target
     _require_systems(th, k)
-    p = A.arity
     bt = tree_boundary(A) if tree_dim(A) else A
     rho_eps = render(homogeneous_op(k - 1, bt if tree_dim(A) == k else A))
-    squares = []
-    for idx, ext in enumerate(linearization(A)):
-        top_state, bottom_state = _square_states(ext, p)
-        top = _render(top_state, A)
-        bottom = _render(bottom_state, A)
-        record = {"s": None, "t": None}
-        degenerate = {"s": False, "t": False}
-        if k >= 2:
-            j = ext.sector.path[0] + 1 if ext.sector.path else None
-            for side in ("s", "t"):
-                top_c, bottom_c = _corner(top_state, side), _corner(bottom_state, side)
-                degenerate[side] = ext.klass in _DEGENERATE_KLASSES[side]
-                if (top_c == bottom_c) != degenerate[side]:
-                    what = "source" if side == "s" else "target"
-                    raise TypingError(f"{what} corner mismatch at square {idx}")
-                if degenerate[side]:
-                    continue
-                if ext.klass == tree_mod.H2_OVER_EDGE:
-                    args = f"(d{side}U_<{j}, d{side}V_>{j}, F_{j})"
-                    record[side] = _rho_star(rho_eps, bt, ext, side, args)
-                elif ext.klass == _EXTREME_KLASS[side]:
-                    gap = 0 if side == "s" else A.children[j - 1].arity
-                    args = f"(d{side}U_<{j}, a_{j}.{gap}, d{side}V_>{j})"
-                    record[side] = _rho_star(rho_eps, bt, ext, side, args)
-                else:
-                    record[side] = {
-                        "kind": "coh",
-                        "src": _render(top_c, A, side),
-                        "tgt": _render(bottom_c, A, side),
-                    }
-        squares.append(
-            StackSquare(
-                index=idx,
-                element=ext,
-                case=ext.klass,
-                top_state=top_state,
-                bottom_state=bottom_state,
-                top=top,
-                bottom=bottom,
-                left=record["s"],
-                right=record["t"],
-                source_degenerate=degenerate["s"],
-                target_degenerate=degenerate["t"],
-                p=0 if degenerate["s"] else None,
-                q=0 if degenerate["t"] else None,
-            )
+    exts = linearization(A)
+    span = _spans(A)
+    chain = list(_section_chain(exts, span))
+    states = [_state(s, A, span) for s in chain]
+    texts = [_render(state, A) for state in states]
+    squares = [
+        StackSquare(idx, ext, ext.klass, *chain[idx : idx + 2], *texts[idx : idx + 2])
+        for idx, ext in enumerate(exts)
+    ]
+    plus_trees = {}
+    for side in ("s", "t") if k >= 2 else ():
+        index, flag, record = _SIDE_FIELDS[side]
+        on_boundary = operator.itemgetter(
+            *range(A.arity + 1), *(span[(i,)][0] + (side == "t") * b.arity for i, b in enumerate(A.children))
         )
+        bound = [on_boundary(s) for s in chain]
+        corner = [_corner(state, side) for state in states]
+        for i, sq in enumerate(squares):
+            degenerate = bound[i] == bound[i + 1]
+            if (corner[i] == corner[i + 1]) != degenerate:
+                what = "source" if side == "s" else "target"
+                raise TypingError(f"{what} corner mismatch at square {i}")
+            sector = sq.element.sector
+            if degenerate:
+                setattr(sq, flag, True)
+                setattr(sq, index, 0)
+            elif not sector.path:
+                src, tgt = (_render(c, A, side) for c in corner[i : i + 2])
+                setattr(sq, record, {"kind": "coh", "src": src, "tgt": tgt})
+            else:
+                plus = _reapplied(bt, sector)
+                if plus not in plus_trees:
+                    plus_trees[plus] = str(insert_at(bt, plus))
+                setattr(sq, record, _rho_star(rho_eps, plus_trees[plus], side, A, sector.path[0] + 1))
     return squares
 
 
@@ -574,15 +575,11 @@ def vcompose_meta(squares) -> dict:
     if not squares:
         raise DomainError("empty stacks have no composite")
     for a, b in zip(squares, squares[1:]):
-        if a.bottom_state != b.top_state:
-            raise DomainError(
-                f"stack is not composable between squares {a.index} and {b.index}"
-            )
+        if a.bottom_section != b.top_section:
+            raise DomainError(f"stack is not composable between squares {a.index} and {b.index}")
     meta = {"top": squares[0].top, "bottom": squares[-1].bottom}
-    for index, flag, record, key in (
-        ("p", "source_degenerate", "left", "source_record"),
-        ("q", "target_degenerate", "right", "target_record"),
-    ):
+    for side, key in (("s", "source_record"), ("t", "target_record")):
+        index, flag, record = _SIDE_FIELDS[side]
         meta[index] = min(
             (getattr(sq, index) for sq in squares if getattr(sq, index) is not None), default=None
         )

@@ -132,7 +132,7 @@ def test_cyl_stack_wide_tree(capsys):
 
 
 def test_cyl_stack_dot(capsys):
-    code, out = run(capsys, "cyl", "stack", "--tree", NINE_TREE, "--dot", "0")
+    code, out = run(capsys, "cyl", "stack", "--tree", NINE_TREE, "--dot")
     assert code == 0
     assert out.startswith("digraph")
 
@@ -203,6 +203,7 @@ def cli_command(*argv):
         ["theta", "factor", "D1", "D2", "--index", "-1"],
         ["lins", "[]", "--dot", "5"],
         ["lins", "[]", "--dot", "-1"],
+        ["cyl", "sum", "--tree", "[[]]", "--dot"],
     ],
 )
 def test_out_of_range_index_is_a_domain_error(argv):

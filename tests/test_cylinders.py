@@ -15,6 +15,7 @@ from globwork.theta import (
     sigma_theta,
     tau_theta,
 )
+from globwork import trees as tree_mod
 from globwork.trees import H3, LEAF, all_trees, boundary, dim, globe, linearization, parse_tree
 
 TH = groupoidalize(standard_library(3))
@@ -204,6 +205,54 @@ def test_structural_inclusions_match_the_case_analysis():
             assert incl["mapping"] == inclusion_by_cases(S, incl["extension"]), (A, incl["extension"].sector)
 
 
+def lax_by_definition(S, side, x, depth):
+    """The copy of x on side u (v) whiskered on the right (left) by the c's
+    over its target (source) faces of dimension below ``depth``."""
+    which, hand = ("t", "r") if side == "u" else ("s", "l")
+    cell = S.atoms[(side, x)]
+    for e in range(depth):
+        cell = fwhisker(cell, S.atoms[("c", cyl._face(x, e, which))], hand)
+    return cell
+
+
+def section_by_faces(incl, side, x):
+    """incl_B ∘ δ_ε at the cell x of A, for the two Θ-faces δ_σ, δ_τ : A -> B
+    of the extension: at the sector's node p child indices from g on shift
+    up by one, the sector's gap goes to gap g (σ) or g+1 (τ), and the cells
+    over child g (σ) or g-1 (τ) are whiskered by the new vertex."""
+    mapping = incl["mapping"]
+    p, g = incl["extension"].sector.path, incl["extension"].sector.gap
+    h = len(p)
+    path, gap = x
+    if path[:h] != p:
+        return mapping[x]
+    if len(path) == h:
+        return mapping[(p, gap + (gap > g or (side == "t" and gap == g)))]
+    i = path[h]
+    image = mapping[(p + (i + (i >= g),) + path[h + 1 :], gap)]
+    new = mapping[(p + (g,), 0)]
+    if side == "s" and i == g:
+        return fwhisker(image, new, "l")
+    if side == "t" and i == g - 1:
+        return fwhisker(image, new, "r")
+    return image
+
+
+def test_section_chain_is_the_inclusions_on_the_theta_faces():
+    trees = [A for A in all_trees(9) if 1 <= dim(A) <= 2]
+    assert len(trees) == 255
+    for A in trees:
+        S = cyl.cyl_glob_sum(A, TH)
+        cells = cyl._cells_of(A)
+        chain = list(cyl._section_chain(linearization(A), cyl._spans(A)))
+        assert chain[0] == (("u", 0),) * len(cells) and chain[-1] == (("v", 0),) * len(cells)
+        assert len(chain) == len(S.inclusions) + 1
+        for i, incl in enumerate(S.inclusions):
+            for side, section in (("s", chain[i]), ("t", chain[i + 1])):
+                for x, (copy, depth) in zip(cells, section, strict=True):
+                    assert lax_by_definition(S, copy, x, depth) == section_by_faces(incl, side, x), (A, i, side, x)
+
+
 def test_verify_inclusion_needs_every_cell():
     S = cyl.cyl_glob_sum(NINE_TREE, TH)
     for incl in S.inclusions:
@@ -217,6 +266,99 @@ def test_verify_inclusion_needs_every_cell():
 
 # ---------------------------------------------------------------------------
 # stacks
+
+def square_states_by_class(ext, p: int):
+    """Top and bottom edge states of the square attached to one extension,
+    by a case analysis on its class."""
+    klass = ext.klass
+    sector = ext.sector
+    if klass == tree_mod.H1_RIGHT:
+        return ("pre",), (("btau", p) if p > 0 else ("post",))
+    if klass == tree_mod.H1_LEFT:
+        return ("bsig", 1), ("post",)
+    if klass == tree_mod.H1_MID:
+        q = sector.gap
+        return ("bsig", q + 1), ("btau", q)
+    j = sector.path[0] + 1
+    if klass == tree_mod.H2_OVER_EDGE:
+        return ("btau", j), ("bsig", j)
+    if klass == tree_mod.H2_MAX:
+        return ("btau", j), ("mid", j, sector.gap)
+    if klass == tree_mod.H2_MIN:
+        return ("mid", j, 0), ("bsig", j)
+    if klass == tree_mod.H2_MID:
+        return ("mid", j, sector.gap), ("mid", j, sector.gap)
+    # H3 over the r-th cell
+    r = sector.path[1] + 1
+    return ("mid", j, r), ("mid", j, r - 1)
+
+
+# per side: the classes whose square is degenerate there, and the class
+# whose side restricts rho through the block's first (s) or last (t) cell
+DEGENERATE_KLASSES = {
+    "s": (tree_mod.H2_MAX, tree_mod.H2_MID, tree_mod.H3),
+    "t": (tree_mod.H2_MIN, tree_mod.H2_MID, tree_mod.H3),
+}
+EXTREME_KLASS = {"s": tree_mod.H2_MIN, "t": tree_mod.H2_MAX}
+
+
+def stack_by_class(rho):
+    """Per square: its states, degenerate flags and each side's kind with its
+    arguments (rho_star) or its rendered corners (coh), by the class table."""
+    A, k = rho.target, dim(rho.source)
+    squares = []
+    for ext in linearization(A):
+        top, bottom = square_states_by_class(ext, A.arity)
+        degenerate = {side: k >= 2 and ext.klass in DEGENERATE_KLASSES[side] for side in "st"}
+        sides = {side: None for side in "st"}
+        for side in "st" if k >= 2 else ():
+            if degenerate[side]:
+                continue
+            j = ext.sector.path[0] + 1 if ext.sector.path else None
+            if ext.klass == tree_mod.H2_OVER_EDGE:
+                sides[side] = ("rho_star", f"(d{side}U_<{j}, d{side}V_>{j}, F_{j})")
+            elif ext.klass == EXTREME_KLASS[side]:
+                gap = 0 if side == "s" else A.children[j - 1].arity
+                sides[side] = ("rho_star", f"(d{side}U_<{j}, a_{j}.{gap}, d{side}V_>{j})")
+            else:
+                src, tgt = (cyl._render(cyl._corner(state, side), A, side) for state in (top, bottom))
+                sides[side] = ("coh", src, tgt)
+        squares.append((top, bottom, degenerate["s"], degenerate["t"], sides["s"], sides["t"]))
+    return squares
+
+
+def side_summary(record):
+    if record is None:
+        return None
+    if record["kind"] == "coh":
+        return ("coh", record["src"], record["tgt"])
+    return ("rho_star", record["args"])
+
+
+def test_stack_matches_the_class_table():
+    stacks = 0
+    for A in all_trees(9):
+        if dim(A) > 2:
+            continue
+        for k in (1, 2):
+            rho = homogeneous_op(k, A)
+            if rho is None:
+                continue
+            span = cyl._spans(A)
+            got = [
+                (
+                    cyl._state(sq.top_section, A, span),
+                    cyl._state(sq.bottom_section, A, span),
+                    sq.source_degenerate,
+                    sq.target_degenerate,
+                    side_summary(sq.left),
+                    side_summary(sq.right),
+                )
+                for sq in cyl.stack(rho, TH)
+            ]
+            assert got == stack_by_class(rho), (k, A)
+            stacks += 1
+    assert stacks == 265
 
 def test_stack_nine_tree_cases_and_order():
     rho = homogeneous_ops(NINE_TREE, 2)
@@ -302,6 +444,13 @@ def test_stack_point():
     assert len(squares) == 1
     meta = cyl.vcompose_meta(squares)
     assert meta["top"] == "C_t*rho(U)" and meta["bottom"] == "rho(V)*C_s"
+
+
+def test_stack_corner_mismatch_is_a_typing_error(monkeypatch):
+    # states that ignore the sections disagree with the degenerate flags
+    monkeypatch.setattr(cyl, "_state", lambda section, A, span: ("pre",))
+    with pytest.raises(TypingError):
+        cyl.stack(homogeneous_ops(NINE_TREE, 2)[0], TH)
 
 
 def test_stack_rejects_non_homogeneous():
