@@ -356,8 +356,16 @@ def cmd_check(args):
     return 0 if not failures else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, ``error: <message>``, and exit 2; the
+    subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="globwork", description=__doc__)
+    ap = _Parser(prog="globwork", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tree", help="tree operations")

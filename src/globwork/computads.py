@@ -114,20 +114,12 @@ def typecheck(cell: FCell, gens=None):
 
 
 def rename(cell: FCell, mapping: dict) -> FCell:
-    if cell.kind == "var":
-        target = mapping.get(cell.name, cell.name)
-        return FCell(
-            "var",
-            target,
-            (),
-            cell.dim,
-            rename(cell.src, mapping) if cell.src else None,
-            rename(cell.tgt, mapping) if cell.tgt else None,
-        )
+    """Rename the generators (``var`` cells, which have no args) of a cell."""
     return FCell(
         cell.kind,
-        cell.name,
-        tuple(rename(a, mapping) for a in cell.args),
+        mapping.get(cell.name, cell.name) if cell.kind == "var" else cell.name,
+        # most cells renamed are vars, and an empty generator costs more than the test
+        tuple(rename(a, mapping) for a in cell.args) if cell.args else (),
         cell.dim,
         rename(cell.src, mapping) if cell.src else None,
         rename(cell.tgt, mapping) if cell.tgt else None,

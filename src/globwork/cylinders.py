@@ -35,7 +35,9 @@ from .trees import (
     ExtendedTree,
     Tree,
     boundary as tree_boundary,
+    cells as tree_cells,
     dim as tree_dim,
+    face,
     globe,
     insert_at,
     linearization,
@@ -227,22 +229,6 @@ class SumCylinder:
     inclusions: list  # one per linearization element: dict cell -> FCell
 
 
-def _cells_of(t: Tree, path=()) -> list:
-    """The cells (node path, gap) of a tree in preorder; a cell at a node of
-    depth n is an n-cell."""
-    cells = [(path, gap) for gap in range(t.arity + 1)]
-    for i, child in enumerate(t.children):
-        # a leaf has one cell, and is not worth a call
-        cells += _cells_of(child, path + (i,)) if child.children else [(path + (i,), 0)]
-    return cells
-
-
-def _face(x, e: int, which: str):
-    """The e-dimensional source ("s") or target ("t") face of the cell x."""
-    path, _ = x
-    return path[:e], path[e] + (which == "t")
-
-
 def _gen_name(A: Tree, side: str, x) -> str:
     path, gap = x
     if not path:
@@ -280,9 +266,9 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
         if d == 0:
             return atoms[(side, x)]
         which, hand = ("t", "r") if side == "u" else ("s", "l")
-        return fwhisker(lax(side, x, d - 1), atoms[("c", _face(x, d - 1, which))], hand)
+        return fwhisker(lax(side, x, d - 1), atoms[("c", face(x, d - 1, which))], hand)
 
-    cells = _cells_of(A)
+    cells = tree_cells(A)
     groups = {}
     for x in cells:
         # preorder within a root branch of height <= 1 is dimension order
@@ -294,7 +280,7 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
                 if side == "c":
                     bd = (lax("u", x, n), lax("v", x, n))
                 else:
-                    bd = tuple(atoms[(side, _face(x, n - 1, w))] for w in "st") if n else ()
+                    bd = tuple(atoms[(side, face(x, n - 1, w))] for w in "st") if n else ()
                 atoms[(side, x)] = P.add(_gen_name(A, side, x), n + (side == "c"), *bd)
     exts = linearization(A)
     span = _spans(A)
@@ -307,7 +293,7 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
 
 
 def _spans(t: Tree, path=(), start=0, span=None) -> dict:
-    """Each node's (start, stop) range in the preorder ``_cells_of`` list:
+    """Each node's (start, stop) range in the preorder ``trees.cells`` list:
     the node's gaps, then its children's subtrees."""
     span = {} if span is None else span
     stop = start + t.arity + 1
@@ -350,7 +336,7 @@ def _structural_inclusion(ext: ExtendedTree, span, before, after, new) -> dict:
     cut = span[path + (g - 1,)][1] if g else end
     B = ext.result
     images = before[: gaps + g + 1] + after[gaps + g : end] + before[end:cut] + [new] + after[cut:]
-    incl = {"extension": ext, "scheme": B, "mapping": dict(zip(_cells_of(B), images))}
+    incl = {"extension": ext, "scheme": B, "mapping": dict(zip(tree_cells(B), images))}
     _verify_inclusion(incl)
     return incl
 
@@ -360,17 +346,18 @@ def _verify_inclusion(incl):
     defined on exactly the cells of its scheme, and preserving boundaries."""
     B = incl["scheme"]
     mapping = incl["mapping"]
-    if mapping.keys() != set(_cells_of(B)):
+    if mapping.keys() != set(tree_cells(B)):
         raise TypingError(f"structural inclusion is not defined on exactly the cells of {B}")
-    for (path, gap), cell in mapping.items():
-        if len(path) == 0:
+    for x, cell in mapping.items():
+        n = len(x[0])
+        if n == 0:
             continue
-        src_cell = mapping[(path[:-1], path[-1])]
-        tgt_cell = mapping[(path[:-1], path[-1] + 1)]
+        src_cell = mapping[face(x, n - 1, "s")]
+        tgt_cell = mapping[face(x, n - 1, "t")]
         # the lax cells are shared, so an identical boundary is the usual case
         if not (cell.src is src_cell or cell.src == src_cell) or not (cell.tgt is tgt_cell or cell.tgt == tgt_cell):
             raise TypingError(
-                f"structural inclusion breaks at {(path, gap)}: "
+                f"structural inclusion breaks at {x}: "
                 f"{cell.src} vs {src_cell} / {cell.tgt} vs {tgt_cell}"
             )
 
@@ -725,17 +712,9 @@ def coherence_boundary(kind: str, indices, level: int, th: TheoryPresentation):
             edge = glob_cell(leaf_inclusion(M, m - 1 if side == "l" else m + 1))
             return whisker(th, side, mid, edge, M)
 
-        if m == 0 and k == 0:
-            c1 = c2 = mid
-        elif m == 0:
-            c1 = _wrap(th, mid, M, [], range(m + 1, m + k + 1))
-            c2 = _wrap(th, bundle("r"), M, [], range(m + 2, m + k + 1))
-        elif k == 0:
-            c1 = _wrap(th, bundle("l"), M, range(m - 2, -1, -1), [])
-            c2 = _wrap(th, mid, M, range(m - 1, -1, -1), [])
-        else:
-            c1 = _wrap(th, bundle("l"), M, range(m - 2, -1, -1), range(m + 1, m + k + 1))
-            c2 = _wrap(th, bundle("r"), M, range(m - 1, -1, -1), range(m + 2, m + k + 1))
+        # with no edge on a side, that side's component is the bare middle
+        c1 = _wrap(th, bundle("l") if m else mid, M, range(m - 2, -1, -1), range(m + 1, m + k + 1))
+        c2 = _wrap(th, bundle("r") if k else mid, M, range(m - 1, -1, -1), range(m + 2, m + k + 1))
         t1 = single(mid_dim, M, c1)
         t2 = single(mid_dim, M, c2)
         th.validate_term(t1)

@@ -10,7 +10,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from .errors import DomainError, TypingError
-from .trees import Tree, dim as tree_dim
+from .trees import Tree, cells as tree_cells, dim as tree_dim, face
 
 
 class FinGlobSet:
@@ -21,15 +21,14 @@ class FinGlobSet:
     empty globular set.
     """
 
-    def __init__(self, n, cells, src, tgt, check=True):
+    def __init__(self, n, cells, src, tgt):
         self.n = n
         self.cells = tuple(tuple(sorted(c, key=repr)) for c in cells)
         self.src = tuple(dict(d) for d in src)
         self.tgt = tuple(dict(d) for d in tgt)
         if len(self.cells) != n + 1 or len(self.src) != n + 1 or len(self.tgt) != n + 1:
             raise TypingError("cells/src/tgt must have length n+1")
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         for k in range(1, self.n + 1):
@@ -98,12 +97,11 @@ EMPTY = FinGlobSet(-1, (), (), ())
 class GlobMap:
     """A map of globular sets: per-dimension functions commuting with src/tgt."""
 
-    def __init__(self, dom: FinGlobSet, cod: FinGlobSet, maps, check=True):
+    def __init__(self, dom: FinGlobSet, cod: FinGlobSet, maps):
         self.dom = dom
         self.cod = cod
         self.maps = tuple(dict(m) for m in maps)
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         if len(self.maps) != self.dom.n + 1:
@@ -167,15 +165,12 @@ def realize(t: Tree) -> FinGlobSet:
     cells = [[] for _ in range(n + 1)]
     src = [dict() for _ in range(n + 1)]
     tgt = [dict() for _ in range(n + 1)]
-    for path in t.nodes():
-        h = len(path)
-        node = t.subtree(path)
-        for g in range(node.arity + 1):
-            c = (path, g)
-            cells[h].append(c)
-            if h >= 1:
-                src[h][c] = (path[:-1], path[-1])
-                tgt[h][c] = (path[:-1], path[-1] + 1)
+    for c in tree_cells(t):
+        h = len(c[0])
+        cells[h].append(c)
+        if h >= 1:
+            src[h][c] = face(c, h - 1, "s")
+            tgt[h][c] = face(c, h - 1, "t")
     return FinGlobSet(n, cells, src, tgt)
 
 

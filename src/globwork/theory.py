@@ -11,21 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from .errors import AdmissibilityError, DomainError, SizeGuardError, TypingError
-from .trees import LEAF, Tree, dim as tree_dim, globe, parse_tree, suspend
+from .trees import LEAF, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, parse_tree, suspend
 from . import globsets as gs
 from . import theta as th_ops
 from .computads import Computad, fcomp, fop, funit, fvar, fwhisker, typecheck as ftypecheck
 from .theta import (
     ThetaMap,
+    address_inclusion,
     assemble,
     compose,
     face_theta,
     filler,
     identity,
     is_admissible_categorical,
-    iterated_boundary,
     leaf_inclusion,
-    leaf_paths,
     sigma_theta,
     tau_theta,
 )
@@ -246,15 +245,13 @@ class TheoryPresentation:
         return all(self.cell_boundary(a, side) == self.cell_boundary(b, side) for side in "st")
 
     def term_cell_at(self, t: Term, cell_id) -> TermCell:
-        """The entry of t over an arbitrary cell of its source scheme."""
-        path, gap = cell_id
-        node = t.source.subtree(path)
-        paths = leaf_paths(t.source)
-        if node.is_leaf:
-            return t.cells[paths.index(path)]
-        last = gap == node.arity
-        deeper = self.term_cell_at(t, (path + (node.arity - 1 if last else gap,), 0))
-        return self.cell_boundary(deeper, "t" if last else "s")
+        """The entry of t over a cell of its source scheme: the boundary of
+        the entry over the cell's leaf along the cell's leaf address."""
+        leaf, chain = leaf_address(t.source, cell_id)
+        cell = t.cells[leaf]
+        for side in chain:
+            cell = self.cell_boundary(cell, side)
+        return cell
 
     def substitute_cell(self, cell: TermCell, u: Term) -> TermCell:
         """Compose a cell D_k -> B with a term u : B -> C."""
@@ -822,16 +819,9 @@ def generating_cofibrations(n: int):
 # ---------------------------------------------------------------------------
 # JSON codecs for terms and batches
 
-def ref_glob(t: Tree, leaf: int, chain: str) -> ThetaMap:
-    f = leaf_inclusion(t, leaf)
-    for ch in chain:
-        f = iterated_boundary(f, 1, ch)
-    return f
-
-
 def cell_from_json(th: TheoryPresentation, target: Tree, data) -> TermCell:
     if "leaf" in data:
-        return glob_cell(ref_glob(target, data["leaf"], data.get("chain", "")))
+        return glob_cell(address_inclusion(target, data["leaf"], data.get("chain", "")))
     sym = th.symbol(data["op"])
     return app_cell(data["op"], term_from_json(th, sym.arity, target, data["args"]))
 

@@ -14,8 +14,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from .errors import DomainError, SizeGuardError, TypingError
-from .trees import LEAF, Tree, dim as tree_dim, globe, suspend
-from .globsets import GlobMap, realize
+from .trees import LEAF, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, suspend
 
 DEFAULT_HOM_BOUND = 10**6
 
@@ -96,22 +95,13 @@ def compose(f: ThetaMap, g: ThetaMap) -> ThetaMap:
     """Diagrammatic composite: f then g."""
     if f.target != g.source:
         raise TypingError("composition mismatch")
-    phi = tuple(g.phi[v] for v in f.phi)
-    components = []
-    for i in range(f.source.arity):
-        block = []
-        for j in range(phi[i] + 1, phi[i + 1] + 1):
-            # the unique middle gap j' with g.phi[j'-1] < j <= g.phi[j']
-            jp = next(
-                jp
-                for jp in range(1, g.source.arity + 1)
-                if g.phi[jp - 1] < j <= g.phi[jp]
-            )
-            inner = f.components[i][jp - f.phi[i] - 1]
-            outer = g.components[jp - 1][j - g.phi[jp - 1] - 1]
-            block.append(compose(inner, outer))
-        components.append(tuple(block))
-    return ThetaMap(f.source, g.target, phi, tuple(components))
+    # block i of f holds one component per middle gap jp, and block jp - 1
+    # of g one per target gap over jp, so flattening gives f's span in order
+    components = tuple(
+        tuple(compose(fc, gc) for jp, fc in enumerate(block, f.phi[i] + 1) for gc in g.components[jp - 1])
+        for i, block in enumerate(f.components)
+    )
+    return ThetaMap(f.source, g.target, tuple(g.phi[v] for v in f.phi), components)
 
 
 @functools.lru_cache(maxsize=None)
@@ -128,15 +118,6 @@ def sigma_theta(k: int) -> ThetaMap:
 
 def tau_theta(k: int) -> ThetaMap:
     return face_theta(k, "t")
-
-
-def iterated_boundary(f: ThetaMap, steps: int, side: str) -> ThetaMap:
-    """Precompose f : D_k -> A with a sigma/tau chain of the given length."""
-    k = tree_dim(f.source)
-    for _ in range(steps):
-        k -= 1
-        f = compose(face_theta(k, side), f)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +166,6 @@ def hom(S: Tree, T: Tree, max_size: int = DEFAULT_HOM_BOUND) -> tuple:
 # ---------------------------------------------------------------------------
 # globular maps
 
-@functools.lru_cache(maxsize=None)
-def leaf_paths(t: Tree):
-    """Paths of all leaves, left to right."""
-    if t.is_leaf:
-        return ((),)
-    out = []
-    for i, c in enumerate(t.children):
-        out.extend((i,) + p for p in leaf_paths(c))
-    return tuple(out)
-
-
 def leaf_inclusion(t: Tree, leaf_index: int) -> ThetaMap:
     """The colimit inclusion of the leaf's globe into the sum."""
     path = leaf_paths(t)[leaf_index]
@@ -213,15 +183,17 @@ def leaf_inclusion(t: Tree, leaf_index: int) -> ThetaMap:
 
 
 def cell_inclusion(t: Tree, cell) -> ThetaMap:
-    """The globular map D_h -> t picking an arbitrary cell of realize(t)."""
-    path, gap = cell
-    node = t.subtree(path)
-    if node.is_leaf:
-        leaf_index = leaf_paths(t).index(path)
-        return leaf_inclusion(t, leaf_index)
-    last = gap == node.arity
-    deeper = cell_inclusion(t, (path + (node.arity - 1 if last else gap,), 0))
-    return compose(face_theta(len(path), "t" if last else "s"), deeper)
+    """The globular map D_h -> t picking a cell (path, gap) of t."""
+    return address_inclusion(t, *leaf_address(t, cell))
+
+
+def address_inclusion(t: Tree, leaf: int, chain: str) -> ThetaMap:
+    """The inclusion of a leaf's globe, then the faces of the chain from
+    the top dimension down: the cell addressed by (leaf, chain)."""
+    f = leaf_inclusion(t, leaf)
+    for side in chain:
+        f = compose(face_theta(tree_dim(f.source) - 1, side), f)
+    return f
 
 
 def is_globular(f: ThetaMap) -> bool:
@@ -236,72 +208,12 @@ def is_globular(f: ThetaMap) -> bool:
     return True
 
 
-def embed_globular(g: GlobMap) -> ThetaMap:
-    """Lift a realization-level map of schemes along the wreath encoding."""
-    S = _tree_of(g.dom)
-    T = _tree_of(g.cod)
-    for k in range(g.dom.n + 1):
-        if not g.is_injective_at(k):
-            raise DomainError("not a monomorphism of schemes")
-
-    def build(sp, tp):
-        s_node, t_node = S.subtree(sp), T.subtree(tp)
-        phi = []
-        for i in range(s_node.arity + 1):
-            img = g.maps[len(sp)][(sp, i)]
-            if img[0] != tp:
-                raise DomainError("image is not gap-local; not globular")
-            phi.append(img[1])
-        comps = []
-        for i in range(s_node.arity):
-            if phi[i + 1] != phi[i] + 1:
-                raise DomainError("non-consecutive image; not globular")
-            comps.append((build(sp + (i,), tp + (phi[i],)),))
-        return ThetaMap(s_node, t_node, tuple(phi), tuple(comps))
-
-    return build((), ())
-
-
-def _tree_of(X) -> Tree:
-    """Reconstruct the tree of a realization from its canonical cell ids."""
-    paths = set()
-    for k in range(X.n + 1):
-        for (path, _gap) in X.cells[k]:
-            paths.add(path)
-
-    def grow(path):
-        kids = []
-        i = 0
-        while path + (i,) in paths:
-            kids.append(grow(path + (i,)))
-            i += 1
-        return Tree(tuple(kids))
-
-    return grow(())
-
-
 def glob_top_image(f: ThetaMap):
     """Image cell of the top generator under a globular globe-sourced map."""
     if f.source.is_leaf:
         return ((), f.phi[0])
     sub_path, sub_gap = glob_top_image(f.components[0][0])
     return ((f.phi[0],) + sub_path, sub_gap)
-
-
-def realize_map(f: ThetaMap) -> GlobMap:
-    """The realization of a globular wreath map as a map of schemes."""
-    if not is_globular(f):
-        raise DomainError("only globular maps realize to maps of schemes")
-    maps = [dict() for _ in range(tree_dim(f.source) + 1)]
-
-    def walk(g: ThetaMap, sp, tp):
-        for i in range(g.source.arity + 1):
-            maps[len(sp)][(sp, i)] = (tp, g.phi[i])
-        for i in range(g.source.arity):
-            walk(g.components[i][0], sp + (i,), tp + (g.phi[i],))
-
-    walk(f, (), ())
-    return GlobMap(realize(f.source), realize(f.target), maps)
 
 
 # ---------------------------------------------------------------------------
@@ -340,31 +252,17 @@ def hg_factorize(f: ThetaMap) -> HGFactorization:
         mono = ThetaMap(LEAF, f.target, (a,), ())
         residue = collapse_map(f.source, 0, LEAF)
         return HGFactorization(residue, mono)
-    kids = []
-    monos = []
-    res_blocks = {}
-    for j in range(a + 1, b + 1):
-        i = next(i for i in range(1, f.source.arity + 1) if f.phi[i - 1] < j <= f.phi[i])
-        comp = f.components[i - 1][j - f.phi[i - 1] - 1]
-        sub = hg_factorize(comp)
-        kids.append(sub.middle)
-        monos.append(sub.globular)
-        res_blocks[(i, j)] = sub.homogeneous
-    middle = Tree(tuple(kids))
-    mono = ThetaMap(
+    # f's blocks cover the gaps a+1..b in order, one component per gap
+    subs = tuple(tuple(hg_factorize(c) for c in block) for block in f.components)
+    flat = [sub for block in subs for sub in block]
+    middle = Tree(tuple(sub.middle for sub in flat))
+    mono = ThetaMap(middle, f.target, tuple(range(a, b + 1)), tuple((sub.globular,) for sub in flat))
+    residue = ThetaMap(
+        f.source,
         middle,
-        f.target,
-        tuple(range(a, b + 1)),
-        tuple((m,) for m in monos),
+        tuple(v - a for v in f.phi),
+        tuple(tuple(sub.homogeneous for sub in block) for block in subs),
     )
-    res_phi = tuple(v - a for v in f.phi)
-    res_components = []
-    for i in range(1, f.source.arity + 1):
-        block = tuple(
-            res_blocks[(i, j)] for j in range(f.phi[i - 1] + 1, f.phi[i] + 1)
-        )
-        res_components.append(block)
-    residue = ThetaMap(f.source, middle, res_phi, tuple(res_components))
     return HGFactorization(residue, mono)
 
 

@@ -7,6 +7,7 @@ leaves give the gluing dimensions.  The empty bracket ``[]`` is the point.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -284,6 +285,53 @@ def reassemble(blocks) -> Tree:
     return Tree(tuple(blocks))
 
 
+# ---------------------------------------------------------------------------
+# cells: a cell of a tree is a pair (node path, gap), an n-cell at depth n
+
+
+@functools.lru_cache(maxsize=None)
+def leaf_paths(t: Tree):
+    """Paths of all leaves, left to right."""
+    if t.is_leaf:
+        return ((),)
+    out = []
+    for i, c in enumerate(t.children):
+        out.extend((i,) + p for p in leaf_paths(c))
+    return tuple(out)
+
+
+def cells(t: Tree, path=()) -> list:
+    """The cells (node path, gap) of a tree in preorder."""
+    out = [(path, gap) for gap in range(t.arity + 1)]
+    for i, child in enumerate(t.children):
+        # a leaf has one cell, and is not worth a call
+        out += cells(child, path + (i,)) if child.children else [(path + (i,), 0)]
+    return out
+
+
+def face(cell, e: int, side: str):
+    """The e-dimensional source ("s") or target ("t") face of a cell."""
+    path, _ = cell
+    return path[:e], path[e] + (side == "t")
+
+
+def leaf_address(t: Tree, cell) -> tuple[int, str]:
+    """The leaf whose globe carries a cell, and the chain of faces, from the
+    leaf's top dimension down, that lands on it.  A leaf carries its own
+    cell.  Gap g < arity of a node is the source face of child g, and the
+    last gap the target face of the last child; the child's cells are then
+    reached from its leftmost leaf by source faces, so the leaf is the
+    first one at or after the child's path."""
+    path, gap = cell
+    paths = leaf_paths(t)
+    node = t.subtree(path)
+    if node.is_leaf:
+        return bisect.bisect_left(paths, path), ""
+    last = gap == node.arity
+    leaf = bisect.bisect_left(paths, path + (gap - last,))
+    return leaf, "s" * (len(paths[leaf]) - len(path) - 1) + ("t" if last else "s")
+
+
 @dataclass(frozen=True)
 class Sector:
     """One gap at a node: ``gap`` indexes the r+1 slots around r children."""
@@ -323,49 +371,48 @@ def insert_at(t: Tree, sector: Sector) -> Tree:
 
 def classify_sector(t: Tree, sector: Sector) -> str:
     """Tag an insertion by height, sibling position and fiber arity."""
-    height = len(sector.path) + 1
-    parent = t.subtree(sector.path)
-    r = parent.arity
+    return _klass(len(sector.path) + 1, sector.gap, t.subtree(sector.path).arity)
+
+
+def _klass(height: int, gap: int, r: int) -> str:
     if height == 1:
-        if sector.gap == r:
+        if gap == r:
             return H1_RIGHT
-        if sector.gap == 0 and r > 0:
+        if gap == 0 and r > 0:
             return H1_LEFT
         return H1_MID
     if height == 2:
         if r == 0:
             return H2_OVER_EDGE
-        if sector.gap == r:
+        if gap == r:
             return H2_MAX
-        if sector.gap == 0:
+        if gap == 0:
             return H2_MIN
         return H2_MID
     return H3
 
 
-def sectors_counterclockwise(t: Tree) -> list[Sector]:
-    """All sectors in contour order: start at the bottom-right corner and
-    walk the outline of the tree counterclockwise."""
+def linearization(t: Tree) -> list[ExtendedTree]:
+    """The ordered one-vertex extensions of ``t``: its sectors in contour
+    order, starting at the bottom-right corner and walking the outline of
+    the tree counterclockwise, each tagged where the walk passes it."""
+    out = []
+
+    def visit(path, gap, r):
+        out.append(ExtendedTree(t, Sector(path, gap), _klass(len(path) + 1, gap, r)))
 
     def walk(node, path):
         r = node.arity
-        out = [Sector(path, r)]
+        visit(path, r, r)
         for i in range(r - 1, -1, -1):
             if node.children[i].is_leaf:
-                out.append(Sector(path + (i,), 0))
+                visit(path + (i,), 0, 0)
             else:
-                out.extend(walk(node.children[i], path + (i,)))
-            out.append(Sector(path, i))
-        return out
+                walk(node.children[i], path + (i,))
+            visit(path, i, r)
 
-    if t.is_leaf:
-        return [Sector((), 0)]
-    return walk(t, ())
-
-
-def linearization(t: Tree) -> list[ExtendedTree]:
-    """The ordered one-vertex extensions of ``t``."""
-    return [ExtendedTree(t, s, classify_sector(t, s)) for s in sectors_counterclockwise(t)]
+    walk(t, ())
+    return out
 
 
 def count_sectors(t: Tree) -> int:

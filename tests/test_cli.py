@@ -41,10 +41,17 @@ def test_tree_domain_error_exit_code(capsys):
     assert code == 1
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as e:
-        main(["tree", "frobnicate", "[]"])
-    assert e.value.code == 2
+def test_usage_error_exit_code(capsys):
+    for argv in (
+        ["tree", "frobnicate", "[]"],
+        ["cyl", "stack", "--tree", "[[]]", "--dot", "99"],
+        ["lins", "[]", "--frobnicate"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), argv
 
 
 def test_lins_json(capsys):

@@ -211,7 +211,7 @@ def lax_by_definition(S, side, x, depth):
     which, hand = ("t", "r") if side == "u" else ("s", "l")
     cell = S.atoms[(side, x)]
     for e in range(depth):
-        cell = fwhisker(cell, S.atoms[("c", cyl._face(x, e, which))], hand)
+        cell = fwhisker(cell, S.atoms[("c", tree_mod.face(x, e, which))], hand)
     return cell
 
 
@@ -243,7 +243,7 @@ def test_section_chain_is_the_inclusions_on_the_theta_faces():
     assert len(trees) == 255
     for A in trees:
         S = cyl.cyl_glob_sum(A, TH)
-        cells = cyl._cells_of(A)
+        cells = tree_mod.cells(A)
         chain = list(cyl._section_chain(linearization(A), cyl._spans(A)))
         assert chain[0] == (("u", 0),) * len(cells) and chain[-1] == (("v", 0),) * len(cells)
         assert len(chain) == len(S.inclusions) + 1

@@ -6,8 +6,17 @@ from globwork.errors import AdmissibilityError, DomainError, SizeGuardError, Typ
 from globwork import globsets as gs
 from globwork import theory as T
 from globwork.computads import Computad, fvar, typecheck as ftypecheck
-from globwork.theta import ThetaMap, compose, identity, leaf_inclusion, sigma_theta, tau_theta
-from globwork.trees import LEAF, Tree, globe, parse_tree
+from globwork.theta import (
+    ThetaMap,
+    cell_inclusion,
+    compose,
+    face_theta,
+    identity,
+    leaf_inclusion,
+    sigma_theta,
+    tau_theta,
+)
+from globwork.trees import LEAF, Tree, all_trees, cells, globe, leaf_paths, parse_tree
 from globwork.theory import (
     GROUPOIDAL,
     Term,
@@ -297,7 +306,6 @@ _GLOB_POOL = {}
 
 def glob_pool(B, k):
     from globwork.globsets import realize
-    from globwork.theta import cell_inclusion
 
     key = (B, k)
     if key not in _GLOB_POOL:
@@ -326,8 +334,6 @@ def random_cell_term(rng, th, k, B, depth=1):
 
 
 def random_term(rng, th, A, B, depth=1, tries=12):
-    from globwork.theta import leaf_paths
-
     paths = leaf_paths(A)
     for _ in range(tries):
         cells = []
@@ -457,3 +463,31 @@ def test_codim_one_inverse_stored_boundary():
     inst = app_cell("omega", th.identity_term(globe(2)))
     assert th.cell_boundary(inst, "s") == glob_cell(tau_theta(1))
     assert th.cell_boundary(inst, "t") == glob_cell(sigma_theta(1))
+
+
+def inclusion_by_descent(t, cell):
+    """The globular map onto a cell, descending one node at a time: a
+    leaf's cell is its inclusion, any other gap the source face of the
+    child to its right, or the target face of the last child."""
+    path, gap = cell
+    node = t.subtree(path)
+    if node.is_leaf:
+        return leaf_inclusion(t, leaf_paths(t).index(path))
+    last = gap == node.arity
+    deeper = inclusion_by_descent(t, (path + (node.arity - 1 if last else gap,), 0))
+    return compose(face_theta(len(path), "t" if last else "s"), deeper)
+
+
+def test_cells_by_leaf_address_match_the_descent():
+    # the identity term's entry over each cell, and the cell's inclusion,
+    # both read off the cell's leaf address
+    th = base_theory(3)
+    seen = 0
+    for B in all_trees(8):
+        ident = th.identity_term(B)
+        for c in cells(B):
+            expected = glob_cell(inclusion_by_descent(B, c))
+            assert glob_cell(cell_inclusion(B, c)) == expected
+            assert th.term_cell_at(ident, c) == expected
+            seen += 1
+    assert seen == 8788

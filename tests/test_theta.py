@@ -5,6 +5,7 @@ import pytest
 
 from globwork.errors import DomainError, SizeGuardError
 from globwork import steiner, theta
+from globwork.globsets import GlobMap, realize
 from globwork.trees import LEAF, Tree, all_trees, boundary, dim, globe, parse_tree
 from globwork.theta import (
     ThetaMap,
@@ -12,7 +13,6 @@ from globwork.theta import (
     boundary_maps,
     cell_inclusion,
     compose,
-    embed_globular,
     filler,
     hg_factorize,
     hom,
@@ -26,7 +26,6 @@ from globwork.theta import (
     leaf_inclusion,
     leaf_paths,
     map_from_json,
-    realize_map,
     sigma_theta,
     splits_off,
     support,
@@ -110,8 +109,6 @@ def test_leaf_inclusions_are_globular():
 
 
 def test_cell_inclusion_round_trip():
-    from globwork.globsets import realize
-
     for T in SMALL_TREES:
         X = realize(T)
         for k in range(X.n + 1):
@@ -359,6 +356,69 @@ def test_boundary_maps_bijectivity_level_small():
 
 
 # ---------------------------------------------------------------------------
+# the bridge between wreath maps and maps of realizations, kept as oracles
+
+def embed_globular(g: GlobMap) -> ThetaMap:
+    """Lift a realization-level map of schemes along the wreath encoding."""
+    S = _tree_of(g.dom)
+    T = _tree_of(g.cod)
+    for k in range(g.dom.n + 1):
+        if not g.is_injective_at(k):
+            raise DomainError("not a monomorphism of schemes")
+
+    def build(sp, tp):
+        s_node, t_node = S.subtree(sp), T.subtree(tp)
+        phi = []
+        for i in range(s_node.arity + 1):
+            img = g.maps[len(sp)][(sp, i)]
+            if img[0] != tp:
+                raise DomainError("image is not gap-local; not globular")
+            phi.append(img[1])
+        comps = []
+        for i in range(s_node.arity):
+            if phi[i + 1] != phi[i] + 1:
+                raise DomainError("non-consecutive image; not globular")
+            comps.append((build(sp + (i,), tp + (phi[i],)),))
+        return ThetaMap(s_node, t_node, tuple(phi), tuple(comps))
+
+    return build((), ())
+
+
+def _tree_of(X) -> Tree:
+    """Reconstruct the tree of a realization from its canonical cell ids."""
+    paths = set()
+    for k in range(X.n + 1):
+        for (path, _gap) in X.cells[k]:
+            paths.add(path)
+
+    def grow(path):
+        kids = []
+        i = 0
+        while path + (i,) in paths:
+            kids.append(grow(path + (i,)))
+            i += 1
+        return Tree(tuple(kids))
+
+    return grow(())
+
+
+def realize_map(f: ThetaMap) -> GlobMap:
+    """The realization of a globular wreath map as a map of schemes."""
+    if not is_globular(f):
+        raise DomainError("only globular maps realize to maps of schemes")
+    maps = [dict() for _ in range(dim(f.source) + 1)]
+
+    def walk(g: ThetaMap, sp, tp):
+        for i in range(g.source.arity + 1):
+            maps[len(sp)][(sp, i)] = (tp, g.phi[i])
+        for i in range(g.source.arity):
+            walk(g.components[i][0], sp + (i,), tp + (g.phi[i],))
+
+    walk(f, (), ())
+    return GlobMap(realize(f.source), realize(f.target), maps)
+
+
+# ---------------------------------------------------------------------------
 # the hom scans and routes the constructions replaced, kept as oracles
 
 def homogeneous_by_factorisation(f):
@@ -372,8 +432,6 @@ def boundary_maps_via_globsets(t):
     at height dim t - 1 goes to the first (sigma) or last (tau) gap of its
     node, every other cell to itself, and the map of schemes is embedded
     along the wreath encoding."""
-    from globwork.globsets import GlobMap, realize
-
     d = dim(t)
     X, Y = realize(boundary(t)), realize(t)
 
