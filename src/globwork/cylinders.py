@@ -51,8 +51,8 @@ from .theory import Term, TheoryPresentation, app_cell, glob_cell, single, whisk
 
 def _require_systems(th: TheoryPresentation, k: int):
     for j in range(1, max(k, 1) + 1):
-        if f"c{j}" not in th.chosen:
-            raise DomainError("cylinder presentations need chosen systems")
+        if f"c{j}" not in th.symbols:
+            raise DomainError("cylinder presentations need the composition systems")
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +740,9 @@ def coherence_boundary(kind: str, indices, level: int, th: TheoryPresentation):
     mid = glob_cell(leaf_inclusion(M, midleaf))
     extra = glob_cell(leaf_inclusion(M, cellleaf))
     if j == m + 1:
-        bundle_sym = th.chosen[f"c{j}"]
-    elif m == 1 and j == 3 and "sw_l_3" in th.chosen:
-        bundle_sym = th.chosen["sw_l_3" if kind == "phi" else "sw_r_3"]
+        bundle_sym = f"c{j}"
+    elif m == 1 and j == 3 and "sw_l_3" in th.symbols:
+        bundle_sym = "sw_l_3" if kind == "phi" else "sw_r_3"
     else:
         raise DomainError("suspended whiskering outside the shipped range")
     entries = (extra, mid) if kind == "phi" else (mid, extra)

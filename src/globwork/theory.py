@@ -5,6 +5,14 @@ boundary pair of terms and (when one exists) a chosen cell of the strict
 operation category as its image.  Terms are normal forms: tuples with one
 entry per globe of the source decomposition, each entry either a globular
 map or an opaque symbol applied to a term.
+
+Every operation enters a tower through one checked step,
+``TheoryPresentation._adjoin``.  The systems are the symbols of their names:
+compositions ``c{k}``, identities ``id{k}``, whiskerings ``w_{l,r}_{k}`` and
+``sw_{l,r}_3``, unit cells ``l{k}`` and ``r{k}``, and in a groupoidal tower
+the inverses ``inv_{l,r}_{k}`` and their witnesses ``k_{l,r}_{k}``.  The
+compositions ``c1`` and ``c2`` sit at the bottom of the whiskering family and
+of the suspended whiskering family.
 """
 
 from __future__ import annotations
@@ -118,13 +126,12 @@ class OperationSymbol:
     src: Term | None
     tgt: Term | None
     theta_image: ThetaMap | None
-    stage: int
     is_equation: bool = False
 
 
 # The largest truncation built.  The work grows with n; at 32 the slowest
-# tower command (``theory audit --groupoidalize``) takes about 3.5 s on a
-# 2-core Xeon VM, and ``--n 100`` took more than 25 s.
+# tower command (``theory audit --groupoidalize``) takes about 1.2 s on a
+# 2-core Xeon VM, and building and auditing that tower at n = 100 took 25 s.
 MAX_TRUNCATION = 32
 
 
@@ -146,7 +153,6 @@ class TheoryPresentation:
         self.kind = kind
         self.stages: dict[int, list[OperationSymbol]] = {}
         self.symbols: dict[str, OperationSymbol] = {}
-        self.chosen: dict[str, str] = {}
         self._boundary_cache: dict = {}
         self._eval_cache: dict[Term, ThetaMap] = {}
 
@@ -163,7 +169,6 @@ class TheoryPresentation:
         out = TheoryPresentation(self.n, self.kind)
         out.stages = {k: list(v) for k, v in self.stages.items()}
         out.symbols = dict(self.symbols)
-        out.chosen = dict(self.chosen)
         out._boundary_cache, self._boundary_cache = self._boundary_cache, {}
         out._eval_cache, self._eval_cache = self._eval_cache, {}
         return out
@@ -297,56 +302,48 @@ class TheoryPresentation:
         f, g = self.eval_term(src), self.eval_term(tgt)
         return is_admissible_categorical(f, g)
 
+    def _adjoin(self, name: str, arity: Tree, k: int, src: Term, tgt: Term):
+        """Add the operation ``name`` : D_k -> arity with boundary pair
+        (src, tgt) to this tower in place; a failed check adds nothing."""
+        if name in self.symbols:
+            raise DomainError(f"duplicate symbol {name!r}")
+        if k < 1 or k > self.n + 1:
+            raise DomainError(f"operation dimension {k} out of range")
+        if tree_dim(arity) > self.n:
+            raise DomainError("arity exceeds the truncation")
+        for side in (src, tgt):
+            if side.source != globe(k - 1) or side.target != arity:
+                raise TypingError(f"boundary of {name!r} must be D_{k-1} -> arity")
+            self.validate_term(side)
+        if k >= 2 and not self.parallel(src.sole, tgt.sole):
+            raise TypingError(f"boundary pair of {name!r} is not parallel")
+        if not self.admissible(k, src, tgt):
+            raise AdmissibilityError(
+                f"pair for {name!r} fails the {self.kind} admissibility predicate"
+            )
+        image = None
+        is_eq = k == self.n + 1
+        if not is_eq:
+            # a categorical admissibility test has evaluated both sides
+            # already; eval_term keeps them
+            try:
+                pair = self.eval_term(src), self.eval_term(tgt)
+            except DomainError:  # a side uses a symbol without strict image
+                pass
+            else:
+                image = filler(*pair)
+            if image is None and self.kind == CATEGORICAL:
+                raise AdmissibilityError(f"no strict filler for categorical pair {name!r}")
+        sym = OperationSymbol(name, arity, k, src, tgt, image, is_eq)
+        self.stages.setdefault(k, []).append(sym)
+        self.symbols[name] = sym
+
     def extend(self, batch) -> "TheoryPresentation":
-        """Append freely added operations; each item is a dict with keys
-        name, arity, k, src, tgt."""
+        """A copy with freely added operations appended; each item is a dict
+        with keys name, arity, k, src, tgt."""
         out = self.copy()
         for item in batch:
-            name, arity, k = item["name"], item["arity"], item["k"]
-            src, tgt = item["src"], item["tgt"]
-            if name in out.symbols:
-                raise DomainError(f"duplicate symbol {name!r}")
-            if k < 1 or k > out.n + 1:
-                raise DomainError(f"operation dimension {k} out of range")
-            if tree_dim(arity) > out.n:
-                raise DomainError("arity exceeds the truncation")
-            for side in (src, tgt):
-                if side.source != globe(k - 1) or side.target != arity:
-                    raise TypingError(f"boundary of {name!r} must be D_{k-1} -> arity")
-                out.validate_term(side)
-            if k >= 2 and not out.parallel(src.sole, tgt.sole):
-                raise TypingError(f"boundary pair of {name!r} is not parallel")
-            if not out.admissible(k, src, tgt):
-                raise AdmissibilityError(
-                    f"pair for {name!r} fails the {out.kind} admissibility predicate"
-                )
-            image = None
-            is_eq = k == out.n + 1
-            if not is_eq:
-                # a categorical admissibility test has evaluated both sides
-                # already; eval_term keeps them
-                try:
-                    pair = out.eval_term(src), out.eval_term(tgt)
-                except DomainError:  # a side uses a symbol without strict image
-                    pass
-                else:
-                    image = filler(*pair)
-                if image is None and out.kind == CATEGORICAL:
-                    raise AdmissibilityError(
-                        f"no strict filler for categorical pair {name!r}"
-                    )
-            sym = OperationSymbol(
-                name=name,
-                arity=arity,
-                dim=k,
-                src=src,
-                tgt=tgt,
-                theta_image=image,
-                stage=k,
-                is_equation=is_eq,
-            )
-            out.stages.setdefault(k, []).append(sym)
-            out.symbols[name] = sym
+            out._adjoin(**item)
         return out
 
     def audit(self):
@@ -398,95 +395,75 @@ def zero_cell_pick(A: Tree, a: int) -> TermCell:
 def whisker(th: TheoryPresentation, side: str, cell: TermCell, edge: TermCell, target: Tree,
             wk: str | None = None) -> TermCell:
     """``cell`` whiskered by the 1-cell ``edge`` on its left ("l") or right
-    ("r") side, through ``wk`` (by default the chosen w_{side}_k)."""
-    wk = wk or th.chosen[f"w_{side}_{th.cell_dim(cell)}"]
+    ("r") side, through ``wk``: by default w_{side}_k for a k-cell, and the
+    composition c1, the bottom of that family, for a 1-cell.  The suspended
+    family sw_{side}_3 passes its own bottom, c2."""
+    if wk is None:
+        k = th.cell_dim(cell)
+        wk = "c1" if k == 1 else f"w_{side}_{k}"
     entries = (edge, cell) if side == "l" else (cell, edge)
     return app_cell(wk, Term(th.symbol(wk).arity, target, entries))
 
 
-def _vcomp(th: TheoryPresentation, k: int, x: TermCell, y: TermCell, target: Tree) -> TermCell:
-    """x then y along their shared (k-1)-boundary, via the chosen c_k."""
-    return app_cell(th.chosen[f"c{k}"], Term(comp_arity(k), target, (x, y)))
+def _vcomp(k: int, x: TermCell, y: TermCell, target: Tree) -> TermCell:
+    """x then y along their shared (k-1)-boundary, via c_k."""
+    return app_cell(f"c{k}", Term(comp_arity(k), target, (x, y)))
 
 
-def _face_unit(th: TheoryPresentation, A: Tree, side: str) -> TermCell:
-    """The chosen identity on the source ("s") or target ("t") of the globe A."""
+def _face_unit(A: Tree, side: str) -> TermCell:
+    """The identity id_{k-1} on the source ("s") or target ("t") of the globe A = D_k."""
     k = tree_dim(A)
-    return app_cell(th.chosen[f"id{k - 1}"], single(k - 1, A, glob_cell(face_theta(k - 1, side))))
+    return app_cell(f"id{k - 1}", single(k - 1, A, glob_cell(face_theta(k - 1, side))))
 
 
 # ---------------------------------------------------------------------------
 # the standard systems
 
 def standard_systems(th: TheoryPresentation) -> TheoryPresentation:
-    """Adjoin chosen compositions, identities, left/right unit cells and the
-    whiskering family; top-dimensional members become equations."""
+    """A copy of th with the systems adjoined: compositions c_k, identities
+    id_k, the whiskering families and the unit cells l_k, r_k, each the
+    symbol of that name; top-dimensional members become equations."""
     n = th.n
-    out = th
+    out = th.copy()
 
     # compositions c_k : D_k -> D_k u_{D_{k-1}} D_k
     for k in range(1, n + 1):
         A = comp_arity(k)
         src = single(k - 1, A, glob_cell(compose(sigma_theta(k - 1), leaf_inclusion(A, 0))))
         tgt = single(k - 1, A, glob_cell(compose(tau_theta(k - 1), leaf_inclusion(A, 1))))
-        out = out.extend([{"name": f"c{k}", "arity": A, "k": k, "src": src, "tgt": tgt}])
-        out.chosen[f"c{k}"] = f"c{k}"
+        out._adjoin(f"c{k}", A, k, src, tgt)
 
     # identities id_k : D_{k+1} -> D_k
     for k in range(0, n):
         A = globe(k)
         ident = single(k, A, glob_cell(identity(A)))
-        out = out.extend([{"name": f"id{k}", "arity": A, "k": k + 1, "src": ident, "tgt": ident}])
-        out.chosen[f"id{k}"] = f"id{k}"
+        out._adjoin(f"id{k}", A, k + 1, ident, ident)
 
-    # whiskering maps: the bottom one is the chosen binary composition
-    out.chosen["w_r_1"] = "c1"
-    out.chosen["w_l_1"] = "c1"
-    families = [("w", k, whisker_arity(k, side), side) for k in range(2, n + 1) for side in "rl"]
-    # suspended whiskering: compose a 3-cell with a 2-cell along an edge
-    # (the base of this family is the chosen codimension-1 composition)
+    # whiskering w_{side}_k : D_k -> D_1 u_{D_0} D_k (or its mirror), whose
+    # faces whisker through w_{side}_{k-1} down to c1; the suspended
+    # whiskering sw_{side}_3 composes a 3-cell with a 2-cell along an edge,
+    # and its faces compose through c2
+    families = [(f"w_{side}_{k}", whisker_arity(k, side), k, side, None)
+                for k in range(2, n + 1) for side in "rl"]
     if n >= 3:
-        out.chosen["sw_r_2"] = "c2"
-        out.chosen["sw_l_2"] = "c2"
-        families += [("sw", 3, suspend(whisker_arity(2, side)), side) for side in "rl"]
-    for family, k, A, side in families:
-        name = f"{family}_{side}_{k}"
-        base = out.chosen[f"{family}_{side}_{k - 1}"]
-        out = out.extend([_whiskering(out, name, A, k, side, base)])
-        out.chosen[name] = name
+        families += [(f"sw_{side}_3", suspend(whisker_arity(2, side)), 3, side, "c2")
+                     for side in "rl"]
+    for name, A, k, side, base in families:
+        # the globe leaf's faces, whiskered by the edge leaf on its side
+        globe_leaf = leaf_inclusion(A, 0 if side == "r" else 1)
+        edge = glob_cell(leaf_inclusion(A, 1 if side == "r" else 0))
+        faces = (glob_cell(compose(face_theta(k - 1, face), globe_leaf)) for face in "st")
+        src, tgt = (single(k - 1, A, whisker(out, side, cell, edge, A, base)) for cell in faces)
+        out._adjoin(name, A, k, src, tgt)
 
     # unit comparison cells l_k, r_k : D_k -> D_{k-1}
     for k in range(2, n + 2):
         A = globe(k - 1)
         ident = glob_cell(identity(A))
-        l_tgt = _vcomp(out, k - 1, ident, _face_unit(out, A, "t"), A)
-        r_tgt = _vcomp(out, k - 1, _face_unit(out, A, "s"), ident, A)
-        out = out.extend(
-            [
-                {
-                    "name": f"{side}{k}",
-                    "arity": A,
-                    "k": k,
-                    "src": single(k - 1, A, ident),
-                    "tgt": single(k - 1, A, tgt),
-                }
-                for side, tgt in (("l", l_tgt), ("r", r_tgt))
-            ]
-        )
-        out.chosen[f"l{k}"] = f"l{k}"
-        out.chosen[f"r{k}"] = f"r{k}"
+        for side, tgt in (("l", _vcomp(k - 1, ident, _face_unit(A, "t"), A)),
+                          ("r", _vcomp(k - 1, _face_unit(A, "s"), ident, A))):
+            out._adjoin(f"{side}{k}", A, k, single(k - 1, A, ident), single(k - 1, A, tgt))
     return out
-
-
-def _whiskering(th: TheoryPresentation, name: str, A: Tree, k: int, side: str, base: str) -> dict:
-    """The batch item adding ``name`` : D_k -> A, where A glues a k-globe leaf
-    and an edge leaf on its ``side``: the source and target whisker the
-    globe's source and target by the edge through the lower operation ``base``."""
-    globe_leaf = leaf_inclusion(A, 0 if side == "r" else 1)
-    edge = glob_cell(leaf_inclusion(A, 1 if side == "r" else 0))
-    faces = (glob_cell(compose(face_theta(k - 1, face), globe_leaf)) for face in "st")
-    src, tgt = (single(k - 1, A, whisker(th, side, cell, edge, A, base)) for cell in faces)
-    return {"name": name, "arity": A, "k": k, "src": src, "tgt": tgt}
 
 
 def whisker_sum(th: TheoryPresentation, A: Tree, side: str):
@@ -515,39 +492,29 @@ def whisker_sum(th: TheoryPresentation, A: Tree, side: str):
 # groupoidalization
 
 def groupoidalize(th: TheoryPresentation) -> TheoryPresentation:
-    """Freely adjoin left and right inverse systems to a categorical tower.
+    """A copy of a categorical tower with left and right inverse systems
+    freely adjoined.
 
     The gluing identifies the abstract composition/identity generators with
-    the tower's chosen ones, so the pushout of theories is realized as a
-    symbol-set union: only the genuinely new inverse symbols are added.
+    the tower's symbols c_k and id_k, so the pushout of theories is realized
+    as a symbol-set union: only the genuinely new inverse symbols are added.
     """
     if th.kind == GROUPOIDAL:
         if any(name.startswith("inv_") for name in th.symbols):
             return th.copy()
         raise DomainError("groupoidalize expects a categorical presentation")
-    for k in range(1, th.n + 1):
-        if f"c{k}" not in th.chosen:
-            raise DomainError("groupoidalize needs chosen composition/identity systems")
+    if any(f"c{k}" not in th.symbols for k in range(1, th.n + 1)):
+        raise DomainError("groupoidalize needs the composition/identity systems")
     out = th.copy()
     out.kind = GROUPOIDAL
     n = out.n
 
+    # inverses inv_{side}_k : D_k -> D_k, reversing the globe
     for k in range(1, n + 1):
         A = globe(k)
-        out = out.extend(
-            [
-                {
-                    "name": f"inv_{side}_{k}",
-                    "arity": A,
-                    "k": k,
-                    "src": single(k - 1, A, glob_cell(tau_theta(k - 1))),
-                    "tgt": single(k - 1, A, glob_cell(sigma_theta(k - 1))),
-                }
-                for side in ("l", "r")
-            ]
-        )
-        out.chosen[f"inv_l_{k}"] = f"inv_l_{k}"
-        out.chosen[f"inv_r_{k}"] = f"inv_r_{k}"
+        src, tgt = (single(k - 1, A, glob_cell(face_theta(k - 1, side))) for side in "ts")
+        for side in "lr":
+            out._adjoin(f"inv_{side}_{k}", A, k, src, tgt)
 
     for k in range(2, n + 2):
         A = globe(k - 1)
@@ -556,23 +523,10 @@ def groupoidalize(th: TheoryPresentation) -> TheoryPresentation:
         inv_r = app_cell(f"inv_r_{k - 1}", out.identity_term(A))
         # left inverse witness: 1_{source} => (f then f^l);
         # right inverse witness: 1_{target} => (f^r then f)
-        out = out.extend(
-            [
-                {
-                    "name": f"k_{side}_{k}",
-                    "arity": A,
-                    "k": k,
-                    "src": single(k - 1, A, _face_unit(out, A, face)),
-                    "tgt": single(k - 1, A, tgt),
-                }
-                for side, face, tgt in (
-                    ("l", "s", _vcomp(out, k - 1, ident, inv_l, A)),
-                    ("r", "t", _vcomp(out, k - 1, inv_r, ident, A)),
-                )
-            ]
-        )
-        out.chosen[f"k_l_{k}"] = f"k_l_{k}"
-        out.chosen[f"k_r_{k}"] = f"k_r_{k}"
+        for side, face, tgt in (("l", "s", _vcomp(k - 1, ident, inv_l, A)),
+                                ("r", "t", _vcomp(k - 1, inv_r, ident, A))):
+            out._adjoin(f"k_{side}_{k}", A, k, single(k - 1, A, _face_unit(A, face)),
+                        single(k - 1, A, tgt))
     return out
 
 
@@ -587,7 +541,7 @@ def _pick(A: Tree, j: int) -> TermCell:
     return glob_cell(leaf_inclusion(A, j))
 
 
-def _assoc_inst(th, x, y, z, target):
+def _assoc_inst(x, y, z, target):
     return app_cell("assoc", Term(_chain_tree(3), target, (x, y, z)))
 
 
@@ -595,7 +549,7 @@ def standard_library(n: int = 3, kind: str = CATEGORICAL) -> TheoryPresentation:
     """The shipped deterministic tower: systems plus coherence batches.
 
     For n = 3 this adds an associator, an interchanger, the pentagon and
-    the unit triangle on top of the chosen systems.
+    the unit triangle on top of the systems.
     """
     th = standard_systems(base_theory(n, kind))
     if n != 3:
@@ -603,76 +557,35 @@ def standard_library(n: int = 3, kind: str = CATEGORICAL) -> TheoryPresentation:
 
     three = _chain_tree(3)
     e = [_pick(three, j) for j in range(3)]
-    assoc_src = single(
-        1, three, _vcomp(th, 1, _vcomp(th, 1, e[0], e[1], three), e[2], three)
-    )
-    assoc_tgt = single(
-        1, three, _vcomp(th, 1, e[0], _vcomp(th, 1, e[1], e[2], three), three)
-    )
-    th = th.extend(
-        [{"name": "assoc", "arity": three, "k": 2, "src": assoc_src, "tgt": assoc_tgt}]
-    )
-    th.chosen["assoc"] = "assoc"
+    assoc_src = _vcomp(1, _vcomp(1, e[0], e[1], three), e[2], three)
+    assoc_tgt = _vcomp(1, e[0], _vcomp(1, e[1], e[2], three), three)
+    th._adjoin("assoc", three, 2, single(1, three, assoc_src), single(1, three, assoc_tgt))
 
     # interchanger on two horizontally adjacent 2-cells
     hh = Tree((globe(1), globe(1)))
     alpha, beta = _pick(hh, 0), _pick(hh, 1)
-    f_edge = glob_cell(compose(sigma_theta(1), leaf_inclusion(hh, 0)))
-    g_edge = glob_cell(compose(tau_theta(1), leaf_inclusion(hh, 0)))
-    h_edge = glob_cell(compose(sigma_theta(1), leaf_inclusion(hh, 1)))
-    k_edge = glob_cell(compose(tau_theta(1), leaf_inclusion(hh, 1)))
-    lhs = _vcomp(
-        th,
-        2,
-        whisker(th, "r", alpha, h_edge, hh),
-        whisker(th, "l", beta, g_edge, hh),
-        hh,
+    f_edge, g_edge, h_edge, k_edge = (
+        glob_cell(address_inclusion(hh, j, side)) for j in (0, 1) for side in "st"
     )
-    rhs = _vcomp(
-        th,
-        2,
-        whisker(th, "l", beta, f_edge, hh),
-        whisker(th, "r", alpha, k_edge, hh),
-        hh,
-    )
-    th = th.extend(
-        [
-            {
-                "name": "interchange",
-                "arity": hh,
-                "k": 3,
-                "src": single(2, hh, lhs),
-                "tgt": single(2, hh, rhs),
-            }
-        ]
-    )
-    th.chosen["interchange"] = "interchange"
+    lhs = _vcomp(2, whisker(th, "r", alpha, h_edge, hh), whisker(th, "l", beta, g_edge, hh), hh)
+    rhs = _vcomp(2, whisker(th, "l", beta, f_edge, hh), whisker(th, "r", alpha, k_edge, hh), hh)
+    th._adjoin("interchange", hh, 3, single(2, hh, lhs), single(2, hh, rhs))
 
     # pentagon on four composable edges
     four = _chain_tree(4)
     u = [_pick(four, j) for j in range(4)]
 
     def c(x, y):
-        return _vcomp(th, 1, x, y, four)
+        return _vcomp(1, x, y, four)
 
-    s1 = whisker(th, "r", _assoc_inst(th, u[0], u[1], u[2], four), u[3], four)
-    s2 = _assoc_inst(th, u[0], c(u[1], u[2]), u[3], four)
-    s3 = whisker(th, "l", _assoc_inst(th, u[1], u[2], u[3], four), u[0], four)
-    path_a = _vcomp(th, 2, _vcomp(th, 2, s1, s2, four), s3, four)
-    t1 = _assoc_inst(th, c(u[0], u[1]), u[2], u[3], four)
-    t2 = _assoc_inst(th, u[0], u[1], c(u[2], u[3]), four)
-    path_b = _vcomp(th, 2, t1, t2, four)
-    th = th.extend(
-        [
-            {
-                "name": "pentagon",
-                "arity": four,
-                "k": 3,
-                "src": single(2, four, path_a),
-                "tgt": single(2, four, path_b),
-            }
-        ]
-    )
+    s1 = whisker(th, "r", _assoc_inst(u[0], u[1], u[2], four), u[3], four)
+    s2 = _assoc_inst(u[0], c(u[1], u[2]), u[3], four)
+    s3 = whisker(th, "l", _assoc_inst(u[1], u[2], u[3], four), u[0], four)
+    path_a = _vcomp(2, _vcomp(2, s1, s2, four), s3, four)
+    t1 = _assoc_inst(c(u[0], u[1]), u[2], u[3], four)
+    t2 = _assoc_inst(u[0], u[1], c(u[2], u[3]), four)
+    path_b = _vcomp(2, t1, t2, four)
+    th._adjoin("pentagon", four, 3, single(2, four, path_a), single(2, four, path_b))
 
     # unit triangle on two composable edges
     two = _chain_tree(2)
@@ -680,25 +593,9 @@ def standard_library(n: int = 3, kind: str = CATEGORICAL) -> TheoryPresentation:
     middle_unit = app_cell("id0", single(0, two, zero_cell_pick(two, 1)))
     l_inst = app_cell("l2", single(1, two, v0))
     r_inst = app_cell("r2", single(1, two, v1))
-    tri_src = _vcomp(
-        th,
-        2,
-        whisker(th, "r", l_inst, v1, two),
-        _assoc_inst(th, v0, middle_unit, v1, two),
-        two,
-    )
+    tri_src = _vcomp(2, whisker(th, "r", l_inst, v1, two), _assoc_inst(v0, middle_unit, v1, two), two)
     tri_tgt = whisker(th, "l", r_inst, v0, two)
-    th = th.extend(
-        [
-            {
-                "name": "triangle",
-                "arity": two,
-                "k": 3,
-                "src": single(2, two, tri_src),
-                "tgt": single(2, two, tri_tgt),
-            }
-        ]
-    )
+    th._adjoin("triangle", two, 3, single(2, two, tri_src), single(2, two, tri_tgt))
     return th
 
 
@@ -717,7 +614,7 @@ def interval_presentation(th: TheoryPresentation):
     g = P.add("g", 1, zero, one)
     f = P.add("f", 1, one, zero)
     k = P.add("k", 1, zero, one)
-    c1 = th.chosen["c1"]
+    c1 = th.symbol("c1").name
     fg = fop(c1, (g, f), 1, zero, zero)
     kf = fop(c1, (f, k), 1, one, one)
     P.add("left_cell", 2, funit(zero), fg)
@@ -741,7 +638,7 @@ def division_term(n: int, th: TheoryPresentation):
     b = fvar("b", 0)
     c = fvar("c", 0)
     f = fvar("f", 1, b, c)
-    f_inv = fop(th.chosen["inv_l_1"], (f,), 1, c, b)
+    f_inv = fop(th.symbol("inv_l_1").name, (f,), 1, c, b)
     if n == 1:
         A = fvar("A", 1, a, b)
         B = fvar("B", 1, a, b)
@@ -788,12 +685,12 @@ def promote_inverse_term(th: TheoryPresentation):
     x = fvar("x", 0)
     y = fvar("y", 0)
     f = fvar("f", 1, x, y)
-    k = fop(th.chosen["inv_l_1"], (f,), 1, y, x)
-    g = fop(th.chosen["inv_r_1"], (f,), 1, y, x)
+    k = fop(th.symbol("inv_l_1").name, (f,), 1, y, x)
+    g = fop(th.symbol("inv_r_1").name, (f,), 1, y, x)
     # kappa^r f : 1_y => (g then f);  kappa^l f : 1_x => (f then k)
-    kappa_r = fop(th.chosen["k_r_2"], (f,), 2, funit(y), fcomp([g, f]))
-    kappa_l = fop(th.chosen["k_l_2"], (f,), 2, funit(x), fcomp([f, k]))
-    inv_kappa_l = fop(th.chosen["inv_r_2"], (kappa_l,), 2, fcomp([f, k]), funit(x))
+    kappa_r = fop(th.symbol("k_r_2").name, (f,), 2, funit(y), fcomp([g, f]))
+    kappa_l = fop(th.symbol("k_l_2").name, (f,), 2, funit(x), fcomp([f, k]))
+    inv_kappa_l = fop(th.symbol("inv_r_2").name, (kappa_l,), 2, fcomp([f, k]), funit(x))
     first = fwhisker(kappa_r, k, "r")  # k => k f g (units absorbed)
     second = fwhisker(inv_kappa_l, g, "l")  # k f g => g
     factors = [first, second]
@@ -821,7 +718,14 @@ def generating_cofibrations(n: int):
 
 def cell_from_json(th: TheoryPresentation, target: Tree, data) -> TermCell:
     if "leaf" in data:
-        return glob_cell(address_inclusion(target, data["leaf"], data.get("chain", "")))
+        leaf, chain = data["leaf"], data.get("chain", "")
+        paths = leaf_paths(target)
+        if type(leaf) is not int or not 0 <= leaf < len(paths):
+            raise DomainError(f"cell {data}: the leaf must be an index below {len(paths)}")
+        height = len(paths[leaf])
+        if type(chain) is not str or not set(chain) <= {"s", "t"} or len(chain) > height:
+            raise DomainError(f"cell {data}: the chain must be at most {height} of 's', 't'")
+        return glob_cell(address_inclusion(target, leaf, chain))
     sym = th.symbol(data["op"])
     return app_cell(data["op"], term_from_json(th, sym.arity, target, data["args"]))
 

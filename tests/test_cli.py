@@ -117,6 +117,35 @@ def test_theory_from_file(tmp_path, capsys):
     assert "extra_op" in out
 
 
+@pytest.mark.parametrize(
+    "ref",
+    [
+        {"leaf": -1, "chain": "s"},
+        {"leaf": True},
+        {"leaf": 9},
+        {"leaf": 0, "chain": "x"},
+        {"leaf": 0, "chain": ["s"]},
+        {"leaf": 0, "chain": "ss"},
+    ],
+    ids=str,
+)
+def test_theory_file_rejects_bad_cell_references(tmp_path, ref):
+    item = {
+        "name": "extra_op",
+        "arity": "[[][]]",
+        "k": 1,
+        "src": {"cells": [ref]},
+        "tgt": {"cells": [{"leaf": 1, "chain": "t"}]},
+    }
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps({"batches": [[item]]}))
+    proc = subprocess.run(
+        cli_command("theory", "build", "--file", str(f)), capture_output=True, text=True, env=cli_env()
+    )
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: cell "), proc.stderr
+
+
 def test_cyl_present(capsys):
     code, out = run(capsys, "cyl", "present", "--k", "2")
     assert code == 0

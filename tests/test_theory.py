@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 
@@ -6,6 +8,7 @@ from globwork.errors import AdmissibilityError, DomainError, SizeGuardError, Typ
 from globwork import globsets as gs
 from globwork import theory as T
 from globwork.computads import Computad, fvar, typecheck as ftypecheck
+from globwork.cylinders import coherence_boundary
 from globwork.theta import (
     ThetaMap,
     cell_inclusion,
@@ -256,7 +259,7 @@ def test_library_rebuild_is_bit_identical():
     a = standard_library(3)
     b = standard_library(3)
     assert a.symbols == b.symbols
-    assert a.chosen == b.chosen
+    assert a.stages == b.stages
 
 
 def test_groupoidalize_counts():
@@ -298,7 +301,31 @@ def test_tower_stages_respect_dimension():
     for k, syms in th.stages.items():
         for s in syms:
             assert s.dim == k
-            assert s.stage == k
+
+
+@pytest.mark.parametrize("build", [standard_systems, groupoidalize])
+def test_builders_leave_their_argument_unchanged(build):
+    th = standard_systems(base_theory(3)) if build is groupoidalize else base_theory(3)
+    before = (dict(th.symbols), {k: list(v) for k, v in th.stages.items()}, th.kind)
+    out = build(th)
+    assert (th.symbols, th.stages, th.kind) == before
+    assert len(out.symbols) > len(th.symbols)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: interval_presentation(base_theory(3)),
+        lambda: division_term(1, standard_library(3)),
+        lambda: promote_inverse_term(standard_library(3)),
+        lambda: coherence_boundary("psi", (1, 1), 1, base_theory(3)),
+        lambda: whisker_sum(base_theory(3), globe(1), "r"),
+    ],
+    ids=["interval", "division", "promotion", "coherence", "whisker_sum"],
+)
+def test_missing_system_is_a_typing_error(call):
+    with pytest.raises(TypingError, match="unknown operation symbol"):
+        call()
 
 
 _GLOB_POOL = {}
@@ -491,3 +518,34 @@ def test_cells_by_leaf_address_match_the_descent():
             assert th.term_cell_at(ident, c) == expected
             seen += 1
     assert seen == 8788
+
+
+BAD_CELL_REFS = [
+    {"leaf": -1, "chain": "s"},
+    {"leaf": 2},
+    {"leaf": 9},
+    {"leaf": True},
+    {"leaf": 0.0},
+    {"leaf": "0"},
+    {"leaf": 0, "chain": "x"},
+    {"leaf": 0, "chain": ["s"]},
+    {"leaf": 0, "chain": None},
+    {"leaf": 0, "chain": "sss"},
+    {"leaf": 1, "chain": "st"},
+]
+
+
+@pytest.mark.parametrize("ref", BAD_CELL_REFS, ids=str)
+def test_cell_from_json_rejects_bad_references(ref):
+    # [[[]][]]: leaf 0 is a 2-globe, leaf 1 an edge
+    with pytest.raises(DomainError, match="^cell " + re.escape(str(ref))):
+        T.cell_from_json(base_theory(3), parse_tree("[[[]][]]"), ref)
+
+
+def test_cell_from_json_accepts_every_address():
+    B = parse_tree("[[[]][]]")
+    for leaf, path in enumerate(leaf_paths(B)):
+        for h in range(len(path) + 1):
+            for chain in map("".join, itertools.product("st", repeat=h)):
+                cell = T.cell_from_json(base_theory(3), B, {"leaf": leaf, "chain": chain})
+                assert cell.glob == T.address_inclusion(B, leaf, chain)
