@@ -738,10 +738,13 @@ def term_from_json(th: TheoryPresentation, source: Tree, target: Tree, data) -> 
 
 
 def batch_from_json(th: TheoryPresentation, item: dict) -> dict:
+    name, k = item["name"], item["k"]
+    if type(name) is not str or type(k) is not int or not 1 <= k <= th.n + 1:
+        raise DomainError(f"operation {name!r}: the name must be a string and k an "
+                          f"integer from 1 to {th.n + 1}, got {k!r}")
     arity = parse_tree(item["arity"])
-    k = item["k"]
     return {
-        "name": item["name"],
+        "name": name,
         "arity": arity,
         "k": k,
         "src": term_from_json(th, globe(k - 1), arity, item["src"]),

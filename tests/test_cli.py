@@ -118,32 +118,33 @@ def test_theory_from_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "ref",
-    [
+    "patch, message",
+    [({"src": {"cells": [ref]}}, "cell ") for ref in (
         {"leaf": -1, "chain": "s"},
         {"leaf": True},
         {"leaf": 9},
         {"leaf": 0, "chain": "x"},
         {"leaf": 0, "chain": ["s"]},
         {"leaf": 0, "chain": "ss"},
-    ],
+    )]
+    + [({"k": True}, "operation "), ({"k": 0}, "operation "), ({"name": 5}, "operation ")],
     ids=str,
 )
-def test_theory_file_rejects_bad_cell_references(tmp_path, ref):
+def test_theory_file_rejects_malformed_items(tmp_path, patch, message):
     item = {
         "name": "extra_op",
         "arity": "[[][]]",
         "k": 1,
-        "src": {"cells": [ref]},
+        "src": {"cells": [{"leaf": 0, "chain": "s"}]},
         "tgt": {"cells": [{"leaf": 1, "chain": "t"}]},
     }
     f = tmp_path / "spec.json"
-    f.write_text(json.dumps({"batches": [[item]]}))
+    f.write_text(json.dumps({"batches": [[dict(item, **patch)]]}))
     proc = subprocess.run(
         cli_command("theory", "build", "--file", str(f)), capture_output=True, text=True, env=cli_env()
     )
     assert proc.returncode == 1
-    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: cell "), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: " + message), proc.stderr
 
 
 def test_cyl_present(capsys):
