@@ -130,7 +130,7 @@ def test_theory_from_file(tmp_path, capsys):
     + [({"k": True}, "operation "), ({"k": 0}, "operation "), ({"name": 5}, "operation ")],
     ids=str,
 )
-def test_theory_file_rejects_malformed_items(tmp_path, patch, message):
+def test_theory_file_rejects_malformed_items(tmp_path, capsys, patch, message):
     item = {
         "name": "extra_op",
         "arity": "[[][]]",
@@ -140,11 +140,9 @@ def test_theory_file_rejects_malformed_items(tmp_path, patch, message):
     }
     f = tmp_path / "spec.json"
     f.write_text(json.dumps({"batches": [[dict(item, **patch)]]}))
-    proc = subprocess.run(
-        cli_command("theory", "build", "--file", str(f)), capture_output=True, text=True, env=cli_env()
-    )
-    assert proc.returncode == 1
-    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: " + message), proc.stderr
+    assert main(["theory", "build", "--file", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: " + message), err
 
 
 def test_cyl_present(capsys):
