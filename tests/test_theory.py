@@ -11,6 +11,7 @@ from globwork.computads import Computad, fvar, typecheck as ftypecheck
 from globwork.cylinders import coherence_boundary
 from globwork.theta import (
     ThetaMap,
+    address_inclusion,
     cell_inclusion,
     compose,
     face_theta,
@@ -548,4 +549,4 @@ def test_cell_from_json_accepts_every_address():
         for h in range(len(path) + 1):
             for chain in map("".join, itertools.product("st", repeat=h)):
                 cell = T.cell_from_json(base_theory(3), B, {"leaf": leaf, "chain": chain})
-                assert cell.glob == T.address_inclusion(B, leaf, chain)
+                assert cell.glob == address_inclusion(B, leaf, chain)
