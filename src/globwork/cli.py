@@ -14,7 +14,7 @@ import os
 import random
 import sys
 
-from .errors import GlobworkError, SizeGuardError
+from .errors import DomainError, GlobworkError, SizeGuardError
 from . import globsets as gs
 from . import steiner
 from . import theta as th_mod
@@ -266,7 +266,7 @@ def cmd_cyl(args):
         rho = th_mod.homogeneous_op(args.k, A)
         if rho is None:
             raise GlobworkError("no homogeneous operations into that sum")
-        squares = cyl_mod.stack(_pick([rho], args.index, "--index"), th)
+        squares = cyl_mod.stack(rho, th)
         if args.dot:
             print(cyl_mod.stack_to_dot(squares))
             return 0
@@ -291,8 +291,12 @@ CHECK_MAX_COUNT = 10_000
 
 def _guard_check_sizes(args):
     for suite, bound in CHECK_MAX_NODES.items():
+        if args.suite in (suite, "all") and args.max_nodes < 1:
+            raise DomainError(f"--max-nodes must be at least 1, got {args.max_nodes}")
         if args.suite in (suite, "all") and args.max_nodes > bound:
             raise SizeGuardError(f"--max-nodes {args.max_nodes} is above the bound {bound} of the {suite} suite")
+    if args.suite in ("factorization", "all") and args.count < 0:
+        raise DomainError(f"--count must be at least 0, got {args.count}")
     if args.suite in ("factorization", "all") and args.count > CHECK_MAX_COUNT:
         raise SizeGuardError(f"--count {args.count} is above the bound {CHECK_MAX_COUNT}")
 
@@ -406,7 +410,6 @@ def build_parser():
     p.add_argument("action", choices=["present", "boundary", "sum", "stack", "modification"])
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--tree", default="[[[][]][]]")
-    p.add_argument("--index", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_cyl)

@@ -335,19 +335,20 @@ def _structural_inclusion(ext: ExtendedTree, span, before, after, new) -> dict:
     end = gaps + ext.base.subtree(path).arity + 1
     cut = span[path + (g - 1,)][1] if g else end
     B = ext.result
+    cells = tree_cells(B)
     images = before[: gaps + g + 1] + after[gaps + g : end] + before[end:cut] + [new] + after[cut:]
-    incl = {"extension": ext, "scheme": B, "mapping": dict(zip(tree_cells(B), images))}
-    _verify_inclusion(incl)
+    incl = {"extension": ext, "scheme": B, "mapping": dict(zip(cells, images))}
+    _verify_inclusion(incl, cells)
     return incl
 
 
-def _verify_inclusion(incl):
+def _verify_inclusion(incl, cells):
     """A structural inclusion must be a map of schemes into formal cells:
-    defined on exactly the cells of its scheme, and preserving boundaries."""
-    B = incl["scheme"]
+    defined on exactly the cells of its scheme (``cells``), and preserving
+    boundaries."""
     mapping = incl["mapping"]
-    if mapping.keys() != set(tree_cells(B)):
-        raise TypingError(f"structural inclusion is not defined on exactly the cells of {B}")
+    if mapping.keys() != set(cells):
+        raise TypingError(f"structural inclusion is not defined on exactly the cells of {incl['scheme']}")
     for x, cell in mapping.items():
         n = len(x[0])
         if n == 0:

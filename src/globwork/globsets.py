@@ -2,15 +2,19 @@
 
 Cells are identified by hashable tuples; colimits pick deterministic
 minimal representatives so every construction is reproducible bit for bit.
+Where the structure fixes the answer it is constructed, not searched: the
+sphere S^k is the globe D_{k+1} without its top cell, so the boundary
+inclusions and the fold S^k -> D_k are identities on cells, and both
+halves of the (bij_m, ff_m) factorization system read one pullback of
+parallel pairs, bucketed by image.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from .errors import DomainError, TypingError
-from .trees import Tree, cells as tree_cells, dim as tree_dim, face
+from .trees import Tree, cells as tree_cells, dim as tree_dim, face, globe
 
 
 class FinGlobSet:
@@ -175,8 +179,6 @@ def realize(t: Tree) -> FinGlobSet:
 
 
 def globe_set(k: int) -> FinGlobSet:
-    from .trees import globe
-
     return realize(globe(k))
 
 
@@ -217,22 +219,6 @@ class _UnionFind:
 class Colimit:
     obj: FinGlobSet
     legs: dict  # vertex -> GlobMap
-
-    def mediate(self, cocone: dict) -> GlobMap:
-        """The induced map out of the colimit, given a compatible cocone."""
-        maps = [dict() for _ in range(self.obj.n + 1)]
-        target = None
-        for v, leg in self.legs.items():
-            u = cocone[v]
-            target = u.cod
-            for k in range(leg.dom.n + 1):
-                for c in leg.dom.cells[k]:
-                    rep = leg.maps[k][c]
-                    img = u.maps[k][c]
-                    if rep in maps[k] and maps[k][rep] != img:
-                        raise TypingError("cocone is not compatible")
-                    maps[k][rep] = img
-        return GlobMap(self.obj, target, maps)
 
 
 def colimit(spaces: dict, edges: list) -> Colimit:
@@ -289,53 +275,28 @@ def pushout(f: GlobMap, g: GlobMap):
 # ---------------------------------------------------------------------------
 # spheres and latching objects
 
-_SPHERE_COLIMITS: dict[int, Colimit] = {}
-
-
-def _sphere_colimit(k: int) -> Colimit:
-    """The defining pushout of S^k = D_k u_{S^{k-1}} D_k, for k >= 0."""
-    if k < 0:
-        raise DomainError("sphere index must be >= -1")
-    if k not in _SPHERE_COLIMITS:
-        jk = boundary_inclusion(k)
-        _, _, _, co = pushout(jk, jk)
-        _SPHERE_COLIMITS[k] = co
-    return _SPHERE_COLIMITS[k]
-
-
 def sphere(k: int) -> FinGlobSet:
+    """S^k: the globe D_{k+1} without its top cell, so S^{-1} is empty."""
     if k < -1:
         raise DomainError("sphere index must be >= -1")
     if k == -1:
         return EMPTY
-    return _sphere_colimit(k).obj
+    D = globe_set(k + 1)
+    return FinGlobSet(k, D.cells[: k + 1], D.src[: k + 1], D.tgt[: k + 1])
 
 
 def boundary_inclusion(k: int) -> GlobMap:
-    """j_k : S^{k-1} -> D_k, induced by the globe source and target maps."""
-    if k == 0:
-        return GlobMap(EMPTY, globe_set(0), [])
-    co = _sphere_colimit(k - 1)
-    glue = (
-        GlobMap(EMPTY, globe_set(k), [])
-        if k == 1
-        else boundary_inclusion(k - 1).then(globe_face_map(k - 1, "s"))
-    )
-    return co.mediate(
-        {"X": glue, "Y": globe_face_map(k - 1, "s"), "Z": globe_face_map(k - 1, "t")}
-    )
+    """j_k : S^{k-1} -> D_k, the identity on the cells below the top one."""
+    S = sphere(k - 1)
+    return GlobMap(S, globe_set(k), [{c: c for c in layer} for layer in S.cells])
 
 
 def sphere_collapse(k: int) -> GlobMap:
     """(1, 1) : S^k -> D_k, folding the two parallel top cells together."""
-    co = _sphere_colimit(k)
-    ident = identity_map(globe_set(k))
-    glue = (
-        GlobMap(EMPTY, globe_set(k), [])
-        if k == 0
-        else boundary_inclusion(k)
-    )
-    return co.mediate({"X": glue, "Y": ident, "Z": ident})
+    S, D = sphere(k), globe_set(k)
+    (top,) = D.cells[k]
+    maps = [{c: c for c in layer} for layer in S.cells[:k]]
+    return GlobMap(S, D, maps + [dict.fromkeys(S.cells[k], top)])
 
 
 def canonical_globe_family(n: int):
@@ -404,35 +365,36 @@ def is_m_bijective(f: GlobMap, m: int) -> bool:
     return True
 
 
-def is_m_fully_faithful(f: GlobMap, m: int) -> bool:
-    """Cartesian boundary squares above m.
+def _pullback(Y: FinGlobSet, k: int, below, image: dict, src: dict, tgt: dict):
+    """The triples (y, ws, wt): a k-cell y of Y with parallel (k-1)-cells
+    ws, wt of ``below`` (boundaries ``src``/``tgt``) over its source and
+    target under ``image``, in the order of Y's cells, then of ``below``.
 
     The pullback ranges over parallel pairs: with the bare product reading
     no factorization would exist at all (a non-parallel pair with equal
     images would demand a cell gluing them, breaking globularity).
     """
+    fibres = {}
+    for w in below:
+        fibres.setdefault(image[w], []).append(w)
+    for y in Y.cells[k]:
+        for ws in fibres.get(Y.src[k][y], ()):
+            for wt in fibres.get(Y.tgt[k][y], ()):
+                if k == 1 or (src[ws] == src[wt] and tgt[ws] == tgt[wt]):
+                    yield y, ws, wt
+
+
+def is_m_fully_faithful(f: GlobMap, m: int) -> bool:
+    """Cartesian boundary squares above m: each pullback triple over a
+    k-cell of the codomain, k > m, is hit by exactly one k-cell."""
+    if f.dom.n < f.cod.n:
+        f = pad_map(f, f.cod.n)
     X, Y = f.dom, f.cod
-
-    def xs_at(k):
-        return X.cells[k] if k <= X.n else ()
-
-    for i in range(m, Y.n):
-        seen = {}
-        for c in xs_at(i + 1):
-            key = (f.maps[i + 1][c], X.src[i + 1][c], X.tgt[i + 1][c])
-            if key in seen:
-                return False
-            seen[key] = c
-        for y in Y.cells[i + 1]:
-            for xs in xs_at(i):
-                for xt in xs_at(i):
-                    if i >= 1 and (
-                        X.src[i][xs] != X.src[i][xt] or X.tgt[i][xs] != X.tgt[i][xt]
-                    ):
-                        continue
-                    if f.maps[i][xs] == Y.src[i + 1][y] and f.maps[i][xt] == Y.tgt[i + 1][y]:
-                        if (y, xs, xt) not in seen:
-                            return False
+    for k in range(m + 1, Y.n + 1):
+        hits = {(f.maps[k][c], X.src[k][c], X.tgt[k][c]) for c in X.cells[k]}
+        triples = set(_pullback(Y, k, X.cells[k - 1], f.maps[k - 1], X.src[k - 1], X.tgt[k - 1]))
+        if len(hits) != len(X.cells[k]) or hits != triples:
+            return False
     return True
 
 
@@ -449,42 +411,22 @@ def factor_bij_ff(f: GlobMap, m: int):
     if f.dom.n < f.cod.n:
         f = pad_map(f, f.cod.n)
     X, Y = f.dom, f.cod
-    n = X.n
-    cells = []
-    src = [dict() for _ in range(n + 1)]
-    tgt = [dict() for _ in range(n + 1)]
-    h_maps = []
-    g_maps = []
-    for k in range(min(m, n) + 1):
-        cells.append(list(X.cells[k]))
-        if k >= 1:
-            src[k] = dict(X.src[k])
-            tgt[k] = dict(X.tgt[k])
-        h_maps.append({c: c for c in X.cells[k]})
-        g_maps.append({c: f.maps[k][c] for c in X.cells[k]})
-    for k in range(m + 1, n + 1):
-        layer = []
-        g_maps.append({})
-        for y in Y.cells[k]:
-            for ws in cells[k - 1]:
-                for wt in cells[k - 1]:
-                    if g_maps[k - 1][ws] == Y.src[k][y] and g_maps[k - 1][wt] == Y.tgt[k][y]:
-                        if k >= 2 and (src[k - 1].get(ws, None) != src[k - 1].get(wt, None)
-                                       or tgt[k - 1].get(ws, None) != tgt[k - 1].get(wt, None)):
-                            continue
-                        w = ("pb", y, ws, wt)
-                        layer.append(w)
-                        src[k][w] = ws
-                        tgt[k][w] = wt
-                        g_maps[k][w] = y
+    low = min(m, X.n) + 1
+    cells, src, tgt = list(X.cells[:low]), list(X.src[:low]), list(X.tgt[:low])
+    h_maps = [{c: c for c in layer} for layer in cells]
+    g_maps = list(f.maps[:low])
+    for k in range(low, X.n + 1):
+        layer = [("pb",) + w for w in _pullback(Y, k, cells[k - 1], g_maps[k - 1], src[k - 1], tgt[k - 1])]
         cells.append(layer)
-        h_maps.append({})
-        for c in X.cells[k]:
-            h_maps[k][c] = ("pb", f.maps[k][c], h_maps[k - 1][X.src[k][c]], h_maps[k - 1][X.tgt[k][c]])
-    W = FinGlobSet(n, cells, src, tgt)
-    h = GlobMap(X, W, h_maps)
-    g = GlobMap(W, Y, g_maps)
-    return h, g
+        src.append({w: w[2] for w in layer})
+        tgt.append({w: w[3] for w in layer})
+        g_maps.append({w: w[1] for w in layer})
+        h_maps.append({
+            c: ("pb", f.maps[k][c], h_maps[k - 1][X.src[k][c]], h_maps[k - 1][X.tgt[k][c]])
+            for c in X.cells[k]
+        })
+    W = FinGlobSet(X.n, cells, src, tgt)
+    return GlobMap(X, W, h_maps), GlobMap(W, Y, g_maps)
 
 
 def find_lifts(i: GlobMap, p: GlobMap, top: GlobMap, bottom: GlobMap):

@@ -706,6 +706,8 @@ def promote_inverse_term(th: TheoryPresentation):
 def generating_cofibrations(n: int):
     """(I_n, J_n): boundary inclusions with the parallel-pair collapse, and
     the source maps; all as realization-level data."""
+    if n < 0:
+        raise DomainError(f"truncation must be at least 0, got {n}")
     _guard_truncation(n)
     I_n = [gs.boundary_inclusion(k) for k in range(n + 1)]
     I_n.append(gs.sphere_collapse(n))

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 pass/fail lines.
 """
 
+import collections
 import itertools
 import random
 import time
@@ -73,6 +74,33 @@ def test_criterion_2_theta_oracle_equivalence():
                 assert images == set(cells)
 
 
+def push_atom(g, atom):
+    """g_* on one atom (path, gap) of g.source, read off the wreath data: a
+    0-atom goes to the gap phi picks, and an atom over child i to the sum,
+    over g's block i, of its pushed-forward sub-atoms."""
+    path, gap = atom
+    if not path:
+        return {((), g.phi[gap]): 1}
+    return {
+        ((child,) + p, q): c
+        for child, comp in enumerate(g.components[path[0]], g.phi[path[0]])
+        for (p, q), c in push_atom(comp, (path[1:], gap)).items()
+    }
+
+
+def push_cell(g, cell):
+    """g_* on every chain of a chain-model cell, frozen as in to_steiner_cell."""
+
+    def push(chain):
+        out = collections.Counter()
+        for atom, c in chain:
+            for image, d in push_atom(g, atom).items():
+                out[image] += c * d
+        return tuple(sorted(out.items(), key=repr))
+
+    return tuple((push(minus), push(plus)) for minus, plus in cell)
+
+
 def test_criterion_3_category_laws():
     with criterion(3, "identity and associativity laws, exhaustively", 60.0):
         trees3 = list(all_trees(3))
@@ -87,6 +115,18 @@ def test_criterion_3_category_laws():
                     fg = compose(f, g)
                     for h in hom(U, V):
                         assert compose(fg, h) == compose(f, compose(g, h))
+        # composites of cells against the chain map of the second factor;
+        # telling apart g's components within a gap needs a 3-node T and
+        # 4 nodes in U, and components of one type over a gap 5 nodes in U
+        pairs = 0
+        for T, U in itertools.product(all_trees(4), all_trees(5)):
+            for k in range(4):
+                for f in hom(globe(k), T):
+                    cell = to_steiner_cell(f)
+                    for g in hom(T, U):
+                        assert to_steiner_cell(compose(f, g)) == push_cell(g, cell), (f, g)
+                        pairs += 1
+        assert pairs == 71291
 
 
 def test_criterion_4_homogeneous_globular_factorization():

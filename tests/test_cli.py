@@ -46,6 +46,7 @@ def test_usage_error_exit_code(capsys):
         ["tree", "frobnicate", "[]"],
         ["cyl", "stack", "--tree", "[[]]", "--dot", "99"],
         ["lins", "[]", "--frobnicate"],
+        ["cyl", "stack", "--tree", "[[][]]", "--index", "0"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -230,15 +231,15 @@ def cli_command(*argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["cyl", "stack", "--tree", "[[][]]", "--index", "99"],
-        ["cyl", "stack", "--tree", "[[][]]", "--index", "-99"],
-        ["cyl", "stack", "--tree", "[[][]]", "--index", "-1"],
         ["theta", "filler", "D1", "D1", "--index", "0", "--second", "99"],
         ["theta", "admissible", "D1", "D1", "--index", "0", "--second", "-1"],
         ["theta", "factor", "D1", "D2", "--index", "-1"],
         ["lins", "[]", "--dot", "5"],
         ["lins", "[]", "--dot", "-1"],
         ["cyl", "sum", "--tree", "[[]]", "--dot"],
+        ["theory", "cofibs", "--n", "-5"],
+        ["check", "trees", "--max-nodes", "-3"],
+        ["check", "factorization", "--count", "-1"],
     ],
 )
 def test_out_of_range_index_is_a_domain_error(argv):

@@ -256,12 +256,13 @@ def test_section_chain_is_the_inclusions_on_the_theta_faces():
 def test_verify_inclusion_needs_every_cell():
     S = cyl.cyl_glob_sum(NINE_TREE, TH)
     for incl in S.inclusions:
-        cyl._verify_inclusion(incl)
+        cells = tree_mod.cells(incl["scheme"])
+        cyl._verify_inclusion(incl, cells)
         for cell in list(incl["mapping"]):
             partial = dict(incl["mapping"])
             del partial[cell]
             with pytest.raises(TypingError):
-                cyl._verify_inclusion({**incl, "mapping": partial})
+                cyl._verify_inclusion({**incl, "mapping": partial}, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -405,3 +406,155 @@ def test_factorization_unique_up_to_middle_iso():
         d = check_orthogonal(h, g2, h2, g)
         assert d == relabel
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# oracles: the search routes that the constructions replaced
+
+def mediate(co, cocone):
+    """The induced map out of a colimit, given a compatible cocone."""
+    maps = [dict() for _ in range(co.obj.n + 1)]
+    target = None
+    for v, leg in co.legs.items():
+        u = cocone[v]
+        target = u.cod
+        for k in range(leg.dom.n + 1):
+            for c in leg.dom.cells[k]:
+                rep = leg.maps[k][c]
+                img = u.maps[k][c]
+                if rep in maps[k] and maps[k][rep] != img:
+                    raise TypingError("cocone is not compatible")
+                maps[k][rep] = img
+    return GlobMap(co.obj, target, maps)
+
+
+@functools.lru_cache(maxsize=None)
+def sphere_pushout(k):
+    """The defining pushout S^k = D_k u_{S^{k-1}} D_k, for k >= 0."""
+    jk = boundary_inclusion_by_pushouts(k)
+    return pushout(jk, jk)[3]
+
+
+def boundary_inclusion_by_pushouts(k):
+    """j_k : S^{k-1} -> D_k, induced by the globe source and target maps."""
+    if k == 0:
+        return GlobMap(EMPTY, globe_set(0), [])
+    glue = (
+        GlobMap(EMPTY, globe_set(k), [])
+        if k == 1
+        else boundary_inclusion_by_pushouts(k - 1).then(globe_face_map(k - 1, "s"))
+    )
+    cocone = {"X": glue, "Y": globe_face_map(k - 1, "s"), "Z": globe_face_map(k - 1, "t")}
+    return mediate(sphere_pushout(k - 1), cocone)
+
+
+def sphere_collapse_by_pushouts(k):
+    ident = identity_map(globe_set(k))
+    glue = GlobMap(EMPTY, globe_set(k), []) if k == 0 else boundary_inclusion_by_pushouts(k)
+    return mediate(sphere_pushout(k), {"X": glue, "Y": ident, "Z": ident})
+
+
+def test_spheres_match_the_pushout_route():
+    for k in range(5):
+        assert find_iso(sphere(k), sphere_pushout(k).obj) is not None
+        for built, oracle in (
+            (boundary_inclusion(k), boundary_inclusion_by_pushouts(k)),
+            (sphere_collapse(k), sphere_collapse_by_pushouts(k)),
+        ):
+            assert find_iso(built.dom, oracle.dom) is not None and built.cod == oracle.cod
+            assert [set(m.values()) for m in built.maps] == [set(m.values()) for m in oracle.maps]
+
+
+def ff_by_pair_scan(f, m):
+    """Cartesian boundary squares above m, scanning every pair of cells."""
+    X, Y = f.dom, f.cod
+
+    def xs_at(k):
+        return X.cells[k] if k <= X.n else ()
+
+    for i in range(m, Y.n):
+        seen = {}
+        for c in xs_at(i + 1):
+            key = (f.maps[i + 1][c], X.src[i + 1][c], X.tgt[i + 1][c])
+            if key in seen:
+                return False
+            seen[key] = c
+        for y in Y.cells[i + 1]:
+            for xs in xs_at(i):
+                for xt in xs_at(i):
+                    if i >= 1 and (
+                        X.src[i][xs] != X.src[i][xt] or X.tgt[i][xs] != X.tgt[i][xt]
+                    ):
+                        continue
+                    if f.maps[i][xs] == Y.src[i + 1][y] and f.maps[i][xt] == Y.tgt[i + 1][y]:
+                        if (y, xs, xt) not in seen:
+                            return False
+    return True
+
+
+def factor_by_pair_scan(f, m):
+    """The (bij_m, ff_m) factorization, scanning every pair of cells below."""
+    if f.dom.n < f.cod.n:
+        f = gs.pad_map(f, f.cod.n)
+    X, Y = f.dom, f.cod
+    n = X.n
+    cells = []
+    src = [dict() for _ in range(n + 1)]
+    tgt = [dict() for _ in range(n + 1)]
+    h_maps = []
+    g_maps = []
+    for k in range(min(m, n) + 1):
+        cells.append(list(X.cells[k]))
+        if k >= 1:
+            src[k] = dict(X.src[k])
+            tgt[k] = dict(X.tgt[k])
+        h_maps.append({c: c for c in X.cells[k]})
+        g_maps.append({c: f.maps[k][c] for c in X.cells[k]})
+    for k in range(m + 1, n + 1):
+        layer = []
+        g_maps.append({})
+        for y in Y.cells[k]:
+            for ws in cells[k - 1]:
+                for wt in cells[k - 1]:
+                    if g_maps[k - 1][ws] == Y.src[k][y] and g_maps[k - 1][wt] == Y.tgt[k][y]:
+                        if k >= 2 and (src[k - 1].get(ws, None) != src[k - 1].get(wt, None)
+                                       or tgt[k - 1].get(ws, None) != tgt[k - 1].get(wt, None)):
+                            continue
+                        w = ("pb", y, ws, wt)
+                        layer.append(w)
+                        src[k][w] = ws
+                        tgt[k][w] = wt
+                        g_maps[k][w] = y
+        cells.append(layer)
+        h_maps.append({})
+        for c in X.cells[k]:
+            h_maps[k][c] = ("pb", f.maps[k][c], h_maps[k - 1][X.src[k][c]], h_maps[k - 1][X.tgt[k][c]])
+    W = FinGlobSet(n, cells, src, tgt)
+    return GlobMap(X, W, h_maps), GlobMap(W, Y, g_maps)
+
+
+def criterion_5_maps():
+    """The random maps of acceptance criterion 5: 200 for each m = 0..3."""
+    rng = random.Random(0)
+    for m in range(4):
+        done = 0
+        while done < 200:
+            X = gs.random_finglobset(rng, n=3, max_cells=3)
+            Y = gs.random_finglobset(rng, n=3, max_cells=3)
+            f = gs.random_globmap(rng, X, Y)
+            if f is not None:
+                yield f, m
+                done += 1
+
+
+def test_factorization_matches_the_pair_scan():
+    cases = list(criterion_5_maps())
+    cases += [(boundary_inclusion(k), m) for k in range(5) for m in range(k + 1)]
+    answers = set()
+    for f, m in cases:
+        h, g = factor_bij_ff(f, m)
+        assert (h, g) == factor_by_pair_scan(f, m)
+        answers.add(gs.is_m_fully_faithful(f, m))
+        assert gs.is_m_fully_faithful(f, m) == ff_by_pair_scan(f, m)
+        assert gs.is_m_fully_faithful(g, m) == ff_by_pair_scan(g, m)
+    assert len(cases) >= 800 and answers == {True, False}

@@ -1,0 +1,32 @@
+"""The README's layering claims, read off the import statements of the
+package sources."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "globwork"
+
+
+def package_imports(path):
+    """The globwork modules a source file imports, at any depth in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name.partition(".")[2] for a in node.names if a.name.startswith("globwork.")]
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "globwork"):
+            # ``from .x import y`` names x; ``from . import x`` names x
+            names = [node.module] if node.level and node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("globwork."):
+            names = [node.module.partition(".")[2]]
+        else:
+            continue
+        found.update(name.split(".")[0] for name in names)
+    return found
+
+
+def test_readme_layering_claims():
+    imports = {path.stem: package_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert imports["theta"] == {"errors", "trees"}
+    assert imports["globsets"] == {"errors", "trees"}
+    # the reader sees both import forms the package uses
+    assert {"globsets", "theta", "theory", "cylinders", "trees"} <= imports["cli"]
