@@ -129,7 +129,7 @@ def _glue(P: Computad, A: FCell, B: FCell, copies, seam: str, merged=()):
 def cyl_presentation(k: int, th: TheoryPresentation) -> Computad:
     """The finite computad corepresenting k-cylinders, for k <= 3."""
     if k < 0 or k > 3:
-        raise DomainError("cylinder presentations are built for k <= 3")
+        raise DomainError("cylinder presentations are built for k in 0..3")
     _require_systems(th, k)
     P = Computad(f"cyl(D{k})")
     if k == 0:
@@ -611,7 +611,7 @@ def modification_presentation(k: int, th: TheoryPresentation):
     by Tt and Ts, with the second's.
     """
     if k < 0 or k > 2:
-        raise DomainError("modification presentations are built for k <= 2")
+        raise DomainError("modification presentations are built for k in 0..2")
     _require_systems(th, max(k, 1))
     P = Computad(f"M{k}")
     equations = []

@@ -16,16 +16,18 @@ loses no cell is a checked claim: tests/test_steiner.py asserts that bounds
 
 from __future__ import annotations
 
+import functools
+
 from .trees import Tree
 from .globsets import realize
 
-# chains are canonical tuples of (atom, coefficient), coefficient > 0,
-# sorted by repr of the atom
+# chains are canonical tuples of (atom, coefficient), coefficient > 0, in
+# the native order of the atoms (the order of PastingComplex.atoms)
 ZERO = ()
 
 
 def _freeze(d):
-    return tuple(sorted(((a, c) for a, c in d.items() if c), key=repr))
+    return tuple(sorted((a, c) for a, c in d.items() if c))
 
 
 def _unfreeze(ch):
@@ -46,11 +48,36 @@ class PastingComplex:
         self.tree = t
         X = realize(t)
         self.n = X.n
-        self.atoms = [list(X.cells[k]) for k in range(X.n + 1)]
+        # native tuple order: the realization keeps cells in repr order,
+        # which puts gap 10 before gap 2
+        self.atoms = [sorted(X.cells[k]) for k in range(X.n + 1)]
         self.d = {}
         for k in range(1, X.n + 1):
             for a in X.cells[k]:
                 self.d[a] = (X.src[k][a], X.tgt[k][a])
+        self._plans = {}
+        self._solved = {}
+
+    def _plan(self, k, bound):
+        """The search plan of degree k: per atom its faces with their signs,
+        the faces it closes (it is their last atom) and the faces it leaves
+        open, each with the range [-bound * later src uses, bound * later
+        tgt uses] that the atoms after it can still add to it."""
+        plan = self._plans.get((k, bound))
+        if plan is not None:
+            return plan
+        atoms = self.atoms[k] if k <= self.n else []
+        faces = [tuple(zip(self.d.get(a, ()), (-1, 1))) for a in atoms]
+        last = {v: i for i, fs in enumerate(faces) for v, _ in fs}
+        closes = [[(v, e) for v, e in fs if last[v] == i] for i, fs in enumerate(faces)]
+        later = {v: [0, 0] for v in last}
+        room = [None] * len(atoms)
+        for i in reversed(range(len(atoms))):
+            room[i] = [(v, -bound * later[v][0], bound * later[v][1]) for v, _ in faces[i] if last[v] != i]
+            for v, e in faces[i]:
+                later[v][e > 0] += 1
+        plan = self._plans[k, bound] = (atoms, faces, last, closes, room)
+        return plan
 
     def solve(self, k, target, bound=2):
         """All degree-k chains x with coefficients in 0..bound and d(x) = target.
@@ -59,20 +86,23 @@ class PastingComplex:
         minus src of each atom, and zero in degree 0. Solutions come in
         lexicographic order of their coefficient vectors over
         ``self.atoms[k]``, the order of a product scan over all vectors.
+        Each is emitted in atom order, which is already canonical.
 
         Coefficients are assigned atom by atom in that order. A (k-1)-atom v
         is checked once the last k-atom touching it has a value, and the
         coefficient of that atom is forced by the first v it closes instead
-        of tried; a forced value outside 0..bound prunes the branch.
+        of tried; a forced value outside 0..bound prunes the branch. A face
+        v still open is cut on capacity: once want[v] - net[v] lies outside
+        what the later atoms on v can still add, no completion exists.
+
+        ``enumerate_cells`` reads the solutions through a memo on the
+        complex (``_solutions``), so each target is searched once per tree.
         """
-        atoms = self.atoms[k] if k <= self.n else []
-        faces = [tuple(zip(self.d.get(a, ()), (-1, 1))) for a in atoms]
-        last = {v: i for i, fs in enumerate(faces) for v, _ in fs}
+        atoms, faces, last, closes, room = self._plan(k, bound)
         if any(v not in last for v in target):
             return []
         if not atoms:
             return [ZERO]
-        closes = [[(v, e) for v, e in fs if last[v] == i] for i, fs in enumerate(faces)]
         want = {v: target.get(v, 0) for v in last}
         net = dict.fromkeys(last, 0)
         coeffs = []
@@ -100,29 +130,38 @@ class PastingComplex:
                 net[v] += e * c
             if any(net[v] != want[v] for v, _ in closes[i]):
                 continue
+            if any(not lo <= want[v] - net[v] <= hi for v, lo, hi in room[i]):
+                continue
             if i + 1 == len(atoms):
-                sols.append(_freeze(dict(zip(atoms, coeffs))))
+                sols.append(tuple((a, c) for a, c in zip(atoms, coeffs) if c))
             else:
                 stack.extend((i + 1, c2) for c2 in choices(i + 1))
         return sols
 
+    def _solutions(self, k, target, bound):
+        """``solve``, memoised by (k, bound, target); the lists are shared."""
+        key = (k, bound, frozenset(target.items()))
+        sols = self._solved.get(key)
+        if sols is None:
+            sols = self._solved[key] = self.solve(k, target, bound)
+        return sols
+
+
+@functools.lru_cache(maxsize=None)
+def pasting_complex(t: Tree) -> PastingComplex:
+    """The complex of t, shared by every k so that they share its memo."""
+    return PastingComplex(t)
+
 
 def enumerate_cells(t: Tree, k: int, bound=2):
     """All k-cells of the free strict omega-category on the scheme of t."""
-    K = PastingComplex(t)
+    K = pasting_complex(t)
     zeros = K.atoms[0]
     cells = []
-    memo = {}
-
-    def solutions(level, target):
-        key = (level, frozenset(target.items()))
-        if key not in memo:
-            memo[key] = K.solve(level, target, bound)
-        return memo[key]
 
     def extend(level, levels):
         prev_m, prev_p = levels[-1]
-        found = solutions(level, chain_sub(_unfreeze(prev_p), prev_m))
+        found = K._solutions(level, chain_sub(_unfreeze(prev_p), prev_m), bound)
         if level == k:
             for x in found:
                 cells.append(tuple(levels) + ((x, x),))

@@ -482,7 +482,7 @@ def assemble(source: Tree, target: Tree, leaf_maps) -> ThetaMap:
 
 
 # ---------------------------------------------------------------------------
-# bridge to the chain model (used by tests and the support minimality check)
+# bridge to the chain model (used by the tests and the benchmark)
 
 def to_steiner_cell(f: ThetaMap):
     """The chain-model cell corresponding to a globe-sourced map.
@@ -490,35 +490,26 @@ def to_steiner_cell(f: ThetaMap):
     The hom/oracle test suite checks that this is a bijection between
     hom(D_k, T) and the chain-model cells; it is the dictionary between
     the two encodings.
+
+    A component reached through the children j_1, ..., j_r of the target
+    puts its end gaps a, b into level r as the atoms ((j_1, ..., j_r), a)
+    and ((j_1, ..., j_r), b), each with coefficient 1. The prefixes of one
+    level are distinct and met in ascending order, so each chain comes out
+    canonical, in atom order, with nothing to merge or sort.
     """
     k = tree_dim(f.source)
     if f.source != globe(k):
         raise DomainError("only globe-sourced maps are cells")
+    levels = [([], []) for _ in range(k + 1)]
 
-    def go(g: ThetaMap, depth):
-        # levels 0..depth of (minus, plus) coefficient dicts over g.target atoms
+    def walk(g: ThetaMap, level, prefix):
         a, b = g.phi[0], g.phi[-1]
-        out = [({((), a): 1}, {((), b): 1})]
-        out.extend(({}, {}) for _ in range(depth))
-        if depth == 0 or a == b:
-            return out
-        for j in range(a + 1, b + 1):
-            comp = g.components[0][j - a - 1]
-            sub = go(comp, depth - 1)
-            for lv in range(depth):
-                for side in (0, 1):
-                    dst = out[lv + 1][side]
-                    for (path, gap), c in sub[lv][side].items():
-                        key = ((j - 1,) + path, gap)
-                        dst[key] = dst.get(key, 0) + c
-        return out
+        minus, plus = levels[level]
+        minus.append(((prefix, a), 1))
+        plus.append(((prefix, b), 1))
+        if level < k:
+            for j, comp in enumerate(g.components[0], a):
+                walk(comp, level + 1, prefix + (j,))
 
-    levels = go(f, k)
-    frozen = tuple(
-        (
-            tuple(sorted(((a, c) for a, c in minus.items() if c), key=repr)),
-            tuple(sorted(((a, c) for a, c in plus.items() if c), key=repr)),
-        )
-        for minus, plus in levels
-    )
-    return frozen
+    walk(f, 0, ())
+    return tuple((tuple(minus), tuple(plus)) for minus, plus in levels)

@@ -240,6 +240,8 @@ def cli_command(*argv):
         ["theory", "cofibs", "--n", "-5"],
         ["check", "trees", "--max-nodes", "-3"],
         ["check", "factorization", "--count", "-1"],
+        ["cyl", "present", "--k", "-1"],
+        ["cyl", "modification", "--k", "-2"],
     ],
 )
 def test_out_of_range_index_is_a_domain_error(argv):

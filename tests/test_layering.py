@@ -28,5 +28,7 @@ def test_readme_layering_claims():
     imports = {path.stem: package_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert imports["theta"] == {"errors", "trees"}
     assert imports["globsets"] == {"errors", "trees"}
+    # the chain-model oracle stays independent of the wreath encoding
+    assert imports["steiner"] == {"globsets", "trees"}
     # the reader sees both import forms the package uses
     assert {"globsets", "theta", "theory", "cylinders", "trees"} <= imports["cli"]

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import time
 
 import pytest
 
@@ -66,6 +67,25 @@ def test_oracle_equivalence_small():
             translated = {to_steiner_cell(f) for f in maps}
             assert len(translated) == len(maps)
             assert translated == set(cells)
+
+
+WIDE_TREES = ["[" + "[]" * 11 + "]", "[[" + "[]" * 11 + "]]", "[[" + "[]" * 10 + "][]]"]
+
+
+@pytest.mark.parametrize("literal", WIDE_TREES)
+def test_oracle_equivalence_wide_vertex(literal):
+    """Gap indices of 10 and more, where repr order and atom order differ:
+    both sides must still give the same canonical chains, within budget."""
+    T = parse_tree(literal)
+    start = time.monotonic()
+    for k in range(4):
+        cells = steiner.enumerate_cells(T, k)
+        maps = hom(globe(k), T)
+        assert len(maps) == len(cells)
+        translated = {to_steiner_cell(f) for f in maps}
+        assert len(translated) == len(maps)
+        assert translated == set(cells), (literal, k)
+    assert time.monotonic() - start < 2.0
 
 
 def test_category_laws_exhaustive_small():
