@@ -6,15 +6,23 @@ source branch spreads over.  Maps out of a globe are exactly the cells of
 the free strict omega-category on the target scheme; that reading is
 enforced against the chain-complex oracle by the test suite rather than
 assumed.
+
+``hom(S, T)`` returns a ``HomSet``: a sequence of the maps in canonical
+order, built lazily.  Reading map i builds that map alone from its rank;
+iterating builds the whole set once.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from .errors import DomainError, SizeGuardError, TypingError
-from .trees import LEAF, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, suspend
+from .trees import LEAF, Tree, dim as tree_dim, globe, leaf_address, leaf_paths
 
 DEFAULT_HOM_BOUND = 10**6
 
@@ -138,29 +146,117 @@ def hom_count(S: Tree, T: Tree) -> int:
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def _hom_cached(S: Tree, T: Tree) -> tuple:
-    m, n = S.arity, T.arity
-    out = []
-    for phi in itertools.combinations_with_replacement(range(n + 1), m + 1):
-        block_choices = []
-        for i in range(m):
-            per_gap = [
-                _hom_cached(S.children[i], T.children[j - 1])
-                for j in range(phi[i] + 1, phi[i + 1] + 1)
+class HomSet(Sequence):
+    """hom(S, T) as a sequence in canonical order, built on demand.
+
+    The maps come in lexicographic order of phi, and for one phi in the
+    order of ``itertools.product`` over the (block, gap) components, the
+    last component fastest.  ``hs[i]`` reads map i off its rank: the phi
+    whose run of ranks holds i, then one component per gap from the
+    child hom sets, by mixed radix.  Each map built is kept, so
+    ``hs[i] is hs[i]``.  Iterating builds the whole set in one product
+    pass, keeps the maps already handed out, and from then on holds one
+    tuple in place of the per-index memo.
+    """
+
+    __slots__ = ("source", "target", "_len", "_got", "_table")
+
+    def __init__(self, S: Tree, T: Tree):
+        self.source, self.target = S, T
+        self._len = hom_count(S, T)
+        # rank -> map for the maps built so far, or the tuple of all of them
+        self._got = {}
+        self._table = None
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        try:
+            return self._got[i]
+        except (KeyError, TypeError):
+            return self._unrank(i)
+
+    def __iter__(self):
+        got = self._got
+        if isinstance(got, dict):
+            S, T = self.source, self.target
+            maps = []
+            for phi, blocks in self._phis():
+                choices = [tuple(itertools.product(*block)) for block in blocks]
+                maps += [ThetaMap(S, T, phi, comps) for comps in itertools.product(*choices)]
+            # the maps already handed out stay the ones this set holds
+            for i, f in got.items():
+                maps[i] = f
+            got = self._got = tuple(maps)
+            self._table = None
+        return iter(got)
+
+    def _phis(self):
+        """Each phi in lexicographic order, with the child hom sets of
+        each of its blocks, one per gap."""
+        S, T = self.source, self.target
+        for phi in itertools.combinations_with_replacement(range(T.arity + 1), S.arity + 1):
+            yield phi, [
+                [_homset(c, T.children[j]) for j in range(phi[i], phi[i + 1])]
+                for i, c in enumerate(S.children)
             ]
-            block_choices.append(list(itertools.product(*per_gap)))
-        for picks in itertools.product(*block_choices):
-            out.append(ThetaMap(S, T, phi, tuple(picks)))
-    return tuple(out)
+
+    def _blocks(self):
+        """(start ranks, entries): one entry per phi with at least one
+        map, holding phi, its blocks and the (child, size) radices, last
+        component first."""
+        if self._table is None:
+            starts, entries, start = [], [], 0
+            for phi, blocks in self._phis():
+                radices = tuple((h, len(h)) for block in reversed(blocks) for h in reversed(block))
+                size = math.prod(n for _, n in radices)
+                if size:
+                    starts.append(start)
+                    entries.append((phi, blocks, radices))
+                    start += size
+            self._table = (starts, entries)
+        return self._table
+
+    def _unrank(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(self._len)))
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("hom set index out of range")
+        f = self._got.get(i)
+        if f is None:
+            starts, entries = self._table or self._blocks()
+            e = bisect.bisect_right(starts, i) - 1
+            phi, blocks, radices = entries[e]
+            r = i - starts[e]
+            picks = []
+            for h, n in radices:
+                r, q = divmod(r, n)
+                picks.append(h[q])
+            picks.reverse()
+            comps, at = [], 0
+            for block in blocks:
+                comps.append(tuple(picks[at : at + len(block)]))
+                at += len(block)
+            f = self._got[i] = ThetaMap(self.source, self.target, phi, tuple(comps))
+        return f
 
 
-def hom(S: Tree, T: Tree, max_size: int = DEFAULT_HOM_BOUND) -> tuple:
-    """All maps S -> T in canonical order (lexicographic phi, then components)."""
-    count = hom_count(S, T)
-    if count > max_size:
-        raise SizeGuardError(f"hom would have {count} elements (bound {max_size})")
-    return _hom_cached(S, T)
+@functools.lru_cache(maxsize=None)
+def _homset(S: Tree, T: Tree) -> HomSet:
+    return HomSet(S, T)
+
+
+def hom(S: Tree, T: Tree, max_size: int = DEFAULT_HOM_BOUND) -> HomSet:
+    """All maps S -> T in canonical order (lexicographic phi, then
+    components), as a sequence that builds each map when first read."""
+    maps = _homset(S, T)
+    if maps._len > max_size:
+        raise SizeGuardError(f"hom would have {maps._len} elements (bound {max_size})")
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +533,7 @@ def _fill(k: int, f: ThetaMap, g: ThetaMap):
 
 
 # ---------------------------------------------------------------------------
-# suspension and assembly
-
-def suspend_map(f: ThetaMap) -> ThetaMap:
-    return ThetaMap(suspend(f.source), suspend(f.target), (0, 1), ((f,),))
-
+# assembly
 
 def assemble(source: Tree, target: Tree, leaf_maps) -> ThetaMap:
     """Glue per-leaf maps D_{i_j} -> target into a single map source -> target.

@@ -83,6 +83,45 @@ def test_theta_factor(capsys):
     assert "middle" in data
 
 
+def test_theta_factor_last_of_a_wide_hom_set(capsys):
+    # map 12344 is the last of the 12345 in hom(D2, T), read by its rank;
+    # the expected JSON is the output of the full enumeration
+    target = "[" + "[[][][]]" * 4 + "]"
+    code, out = run(capsys, "theta", "factor", "D2", target, "--index", "12344", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "globular": {"components": [], "phi": [4]},
+        "homogeneous": {"components": [[]], "phi": [0, 0]},
+        "middle": "[]",
+    }
+    code, out = run(capsys, "theta", "factor", "D2", target, "--index", "6000", "--json")
+    assert code == 0
+    assert json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) == (
+        '{"globular":{"components":[[{"components":[],"phi":[1]}],[{"components":[[{"components":[],"phi":[0]}]],'
+        '"phi":[2,3]}],[{"components":[[{"components":[],"phi":[0]}]],"phi":[2,3]}],[{"components":[],"phi":[3]}]],'
+        '"phi":[0,1,2,3,4]},"homogeneous":{"components":[[{"components":[[]],"phi":[0,0]},{"components":[[{"components":'
+        '[],"phi":[0]}]],"phi":[0,1]},{"components":[[{"components":[],"phi":[0]}]],"phi":[0,1]},{"components":[[]],'
+        '"phi":[0,0]}]],"phi":[0,4]},"middle":"[[][[]][[]][]]"}'
+    )
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"phi": [0], "components": []}, "wreath data has the wrong shape"),
+        ({"phi": [1, 0], "components": [[]]}, "phi must be monotone"),
+        ({"phi": [0, 5], "components": [[{"phi": [0], "components": []}]]}, "phi out of range"),
+        ({"phi": [0, 1], "components": [[]]}, "block 0 has the wrong component count"),
+        ({"phi": [0, 1], "components": [[{"phi": [0, 1], "components": [[]]}]]}, "wreath data has the wrong shape"),
+    ],
+)
+def test_theta_map_refusals(data, message, capsys):
+    assert main(["theta", "factor", "D1", "D2", "--map", json.dumps(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_theory_build_and_audit(capsys):
     code, out = run(capsys, "theory", "build", "--groupoidalize")
     assert code == 0

@@ -1,14 +1,17 @@
 import functools
+import gc
 import itertools
+import random
 import time
 
 import pytest
 
-from globwork.errors import DomainError, SizeGuardError
+from globwork.errors import DomainError, SizeGuardError, TypingError
 from globwork import steiner, theta
 from globwork.globsets import GlobMap, realize
-from globwork.trees import LEAF, Tree, all_trees, boundary, dim, globe, parse_tree
+from globwork.trees import LEAF, Tree, all_trees, boundary, dim, globe, parse_tree, suspend
 from globwork.theta import (
+    HomSet,
     ThetaMap,
     assemble,
     boundary_maps,
@@ -30,7 +33,6 @@ from globwork.theta import (
     sigma_theta,
     splits_off,
     support,
-    suspend_map,
     tau_theta,
     to_steiner_cell,
 )
@@ -51,6 +53,117 @@ def test_hom_enumeration_is_duplicate_free_and_counted():
             maps = hom(S, T)
             assert len(maps) == hom_count(S, T)
             assert len(set(maps)) == len(maps)
+
+
+def hom_by_product(S, T, memo):
+    """hom(S, T) enumerated as a tuple: every phi in lexicographic order,
+    then the product over blocks of the products over gaps."""
+    if (S, T) not in memo:
+        m, n = S.arity, T.arity
+        out = []
+        for phi in itertools.combinations_with_replacement(range(n + 1), m + 1):
+            block_choices = []
+            for i in range(m):
+                per_gap = [
+                    hom_by_product(S.children[i], T.children[j - 1], memo)
+                    for j in range(phi[i] + 1, phi[i + 1] + 1)
+                ]
+                block_choices.append(list(itertools.product(*per_gap)))
+            for picks in itertools.product(*block_choices):
+                out.append(ThetaMap(S, T, phi, tuple(picks)))
+        memo[S, T] = tuple(out)
+    return memo[S, T]
+
+
+def wide_target(b):
+    return parse_tree("[" + "[[][][]]" * b + "]")
+
+
+def test_homset_matches_product_enumeration():
+    rng = random.Random(16)
+    memo = {}
+    pairs = [(S, T) for S in all_trees(5) for T in all_trees(5)]
+    pairs += [(globe(k), wide_target(b)) for b in range(5) for k in range(3)]
+    for S, T in pairs:
+        oracle = hom_by_product(S, T, memo)
+        assert len(HomSet(S, T)) == len(oracle) == hom_count(S, T)
+        # map by map from its rank, and in one pass
+        ranked = HomSet(S, T)
+        assert tuple(ranked[i] for i in range(len(oracle))) == oracle
+        assert tuple(HomSet(S, T)) == oracle
+        # maps read by rank before the pass are the ones the pass yields
+        hs = HomSet(S, T)
+        picked = {i: hs[i] for i in rng.sample(range(len(oracle)), min(len(oracle), 5))}
+        walked = tuple(hs)
+        assert walked == oracle
+        assert all(walked[i] is f for i, f in picked.items())
+        assert all(hs[i] is f for i, f in picked.items())
+    assert len(memo[globe(2), wide_target(4)]) == 12345
+
+
+def test_homset_indexes_like_a_tuple():
+    S, T = globe(1), wide_target(2)
+    ref = hom_by_product(S, T, {})
+    n = len(ref)
+    hs = HomSet(S, T)
+    # first from the per-rank memo, then from the tuple a pass leaves
+    for walked in (False, True):
+        if walked:
+            assert tuple(hs) == ref
+        for i in range(-n, n):
+            assert hs[i] == ref[i] and hs[i] is hs[i % n]
+        for sl in (slice(None), slice(2, -1), slice(None, None, -2), slice(-100, 100, 3), slice(5, 2)):
+            assert hs[sl] == ref[sl]
+        for i in (n, -n - 1, 10**30):
+            with pytest.raises(IndexError):
+                hs[i]
+        with pytest.raises(TypeError):
+            hs["0"]
+
+
+def count_maps():
+    return sum(isinstance(o, ThetaMap) for o in gc.get_objects())
+
+
+def map_nodes(f):
+    return 1 + sum(map_nodes(c) for block in f.components for c in block)
+
+
+def test_indexed_access_builds_only_the_touched_maps():
+    # the last map, a middle one and the first of the 12345 in hom(D2, T)
+    T = wide_target(4)
+    for i in (12344, 6000, 0):
+        hs = HomSet(globe(2), T)
+        before = count_maps()
+        f = hs[i]
+        assert count_maps() - before <= map_nodes(f)
+        assert len(hs) == 12345
+
+
+def test_map_refusals():
+    A = parse_tree("[[][]]")
+    leaf = ThetaMap(LEAF, LEAF, (0,), ())
+    cases = [
+        ("wrong shape", (globe(1), A, (0,), ())),
+        ("must be monotone", (globe(1), A, (2, 1), ((),))),
+        ("out of range", (globe(1), A, (0, 3), ((leaf, leaf, leaf),))),
+        ("wrong component count", (globe(1), A, (0, 2), ((leaf,),))),
+        ("mistyped", (globe(1), parse_tree("[[[]][]]"), (0, 1), ((leaf,),))),
+    ]
+    for message, args in cases:
+        with pytest.raises(TypingError, match=message):
+            ThetaMap(*args)
+    with pytest.raises(TypingError, match="wrong shape"):
+        map_from_json(globe(1), A, {"phi": [0, 1], "components": []})
+    with pytest.raises(TypingError, match="must be monotone"):
+        map_from_json(globe(1), A, {"phi": [1, 0], "components": [[]]})
+    with pytest.raises(TypingError, match="out of range"):
+        map_from_json(globe(1), A, {"phi": [-1, -1], "components": [[]]})
+    # map_from_json types every component from its place, so a mistyped
+    # one shows only as a component of the wrong shape
+    point = {"phi": [0], "components": []}
+    with pytest.raises(TypingError, match="wrong shape"):
+        map_from_json(globe(2), globe(2), {"phi": [0, 1], "components": [[point]]})
 
 
 def test_hom_size_guard():
@@ -325,6 +438,10 @@ def test_no_filler_reported_as_none():
     assert filler(tau_theta(0), sigma_theta(0)) is None
 
 
+def suspend_map(f: ThetaMap) -> ThetaMap:
+    return ThetaMap(suspend(f.source), suspend(f.target), (0, 1), ((f,),))
+
+
 def test_suspend_map():
     assert suspend_map(identity(LEAF)) == identity(globe(1))
     f = sigma_theta(1)
@@ -521,12 +638,12 @@ def test_homogeneous_matches_factorisation(monkeypatch):
                 ok = is_homogeneous(f)
                 assert ok == homogeneous_by_factorisation(f)
                 positive += ok
-    # cells D_k -> T; the hom sets are built uncached, since only this test
-    # walks these 251009 maps
+    # cells D_k -> T; each hom set is a fresh HomSet, not the cached one,
+    # since only this test walks these 251009 maps
     for k in range(4):
         for T in all_trees(9):
             if hom_count(globe(k), T) <= 20000:
-                for f in theta._hom_cached.__wrapped__(globe(k), T):
+                for f in HomSet(globe(k), T):
                     ok = is_homogeneous(f)
                     assert ok == homogeneous_by_factorisation(f)
                     positive += ok

@@ -60,10 +60,14 @@ def test_parse_depth_bound():
             parse_tree(text)
 
 
+def suspend_map(f):
+    return theta.ThetaMap(trees.suspend(f.source), trees.suspend(f.target), (0, 1), ((f,),))
+
+
 def test_library_depth_bound():
     k = trees.MAX_PARSE_DEPTH
     assert trees.suspend(globe(k - 1)) == globe(k)
-    assert theta.render(theta.suspend_map(theta.identity(globe(k - 1)))) == theta.render(theta.identity(globe(k)))
+    assert theta.render(suspend_map(theta.identity(globe(k - 1)))) == theta.render(theta.identity(globe(k)))
     # at 400 theta.render overflowed the stack with RecursionError
     for height in (k + 1, 400):
         with pytest.raises(SizeGuardError):
@@ -71,7 +75,7 @@ def test_library_depth_bound():
     with pytest.raises(SizeGuardError):
         trees.suspend(globe(k))
     with pytest.raises(SizeGuardError):
-        theta.suspend_map(theta.identity(globe(k)))
+        suspend_map(theta.identity(globe(k)))
 
 
 def test_stored_height_and_constructor_bound():
