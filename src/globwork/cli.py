@@ -125,9 +125,8 @@ def cmd_theta(args):
             print(hom_count(S, T))
             return 0
         maps = hom(S, T, args.max_homs)
-        payload = [m.to_json() for m in maps]
         if args.json:
-            print(json.dumps(payload, indent=1, sort_keys=True))
+            print(json.dumps([m.to_json() for m in maps], indent=1, sort_keys=True))
         else:
             for i, m in enumerate(maps):
                 print(f"{i}: {th_mod.render(m)}")

@@ -44,21 +44,7 @@ class ThetaMap:
         return h
 
     def __post_init__(self):
-        m, n = self.source.arity, self.target.arity
-        if len(self.phi) != m + 1 or len(self.components) != m:
-            raise TypingError("wreath data has the wrong shape")
-        if any(self.phi[i] > self.phi[i + 1] for i in range(m)):
-            raise TypingError("phi must be monotone")
-        if self.phi and (self.phi[0] < 0 or self.phi[-1] > n):
-            raise TypingError("phi out of range")
-        for i in range(m):
-            comps = self.components[i]
-            if len(comps) != self.phi[i + 1] - self.phi[i]:
-                raise TypingError(f"block {i} has the wrong component count")
-            for off, c in enumerate(comps):
-                j = self.phi[i] + off
-                if c.source != self.source.children[i] or c.target != self.target.children[j]:
-                    raise TypingError(f"component ({i},{j}) mistyped")
+        check_map(self)
 
     def __str__(self):
         return f"{self.source}->{self.target}:{render(self)}"
@@ -68,6 +54,50 @@ class ThetaMap:
             "phi": list(self.phi),
             "components": [[c.to_json() for c in block] for block in self.components],
         }
+
+
+def check_map(f: ThetaMap):
+    """Refuse wreath data that does not type f as a map source -> target.
+
+    One level deep: the components are taken to be maps already checked.
+    The constructor runs it on every map built from outside (a direct
+    ``ThetaMap(...)`` call, so also ``map_from_json``); the builders of
+    this module make their maps with ``_make``, unchecked, and the test
+    suite runs this check on every map they return.
+    """
+    m, n = f.source.arity, f.target.arity
+    if len(f.phi) != m + 1 or len(f.components) != m:
+        raise TypingError("wreath data has the wrong shape")
+    if any(f.phi[i] > f.phi[i + 1] for i in range(m)):
+        raise TypingError("phi must be monotone")
+    if f.phi and (f.phi[0] < 0 or f.phi[-1] > n):
+        raise TypingError("phi out of range")
+    for i in range(m):
+        comps = f.components[i]
+        if len(comps) != f.phi[i + 1] - f.phi[i]:
+            raise TypingError(f"block {i} has the wrong component count")
+        for off, c in enumerate(comps):
+            j = f.phi[i] + off
+            if c.source != f.source.children[i] or c.target != f.target.children[j]:
+                raise TypingError(f"component ({i},{j}) mistyped")
+
+
+_new = object.__new__
+_set_source, _set_target, _set_phi, _set_components, _set_h = (
+    ThetaMap.__dict__[name].__set__ for name in ("source", "target", "phi", "components", "_h")
+)
+
+
+def _make(source: Tree, target: Tree, phi, components) -> ThetaMap:
+    """The map with this wreath data, unchecked: for the builders below,
+    whose data is typed by the maps they are built from."""
+    f = _new(ThetaMap)
+    _set_source(f, source)
+    _set_target(f, target)
+    _set_phi(f, phi)
+    _set_components(f, components)
+    _set_h(f, None)
+    return f
 
 
 def render(f: ThetaMap) -> str:
@@ -91,7 +121,7 @@ def map_from_json(source: Tree, target: Tree, data) -> ThetaMap:
 
 @functools.lru_cache(maxsize=None)
 def identity(t: Tree) -> ThetaMap:
-    return ThetaMap(
+    return _make(
         t,
         t,
         tuple(range(t.arity + 1)),
@@ -109,15 +139,15 @@ def compose(f: ThetaMap, g: ThetaMap) -> ThetaMap:
         tuple(compose(fc, gc) for jp, fc in enumerate(block, f.phi[i] + 1) for gc in g.components[jp - 1])
         for i, block in enumerate(f.components)
     )
-    return ThetaMap(f.source, g.target, tuple(g.phi[v] for v in f.phi), components)
+    return _make(f.source, g.target, tuple(g.phi[v] for v in f.phi), components)
 
 
 @functools.lru_cache(maxsize=None)
 def face_theta(k: int, side: str) -> ThetaMap:
     """sigma_k (side "s") or tau_k (side "t") : D_k -> D_{k+1}."""
     if k == 0:
-        return ThetaMap(LEAF, globe(1), (0 if side == "s" else 1,), ())
-    return ThetaMap(globe(k), globe(k + 1), (0, 1), ((face_theta(k - 1, side),),))
+        return _make(LEAF, globe(1), (0 if side == "s" else 1,), ())
+    return _make(globe(k), globe(k + 1), (0, 1), ((face_theta(k - 1, side),),))
 
 
 def sigma_theta(k: int) -> ThetaMap:
@@ -173,9 +203,13 @@ class HomSet(Sequence):
 
     def __getitem__(self, i):
         try:
-            return self._got[i]
+            f = self._got[i]
         except (KeyError, TypeError):
             return self._unrank(i)
+        if type(i) is not int and isinstance(self._got, dict):
+            # the memo's key 1 also matches 1.0, which is no index
+            operator.index(i)
+        return f
 
     def __iter__(self):
         got = self._got
@@ -184,7 +218,7 @@ class HomSet(Sequence):
             maps = []
             for phi, blocks in self._phis():
                 choices = [tuple(itertools.product(*block)) for block in blocks]
-                maps += [ThetaMap(S, T, phi, comps) for comps in itertools.product(*choices)]
+                maps += [_make(S, T, phi, comps) for comps in itertools.product(*choices)]
             # the maps already handed out stay the ones this set holds
             for i, f in got.items():
                 maps[i] = f
@@ -241,7 +275,7 @@ class HomSet(Sequence):
             for block in blocks:
                 comps.append(tuple(picks[at : at + len(block)]))
                 at += len(block)
-            f = self._got[i] = ThetaMap(self.source, self.target, phi, tuple(comps))
+            f = self._got[i] = _make(self.source, self.target, phi, tuple(comps))
         return f
 
 
@@ -270,10 +304,10 @@ def leaf_inclusion(t: Tree, leaf_index: int) -> ThetaMap:
         if not rest:
             if not node.is_leaf:
                 raise DomainError("path does not end at a leaf")
-            return ThetaMap(LEAF, LEAF, (0,), ())
+            return _make(LEAF, LEAF, (0,), ())
         i = rest[0]
         comp = build(node.children[i], rest[1:])
-        return ThetaMap(globe(len(rest)), node, (i, i + 1), ((comp,),))
+        return _make(globe(len(rest)), node, (i, i + 1), ((comp,),))
 
     return build(t, path)
 
@@ -325,16 +359,6 @@ class HGFactorization:
         return self.homogeneous.target
 
 
-def collapse_map(S: Tree, zero: int, T: Tree) -> ThetaMap:
-    """The map S -> T sending everything to the 0-cell ``zero``."""
-    return ThetaMap(
-        S,
-        T,
-        (zero,) * (S.arity + 1),
-        tuple(() for _ in range(S.arity)),
-    )
-
-
 def hg_factorize(f: ThetaMap) -> HGFactorization:
     """The unique factorization into a homogeneous map then a globular one.
 
@@ -344,16 +368,16 @@ def hg_factorize(f: ThetaMap) -> HGFactorization:
     """
     a, b = (f.phi[0], f.phi[-1]) if f.phi else (0, 0)
     if a == b:
-        middle = LEAF
-        mono = ThetaMap(LEAF, f.target, (a,), ())
-        residue = collapse_map(f.source, 0, LEAF)
-        return HGFactorization(residue, mono)
+        # f collapses its source onto the 0-cell a, through the point
+        m = f.source.arity
+        collapse = _make(f.source, LEAF, (0,) * (m + 1), ((),) * m)
+        return HGFactorization(collapse, _make(LEAF, f.target, (a,), ()))
     # f's blocks cover the gaps a+1..b in order, one component per gap
     subs = tuple(tuple(hg_factorize(c) for c in block) for block in f.components)
     flat = [sub for block in subs for sub in block]
     middle = Tree(tuple(sub.middle for sub in flat))
-    mono = ThetaMap(middle, f.target, tuple(range(a, b + 1)), tuple((sub.globular,) for sub in flat))
-    residue = ThetaMap(
+    mono = _make(middle, f.target, tuple(range(a, b + 1)), tuple((sub.globular,) for sub in flat))
+    residue = _make(
         f.source,
         middle,
         tuple(v - a for v in f.phi),
@@ -400,11 +424,11 @@ def homogeneous_op(k: int, A: Tree):
     if k < 0:
         raise DomainError("operations have dimension at least 0")
     if k == 0:
-        return ThetaMap(LEAF, A, (0,), ()) if A.is_leaf else None
+        return _make(LEAF, A, (0,), ()) if A.is_leaf else None
     block = tuple(homogeneous_op(k - 1, child) for child in A.children)
     if any(c is None for c in block):
         return None
-    return ThetaMap(globe(k), A, (0, A.arity), (block,))
+    return _make(globe(k), A, (0, A.arity), (block,))
 
 
 def support(c: ThetaMap):
@@ -423,13 +447,13 @@ def all_globular_monos(B: Tree, T: Tree):
     choices are ordered by a, then lexicographically by component.
     """
     if B.is_leaf:
-        return [ThetaMap(B, T, (c,), ()) for c in range(T.arity + 1)]
+        return [_make(B, T, (c,), ()) for c in range(T.arity + 1)]
     m = B.arity
     out = []
     for a in range(T.arity - m + 1):
         per_gap = [all_globular_monos(B.children[i], T.children[a + i]) for i in range(m)]
         for picks in itertools.product(*per_gap):
-            out.append(ThetaMap(B, T, tuple(range(a, a + m + 1)), tuple((p,) for p in picks)))
+            out.append(_make(B, T, tuple(range(a, a + m + 1)), tuple((p,) for p in picks)))
     return out
 
 
@@ -468,10 +492,10 @@ def boundary_maps(t: Tree):
 
     def build(node, height, side):
         if height == d - 1:
-            return ThetaMap(LEAF, node, (0 if side == "s" else node.arity,), ())
+            return _make(LEAF, node, (0 if side == "s" else node.arity,), ())
         kids = tuple(build(c, height + 1, side) for c in node.children)
         source = Tree(tuple(k.source for k in kids))
-        return ThetaMap(source, node, tuple(range(node.arity + 1)), tuple((k,) for k in kids))
+        return _make(source, node, tuple(range(node.arity + 1)), tuple((k,) for k in kids))
 
     return build(t, 0, "s"), build(t, 0, "t")
 
@@ -521,7 +545,7 @@ def _fill(k: int, f: ThetaMap, g: ThetaMap):
         if a > b:
             return None
         phi = (a, b)
-        block = tuple(ThetaMap(LEAF, f.target.children[j], (0,), ()) for j in range(a, b))
+        block = tuple(_make(LEAF, f.target.children[j], (0,), ()) for j in range(a, b))
     else:
         if f.phi != g.phi:
             return None
@@ -529,7 +553,7 @@ def _fill(k: int, f: ThetaMap, g: ThetaMap):
         block = tuple(_fill(k - 1, p, q) for p, q in zip(f.components[0], g.components[0]))
         if any(h is None for h in block):
             return None
-    return ThetaMap(globe(k + 1), f.target, phi, (block,))
+    return _make(globe(k + 1), f.target, phi, (block,))
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +563,20 @@ def assemble(source: Tree, target: Tree, leaf_maps) -> ThetaMap:
     """Glue per-leaf maps D_{i_j} -> target into a single map source -> target.
 
     The maps must agree on the matched boundaries; this is exactly the
-    colimit description of the source sum.
+    colimit description of the source sum.  Once there is one map
+    D_h -> target per leaf of height h, each component glued is typed by
+    the maps it comes from.
     """
     leaf_maps = list(leaf_maps)
+    heights = [len(p) for p in leaf_paths(source)]
+    if len(leaf_maps) != len(heights) or any(
+        m.source != globe(h) or m.target != target for m, h in zip(leaf_maps, heights)
+    ):
+        raise TypingError("assemble needs one map D_h -> target per source leaf of height h")
+    return _glue(source, target, leaf_maps)
+
+
+def _glue(source: Tree, target: Tree, leaf_maps) -> ThetaMap:
     if source.is_leaf:
         (f,) = leaf_maps
         return f
@@ -554,7 +589,7 @@ def assemble(source: Tree, target: Tree, leaf_maps) -> ThetaMap:
     phi = []
     comps = []
     prev = None
-    for gi, (child, grp) in enumerate(zip(source.children, groups)):
+    for child, grp in zip(source.children, groups):
         spans = {(m.phi[0], m.phi[-1]) for m in grp}
         if len(spans) != 1:
             raise TypingError("leaf maps of one block disagree on their span")
@@ -568,9 +603,9 @@ def assemble(source: Tree, target: Tree, leaf_maps) -> ThetaMap:
         block = []
         for j in range(u + 1, v + 1):
             sub = [m.components[0][j - u - 1] for m in grp]
-            block.append(assemble(child, target.children[j - 1], sub))
+            block.append(_glue(child, target.children[j - 1], sub))
         comps.append(tuple(block))
-    return ThetaMap(source, target, tuple(phi), tuple(comps))
+    return _make(source, target, tuple(phi), tuple(comps))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from globwork.errors import DomainError, SizeGuardError, TypingError
 from globwork import steiner, theta
 from globwork.globsets import GlobMap, realize
+from globwork.theory import groupoidalize, standard_library
 from globwork.trees import LEAF, Tree, all_trees, boundary, dim, globe, parse_tree, suspend
 from globwork.theta import (
     HomSet,
@@ -17,6 +18,7 @@ from globwork.theta import (
     boundary_maps,
     cell_inclusion,
     compose,
+    face_theta,
     filler,
     hg_factorize,
     hom,
@@ -106,6 +108,14 @@ def test_homset_indexes_like_a_tuple():
     ref = hom_by_product(S, T, {})
     n = len(ref)
     hs = HomSet(S, T)
+
+    class Rank:
+        def __index__(self):
+            return 1
+
+    # a float is no index, before map 1 is read and after
+    with pytest.raises(TypeError):
+        hs[1.0]
     # first from the per-rank memo, then from the tuple a pass leaves
     for walked in (False, True):
         if walked:
@@ -119,6 +129,9 @@ def test_homset_indexes_like_a_tuple():
                 hs[i]
         with pytest.raises(TypeError):
             hs["0"]
+        with pytest.raises(TypeError):
+            hs[1.0]
+        assert hs[True] is hs[Rank()] is hs[1]
 
 
 def count_maps():
@@ -164,6 +177,67 @@ def test_map_refusals():
     point = {"phi": [0], "components": []}
     with pytest.raises(TypingError, match="wrong shape"):
         map_from_json(globe(2), globe(2), {"phi": [0, 1], "components": [[point]]})
+
+
+def assert_well_typed(f, checked):
+    """Run the constructor's check on f and on every map inside it, once
+    per object: ``checked`` maps id to map, so no id is reused."""
+    if id(f) not in checked:
+        theta.check_map(f)
+        for block in f.components:
+            for c in block:
+                assert_well_typed(c, checked)
+        checked[id(f)] = f
+
+
+def test_built_maps_are_well_typed():
+    # the builders make their maps unchecked; this is the check they skip,
+    # on every map they return over the criterion 3 and 4 ranges
+    checked = {}
+
+    def walk(maps):
+        for f in maps:
+            assert_well_typed(f, checked)
+
+    trees3, trees4, trees5 = (list(all_trees(n)) for n in (3, 4, 5))
+    pairs = list(itertools.product(trees3, trees3)) + list(itertools.product(trees4, trees5))
+    pairs += [(globe(k), T) for T in trees4 for k in range(4)]
+    for S, T in pairs:
+        ranked = HomSet(S, T)
+        walk(ranked[i] for i in range(len(ranked)))
+        walk(HomSet(S, T))
+    for S, T, U in itertools.product(trees3, repeat=3):
+        walk(compose(f, g) for f in hom(S, T) for g in hom(T, U))
+    for T, U in itertools.product(trees4, trees5):
+        walk(compose(f, g) for k in range(4) for f in hom(globe(k), T) for g in hom(T, U))
+    for S, T in itertools.product(trees4, repeat=2):
+        for f in hom(S, T):
+            fact = hg_factorize(f)
+            walk((fact.homogeneous, fact.globular))
+    for A in trees5:
+        walk([identity(A)])
+        walk(leaf_inclusion(A, i) for i in range(len(leaf_paths(A))))
+        walk(op for k in range(4) if (op := homogeneous_op(k, A)) is not None)
+        if dim(A) > 0:
+            walk(boundary_maps(A))
+        for B in trees4:
+            walk(theta.all_globular_monos(B, A))
+    walk(face_theta(k, side) for k in range(4) for side in "st")
+    # fillers of the boundary pairs of 1- and 2-cells of the wide targets
+    for b in (2, 3, 4):
+        T = wide_target(b)
+        for k in (1, 2):
+            cells = hom(globe(k), T)
+            for h in cells[:: max(1, len(cells) // 200)]:
+                f, g = compose(sigma_theta(k - 1), h), compose(tau_theta(k - 1), h)
+                walk(x for x in (filler(f, g), filler(f, f), filler(g, f)) if x is not None)
+    for th in (standard_library(3), groupoidalize(standard_library(3))):
+        assert th.audit() == []
+        strict = [sym for sym in th.operations() if sym.theta_image is not None]
+        walk(sym.theta_image for sym in strict)
+        walk(th.eval_term(t) for sym in strict for t in (sym.src, sym.tgt))
+        # and every term the build and the audit evaluated
+        walk(th._eval_cache.values())
 
 
 def test_hom_size_guard():
@@ -469,6 +543,18 @@ def test_assemble_from_leaf_inclusions():
     for T in SMALL_TREES:
         incs = [leaf_inclusion(T, i) for i in range(len(leaf_paths(T)))]
         assert assemble(T, T, incs) == identity(T)
+    # assemble builds unchecked, so it refuses leaf maps of the wrong type
+    # or number: into another target, of too high or too low a dimension
+    D1, D2 = globe(1), globe(2)
+    for source, target, leaf_maps in [
+        (D1, D2, [identity(D1)]),
+        (D1, D2, [identity(D2)]),
+        (D2, D1, [sigma_theta(0)]),
+        (D1, D1, [identity(D1), identity(D1)]),
+        (NINE_TREE, NINE_TREE, []),
+    ]:
+        with pytest.raises(TypingError, match="one map D_h -> target per source leaf"):
+            assemble(source, target, leaf_maps)
 
 
 def test_json_round_trip():
