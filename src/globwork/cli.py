@@ -114,7 +114,7 @@ def _map_from_args(args, source, target):
         return _decode("--map", lambda: th_mod.map_from_json(source, target, json.loads(args.map)))
     if args.index is None:
         raise GlobworkError("need --index or --map")
-    return _pick(hom(source, target, args.max_homs), args.index, "--index")
+    return _pick(hom(source, target), args.index, "--index")
 
 
 def cmd_theta(args):
@@ -124,7 +124,7 @@ def cmd_theta(args):
         if args.count:
             print(hom_count(S, T))
             return 0
-        maps = hom(S, T, args.max_homs)
+        maps = hom(S, T)
         if args.json:
             print(json.dumps([m.to_json() for m in maps], indent=1, sort_keys=True))
         else:
@@ -146,7 +146,7 @@ def cmd_theta(args):
         _emit(args, ok, str(ok))
         return 0
     # filler and admissible take a second map, by default f itself
-    g = f if args.second is None else _pick(hom(S, T, args.max_homs), args.second, "--second")
+    g = f if args.second is None else _pick(hom(S, T), args.second, "--second")
     if args.action == "filler":
         h = th_mod.filler(f, g)
         if h is None:
@@ -394,7 +394,6 @@ def build_parser():
     p.add_argument("--map", default=None)
     p.add_argument("--kind", choices=["groupoidal", "categorical"], default="groupoidal")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-homs", type=int, default=th_mod.DEFAULT_HOM_BOUND)
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("theory", help="theory towers")

@@ -437,12 +437,6 @@ def _render(state, A: Tree, side: str = "") -> str:
     return f"rho{side}(" + ", ".join(parts) + ")"
 
 
-def boundary_plus(A: Tree, sector) -> Tree:
-    """The boundary tree with the same sector re-applied (see ``_reapplied``)."""
-    bt = tree_boundary(A)
-    return insert_at(bt, _reapplied(bt, sector))
-
-
 def _reapplied(bt: Tree, sector) -> tree_mod.Sector:
     """The sector moved onto the boundary tree ``bt``.  If the sector's parent
     was deleted (it sat at maximal height), the new vertex re-attaches to the

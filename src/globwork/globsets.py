@@ -299,14 +299,6 @@ def sphere_collapse(k: int) -> GlobMap:
     return GlobMap(S, D, maps + [dict.fromkeys(S.cells[k], top)])
 
 
-def canonical_globe_family(n: int):
-    """The coglobular family D_0 -> D_1 -> ... -> D_n with both structure maps."""
-    spaces = [globe_set(k) for k in range(n + 1)]
-    sigmas = [globe_face_map(k, "s") for k in range(n)]
-    taus = [globe_face_map(k, "t") for k in range(n)]
-    return spaces, sigmas, taus
-
-
 def latching(family, m: int) -> FinGlobSet:
     """Latching object at m of a coglobular family.
 
@@ -396,10 +388,6 @@ def is_m_fully_faithful(f: GlobMap, m: int) -> bool:
         if len(hits) != len(X.cells[k]) or hits != triples:
             return False
     return True
-
-
-def classify(f: GlobMap, m: int):
-    return is_m_bijective(f, m), is_m_fully_faithful(f, m)
 
 
 def factor_bij_ff(f: GlobMap, m: int):
@@ -519,46 +507,6 @@ def loopspace(X: FinGlobSet, a, b) -> FinGlobSet:
             src[k][x] = s
             tgt[k][x] = t
     return FinGlobSet(n, cells, src, tgt)
-
-
-# ---------------------------------------------------------------------------
-# isomorphism search (used by sphere/latching comparisons)
-
-def find_iso(X: FinGlobSet, Y: FinGlobSet):
-    """A boundary-preserving dimensionwise bijection, or None."""
-    if X.n != Y.n or X.counts() != Y.counts():
-        return None
-
-    assignment = [dict() for _ in range(X.n + 1)]
-
-    def extend(k):
-        if k > X.n:
-            return True
-        xs = list(X.cells[k])
-
-        def place(idx, used):
-            if idx == len(xs):
-                return extend(k + 1)
-            x = xs[idx]
-            for y in Y.cells[k]:
-                if y in used:
-                    continue
-                if k >= 1:
-                    if Y.src[k][y] != assignment[k - 1][X.src[k][x]]:
-                        continue
-                    if Y.tgt[k][y] != assignment[k - 1][X.tgt[k][x]]:
-                        continue
-                assignment[k][x] = y
-                if place(idx + 1, used | {y}):
-                    return True
-                del assignment[k][x]
-            return False
-
-        return place(0, set())
-
-    if extend(0):
-        return GlobMap(X, Y, assignment)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +657,8 @@ def random_finglobset(rng, n=2, max_cells=4) -> FinGlobSet:
     return FinGlobSet(n, cells, src, tgt)
 
 
-def random_globmap(rng, X: FinGlobSet, Y: FinGlobSet, tries=50):
-    for _ in range(tries):
+def random_globmap(rng, X: FinGlobSet, Y: FinGlobSet):
+    for _ in range(50):
         maps = []
         ok = True
         for k in range(X.n + 1):

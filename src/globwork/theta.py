@@ -9,7 +9,8 @@ assumed.
 
 ``hom(S, T)`` returns a ``HomSet``: a sequence of the maps in canonical
 order, built lazily.  Reading map i builds that map alone from its rank;
-iterating builds the whole set once.
+iterating builds the whole set once, and is refused above
+``DEFAULT_HOM_BOUND`` maps.
 """
 
 from __future__ import annotations
@@ -186,7 +187,9 @@ class HomSet(Sequence):
     child hom sets, by mixed radix.  Each map built is kept, so
     ``hs[i] is hs[i]``.  Iterating builds the whole set in one product
     pass, keeps the maps already handed out, and from then on holds one
-    tuple in place of the per-index memo.
+    tuple in place of the per-index memo.  A set of more than
+    ``DEFAULT_HOM_BOUND`` maps is read by index only: iterating it, or a
+    slice that long, raises ``SizeGuardError`` before any map is built.
     """
 
     __slots__ = ("source", "target", "_len", "_got", "_table")
@@ -214,6 +217,7 @@ class HomSet(Sequence):
     def __iter__(self):
         got = self._got
         if isinstance(got, dict):
+            _guard(self._len)
             S, T = self.source, self.target
             maps = []
             for phi, blocks in self._phis():
@@ -254,7 +258,9 @@ class HomSet(Sequence):
 
     def _unrank(self, i):
         if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(self._len)))
+            ranks = range(*i.indices(self._len))
+            _guard(len(ranks))
+            return tuple(self[j] for j in ranks)
         i = operator.index(i)
         if i < 0:
             i += self._len
@@ -279,18 +285,20 @@ class HomSet(Sequence):
         return f
 
 
+def _guard(size: int):
+    if size > DEFAULT_HOM_BOUND:
+        raise SizeGuardError(f"hom would have {size} elements (bound {DEFAULT_HOM_BOUND})")
+
+
 @functools.lru_cache(maxsize=None)
 def _homset(S: Tree, T: Tree) -> HomSet:
     return HomSet(S, T)
 
 
-def hom(S: Tree, T: Tree, max_size: int = DEFAULT_HOM_BOUND) -> HomSet:
+def hom(S: Tree, T: Tree) -> HomSet:
     """All maps S -> T in canonical order (lexicographic phi, then
     components), as a sequence that builds each map when first read."""
-    maps = _homset(S, T)
-    if maps._len > max_size:
-        raise SizeGuardError(f"hom would have {maps._len} elements (bound {max_size})")
-    return maps
+    return _homset(S, T)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +310,6 @@ def leaf_inclusion(t: Tree, leaf_index: int) -> ThetaMap:
 
     def build(node, rest):
         if not rest:
-            if not node.is_leaf:
-                raise DomainError("path does not end at a leaf")
             return _make(LEAF, LEAF, (0,), ())
         i = rest[0]
         comp = build(node.children[i], rest[1:])
@@ -366,7 +372,7 @@ def hg_factorize(f: ThetaMap) -> HGFactorization:
     along their matched boundaries; per target gap there is exactly one
     source branch spreading over it, so the gluing is a gap-wise recursion.
     """
-    a, b = (f.phi[0], f.phi[-1]) if f.phi else (0, 0)
+    a, b = f.phi[0], f.phi[-1]
     if a == b:
         # f collapses its source onto the 0-cell a, through the point
         m = f.source.arity

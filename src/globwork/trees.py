@@ -280,11 +280,6 @@ def decompose(t: Tree) -> tuple[Tree, ...]:
     return t.children
 
 
-def reassemble(blocks) -> Tree:
-    """Inverse of decompose: suspend each block and join along the point."""
-    return Tree(tuple(blocks))
-
-
 # ---------------------------------------------------------------------------
 # cells: a cell of a tree is a pair (node path, gap), an n-cell at depth n
 
@@ -369,11 +364,6 @@ def insert_at(t: Tree, sector: Sector) -> Tree:
     return ins(t, sector.path)
 
 
-def classify_sector(t: Tree, sector: Sector) -> str:
-    """Tag an insertion by height, sibling position and fiber arity."""
-    return _klass(len(sector.path) + 1, sector.gap, t.subtree(sector.path).arity)
-
-
 def _klass(height: int, gap: int, r: int) -> str:
     if height == 1:
         if gap == r:
@@ -413,10 +403,6 @@ def linearization(t: Tree) -> list[ExtendedTree]:
 
     walk(t, ())
     return out
-
-
-def count_sectors(t: Tree) -> int:
-    return sum(t.subtree(p).arity + 1 for p in t.nodes())
 
 
 def tree_to_dot(t: Tree, highlight_path=None) -> str:

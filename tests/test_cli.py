@@ -12,7 +12,7 @@ import pytest
 from globwork import cli, steiner
 from globwork.cli import build_parser, main
 from globwork.cylinders import MAX_SUM_NODES
-from globwork.theta import compose, hom, map_from_json, sigma_theta, tau_theta
+from globwork.theta import compose, hg_factorize, hom, map_from_json, sigma_theta, tau_theta
 from globwork.trees import all_trees, globe, parse_tree
 
 NINE_TREE = "[[[][]][]]"
@@ -47,6 +47,7 @@ def test_usage_error_exit_code(capsys):
         ["cyl", "stack", "--tree", "[[]]", "--dot", "99"],
         ["lins", "[]", "--frobnicate"],
         ["cyl", "stack", "--tree", "[[][]]", "--index", "0"],
+        ["theta", "hom", "D1", "D1", "--max-homs", "5"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -103,6 +104,28 @@ def test_theta_factor_last_of_a_wide_hom_set(capsys):
         '[],"phi":[0]}]],"phi":[0,1]},{"components":[[{"components":[],"phi":[0]}]],"phi":[0,1]},{"components":[[]],'
         '"phi":[0,0]}]],"phi":[0,4]},"middle":"[[][[]][[]][]]"}'
     )
+
+
+WIDE = "[" + "[[][][]]" * 6 + "]"  # hom(D2, WIDE) has 1234567 maps
+
+
+def test_theta_index_reads_a_hom_set_above_the_bound(capsys):
+    code, out = run(capsys, "theta", "factor", "D2", WIDE, "--index", "1234566", "--json")
+    assert code == 0
+    fact = hg_factorize(hom(globe(2), parse_tree(WIDE))[1234566])
+    assert json.loads(out) == {
+        "middle": str(fact.middle),
+        "homogeneous": fact.homogeneous.to_json(),
+        "globular": fact.globular.to_json(),
+    }
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_theta_hom_refuses_to_build_a_set_above_the_bound(flags, capsys):
+    assert main(["theta", "hom", "D2", WIDE, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: hom would have 1234567 elements (bound 1000000)\n"
 
 
 @pytest.mark.parametrize(

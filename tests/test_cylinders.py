@@ -22,6 +22,13 @@ TH = groupoidalize(standard_library(3))
 NINE_TREE = parse_tree("[[[][]][]]")
 
 
+def boundary_plus(A, sector):
+    """The boundary tree with the sector re-applied, as a stack's rho_star
+    record reads it."""
+    bt = boundary(A)
+    return tree_mod.insert_at(bt, cyl._reapplied(bt, sector))
+
+
 def homogeneous_ops(A, k):
     return [f for f in hom(globe(k), A) if is_homogeneous(f)]
 
@@ -500,7 +507,7 @@ def test_stack_rho_star_records_match_factorisation():
                     if rec is None or rec["kind"] != "rho_star":
                         continue
                     assert rec["rho_eps"] == rho_eps_by_factorisation(rho, side)
-                    assert rec["plus_tree"] == str(cyl.boundary_plus(A, sq.element.sector))
+                    assert rec["plus_tree"] == str(boundary_plus(A, sq.element.sector))
                     records += 1
     assert records == 2048
 
@@ -544,19 +551,17 @@ def test_stack_exports():
 
 
 def test_boundary_plus_reattaches():
-    from globwork.trees import boundary
-
     ext = linearization(NINE_TREE)
     over_edge = next(e for e in ext if e.klass == "H2-OverEdge")
-    plus = cyl.boundary_plus(NINE_TREE, over_edge.sector)
+    plus = boundary_plus(NINE_TREE, over_edge.sector)
     assert str(plus) == "[[][[]]]"
     # a sector whose parent was deleted re-attaches to the survivor
     h3 = next(e for e in ext if e.klass == "H3")
-    plus2 = cyl.boundary_plus(NINE_TREE, h3.sector)
+    plus2 = boundary_plus(NINE_TREE, h3.sector)
     assert plus2.n_nodes() == boundary(NINE_TREE).n_nodes() + 1
     # gap clamping: the H2-Max sector points past the survivor's arity
     h2max = next(e for e in ext if e.klass == "H2-Max")
-    plus3 = cyl.boundary_plus(NINE_TREE, h2max.sector)
+    plus3 = boundary_plus(NINE_TREE, h2max.sector)
     assert str(plus3) == "[[[]][]]"
 
 

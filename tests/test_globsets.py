@@ -5,19 +5,17 @@ import pytest
 
 from globwork.errors import DomainError, TypingError
 from globwork import globsets as gs
+from globwork.computads import Computad, find_computad_iso
 from globwork.trees import all_trees, globe, parse_tree, suspend
 from globwork.globsets import (
     EMPTY,
     FinGlobSet,
     GlobMap,
     boundary_inclusion,
-    canonical_globe_family,
     check_orthogonal,
     chi_check,
-    classify,
     colimit,
     factor_bij_ff,
-    find_iso,
     globe_set,
     globe_face_map,
     identity_map,
@@ -30,6 +28,25 @@ from globwork.globsets import (
 )
 
 NINE_TREE = parse_tree("[[[][]][]]")
+
+
+def as_computad(X):
+    """X as a computad: one generator per cell, named by its dimension and
+    repr, with the generators of its source and target as boundary."""
+    P = Computad(repr(X))
+    for k, c in X.iter_cells():
+        faces = (P[f"{k - 1}:{X.src[k][c]!r}"], P[f"{k - 1}:{X.tgt[k][c]!r}"]) if k else ()
+        P.add(f"{k}:{c!r}", k, *faces)
+    return P
+
+
+def globset_iso(X, Y):
+    """A dimension- and boundary-preserving bijection of the cells of X
+    and Y (as a map of generator names), or None: the computad
+    isomorphism search on the two presented as computads."""
+    if X.n != Y.n:
+        return None
+    return find_computad_iso(as_computad(X), as_computad(Y))
 
 
 def test_realize_globe_counts():
@@ -57,7 +74,7 @@ def test_pushout_along_identity():
     X = realize(NINE_TREE)
     P, i1, i2, _ = pushout(identity_map(X), identity_map(X))
     assert P.counts() == X.counts()
-    assert find_iso(P, X) is not None
+    assert globset_iso(P, X) is not None
 
 
 def test_pushout_two_edges():
@@ -102,34 +119,33 @@ def test_sphere_collapse_surjective_on_top():
 
 
 def test_latching_of_globes_is_sphere():
-    fam = canonical_globe_family(4)
+    fam = ([globe_set(k) for k in range(5)], *([globe_face_map(k, e) for k in range(4)] for e in "st"))
     for m in range(1, 5):
         L = latching(fam, m)
         S = sphere(m - 1)
-        assert find_iso(L, S) is not None
+        assert globset_iso(L, S) is not None
 
 
 def test_latching_constant_family():
     X = realize(NINE_TREE)
     fam = ([X] * 4, [identity_map(X)] * 3, [identity_map(X)] * 3)
     for m in range(2, 5):
-        assert find_iso(latching(fam, m), X) is not None
+        assert globset_iso(latching(fam, m), X) is not None
     # at m = 1 the indexing slice is discrete with two objects
     assert latching(fam, 1).counts() == tuple(2 * c for c in X.counts())
 
 
 def test_classify_identity():
     X = realize(NINE_TREE)
+    f = identity_map(X)
     for m in range(3):
-        assert classify(identity_map(X), m) == (True, True)
+        assert gs.is_m_bijective(f, m) and gs.is_m_fully_faithful(f, m)
 
 
 def test_classify_sigma():
     f = globe_face_map(1, "s")  # D1 -> D2
-    bij, _ = classify(f, 0)
-    assert bij
-    bij1, _ = classify(f, 1)
-    assert not bij1  # two edges downstairs, one upstairs is hit
+    assert gs.is_m_bijective(f, 0)
+    assert not gs.is_m_bijective(f, 1)  # two edges downstairs, one upstairs is hit
 
 
 def test_sigma_tau_bijectivity_level():
@@ -142,9 +158,8 @@ def test_sigma_tau_bijectivity_level():
 
 def test_classify_boundary_inclusion():
     j2 = boundary_inclusion(2)  # S1 -> D2
-    bij, ff = classify(j2, 1)
-    assert bij
-    assert not ff  # the 2-cell has its boundary in the image but no preimage
+    assert gs.is_m_bijective(j2, 1)
+    assert not gs.is_m_fully_faithful(j2, 1)  # the 2-cell has its boundary in the image but no preimage
 
 
 def test_factor_already_bijective():
@@ -163,7 +178,7 @@ def test_factor_sphere_into_globe():
     assert gs.is_m_fully_faithful(g, 1)
     # the middle object acquires the missing 2-cell
     assert h.cod.counts() == (2, 2, 1)
-    assert find_iso(h.cod, globe_set(2)) is not None
+    assert globset_iso(h.cod, globe_set(2)) is not None
 
 
 def test_factor_fold_map():
@@ -173,7 +188,7 @@ def test_factor_fold_map():
     fold = GlobMap(two, D0, [{c: pt for c in two.cells[0]}])
     h, g = factor_bij_ff(fold, 0)
     assert h.then(g) == fold
-    bij, ff = classify(h, 0)
+    assert gs.is_m_bijective(h, 0)
     assert gs.is_m_fully_faithful(g, 0)
 
 
@@ -246,7 +261,7 @@ def test_loopspace_of_two_cell():
     a, b = X.cells[0]
     L = loopspace(X, a, b)
     assert L.counts() == (2, 1)
-    assert find_iso(L, globe_set(1)) is not None
+    assert globset_iso(L, globe_set(1)) is not None
 
 
 def test_chi_check_free_two_cell():
@@ -374,7 +389,7 @@ def test_realize_agrees_with_table_colimit():
             edges.append((("join", k), ("top", k), _tau_chain(j, tbl.tops[k])))
             edges.append((("join", k), ("top", k + 1), _sigma_chain(j, tbl.tops[k + 1])))
         glued = colimit(spaces, edges).obj
-        assert find_iso(glued, gs.pad_to(realize(t), glued.n)) is not None
+        assert globset_iso(glued, gs.pad_to(realize(t), glued.n)) is not None
 
 
 def test_factorization_unique_up_to_middle_iso():
@@ -456,12 +471,12 @@ def sphere_collapse_by_pushouts(k):
 
 def test_spheres_match_the_pushout_route():
     for k in range(5):
-        assert find_iso(sphere(k), sphere_pushout(k).obj) is not None
+        assert globset_iso(sphere(k), sphere_pushout(k).obj) is not None
         for built, oracle in (
             (boundary_inclusion(k), boundary_inclusion_by_pushouts(k)),
             (sphere_collapse(k), sphere_collapse_by_pushouts(k)),
         ):
-            assert find_iso(built.dom, oracle.dom) is not None and built.cod == oracle.cod
+            assert globset_iso(built.dom, oracle.dom) is not None and built.cod == oracle.cod
             assert [set(m.values()) for m in built.maps] == [set(m.values()) for m in oracle.maps]
 
 

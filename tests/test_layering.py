@@ -28,6 +28,10 @@ def test_readme_layering_claims():
     imports = {path.stem: package_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert imports["theta"] == {"errors", "trees"}
     assert imports["globsets"] == {"errors", "trees"}
+    # the isomorphism search on generators is the one search; it and the
+    # trees stay at the bottom of the package
+    assert imports["computads"] == {"errors"}
+    assert imports["trees"] == {"errors"}
     # the chain-model oracle stays independent of the wreath encoding
     assert imports["steiner"] == {"globsets", "trees"}
     # the reader sees both import forms the package uses

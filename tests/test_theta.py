@@ -241,8 +241,21 @@ def test_built_maps_are_well_typed():
 
 
 def test_hom_size_guard():
-    with pytest.raises(SizeGuardError):
-        hom(globe(1), globe(1), max_size=1)
+    # six [[][][]] blocks: 1234567 maps, above DEFAULT_HOM_BOUND, so the
+    # set is read by index but never built whole
+    message = r"^hom would have 1234567 elements \(bound 1000000\)$"
+    fresh = HomSet(globe(2), wide_target(6))
+    for hs in (fresh, hom(globe(2), wide_target(6))):
+        built = dict(hs._got)
+        with pytest.raises(SizeGuardError, match=message):
+            iter(hs)
+        with pytest.raises(SizeGuardError, match=message):
+            hs[:]
+        assert hs._got == built
+    assert fresh._got == {}
+    assert len(fresh) == 1234567
+    assert fresh[-1] is fresh[1234566] and fresh[-1].phi == (6, 6)
+    assert len(fresh[:3]) == 3
 
 
 def test_oracle_equivalence_small():
