@@ -300,6 +300,24 @@ def test_chi_check_unit_constraint_flagged():
     assert not by_item[6]["ok"]
 
 
+def test_chi_check_witnesses_both_sides_in_order():
+    # one 2-cell f => g and every composite chosen as i: each whiskering of
+    # it and each unit constraint fails on both sides
+    ones = {"f": "a", "g": "a", "i": "a"}
+    X = FinGlobSet(2, [["a"], list(ones), ["c"]], [{}, ones, {"c": "f"}], [{}, ones, {"c": "g"}])
+    structure = {"comp1": {(x, y): "i" for x in ones for y in ones}, "id1": {"a": "i"}}
+    by_item = {r["item"]: r for r in chi_check(X, structure)}
+    assert by_item[3]["witnesses"] == [
+        (side, "f", "g", h) for h in ("f", "g", "i") for side in ("right", "left")
+    ]
+    assert by_item[6]["witnesses"] == [
+        (side, f, pair)
+        for f in ("f", "g", "i")
+        for side in ("pre-unit", "post-unit")
+        for pair in (("i", f), (f, "i"))
+    ]
+
+
 def test_chi_check_rejects_ill_typed_tables():
     X = realize(globe(2))
     with pytest.raises(TypingError):
