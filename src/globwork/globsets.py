@@ -12,6 +12,7 @@ parallel pairs, bucketed by image.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from .errors import DomainError, TypingError
 from .trees import Tree, cells as tree_cells, dim as tree_dim, face, globe
@@ -120,11 +121,13 @@ class GlobMap:
                 if self.maps[k][c] not in cod_cells:
                     raise TypingError(f"image of {c!r} is not a cell")
         for k in range(1, self.dom.n + 1):
+            here, below = self.maps[k], self.maps[k - 1]
+            sides = (("src", self.dom.src[k], self.cod.src[k]), ("tgt", self.dom.tgt[k], self.cod.tgt[k]))
             for c in self.dom.cells[k]:
-                if self.cod.src[k][self.maps[k][c]] != self.maps[k - 1][self.dom.src[k][c]]:
-                    raise TypingError(f"src not preserved at {c!r}")
-                if self.cod.tgt[k][self.maps[k][c]] != self.maps[k - 1][self.dom.tgt[k][c]]:
-                    raise TypingError(f"tgt not preserved at {c!r}")
+                x = here[c]
+                for name, dom_side, cod_side in sides:
+                    if cod_side[x] != below[dom_side[c]]:
+                        raise TypingError(f"{name} not preserved at {c!r}")
 
     def __eq__(self, other):
         return (
@@ -417,71 +420,54 @@ def factor_bij_ff(f: GlobMap, m: int):
     return GlobMap(X, W, h_maps), GlobMap(W, Y, g_maps)
 
 
-def find_lifts(i: GlobMap, p: GlobMap, top: GlobMap, bottom: GlobMap):
-    """All diagonals d with d.i = top and p.d = bottom.
+def check_orthogonal(i: GlobMap, p: GlobMap, top: GlobMap, bottom: GlobMap) -> GlobMap:
+    """The unique filler of a (bij_m, ff_m) lifting square.
 
-    Exhaustive search over dimensionwise assignments, pruned by the square
-    and by src/tgt commutation with the layers already placed.
+    Diagonals d (d.i = top, p.d = bottom) are built level by level: a
+    k-cell b of B may go to the k-cells x of X with p(x) = bottom(b) whose
+    source and target are the images of b's, one bucket of X_k, or only to
+    top(a) if b = i(a).  The choices within a level are independent, and
+    the search stops at the second diagonal.
     """
-    A, B = i.dom, i.cod
-    X = p.dom
+    A, B, X = i.dom, i.cod, p.dom
     if top.dom != A or bottom.dom != B or top.cod != X or bottom.cod != p.cod:
         raise TypingError("square does not type-check")
+    forced = [{} for _ in range(B.n + 1)]
+    clash = False  # two cells of A with one image in B and two in X
     for k in range(A.n + 1):
         for c in A.cells[k]:
-            if p.maps[k][top.maps[k][c]] != bottom.maps[k][i.maps[k][c]]:
+            b, x = i.maps[k][c], top.maps[k][c]
+            if p.maps[k][x] != bottom.maps[k][b]:
                 raise TypingError("square does not commute")
+            clash = clash or forced[k].setdefault(b, x) != x
+    buckets = [{} for _ in range(B.n + 1)]
+    for k in range(min(B.n, X.n) + 1):
+        if len(forced[k]) < len(B.cells[k]):  # some k-cell of B is free
+            for x in X.cells[k]:
+                ends = (X.src[k][x], X.tgt[k][x]) if k else ()
+                buckets[k].setdefault((p.maps[k][x], *ends), []).append(x)
 
-    results = []
-
-    def go(k, layers):
+    def lifts(k, layers):
         if k > B.n:
-            results.append(GlobMap(B, X, [dict(m) for m in layers]))
+            yield GlobMap(B, X, layers)
             return
-        forced = {}
-        if k <= A.n:
-            for c in A.cells[k]:
-                b, v = i.maps[k][c], top.maps[k][c]
-                if forced.setdefault(b, v) != v:
-                    return
         options = []
         for b in B.cells[k]:
-            cands = []
-            for x in X.cells[k] if k <= X.n else ():
-                if p.maps[k][x] != bottom.maps[k][b]:
-                    continue
-                if b in forced and forced[b] != x:
-                    continue
-                if k >= 1 and (
-                    X.src[k][x] != layers[k - 1][B.src[k][b]]
-                    or X.tgt[k][x] != layers[k - 1][B.tgt[k][b]]
-                ):
-                    continue
-                cands.append(x)
-            options.append((b, cands))
+            ends = (layers[k - 1][B.src[k][b]], layers[k - 1][B.tgt[k][b]]) if k else ()
+            if b in forced[k]:  # b = i(a): top(a), if its faces fit
+                x = forced[k][b]
+                options.append([x] if not k or (X.src[k][x], X.tgt[k][x]) == ends else [])
+            else:
+                options.append(buckets[k].get((bottom.maps[k][b], *ends), []))
+        for choice in itertools.product(*options):
+            yield from lifts(k + 1, layers + [dict(zip(B.cells[k], choice))])
 
-        def assign(idx, layer):
-            if idx == len(options):
-                go(k + 1, layers + [layer])
-                return
-            b, cands = options[idx]
-            for x in cands:
-                assign(idx + 1, {**layer, b: x})
-
-        assign(0, {})
-
-    go(0, [])
-    return results
-
-
-def check_orthogonal(i: GlobMap, p: GlobMap, top: GlobMap, bottom: GlobMap) -> GlobMap:
-    """The unique filler of a (bij_m, ff_m) lifting square."""
-    lifts = find_lifts(i, p, top, bottom)
-    if not lifts:
+    found = [] if clash else list(itertools.islice(lifts(0, []), 2))
+    if not found:
         raise DomainError("no filler: orthogonality violated")
-    if len(lifts) > 1:
+    if len(found) > 1:
         raise DomainError("filler is not unique: orthogonality violated")
-    return lifts[0]
+    return found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -567,14 +553,12 @@ def chi_check(X: FinGlobSet, structure: dict) -> list:
     bad = []
     for (f, g) in rel:
         for h in X.cells[1]:
-            if X.src[1][h] == X.tgt[1][f]:
-                fh, gh = comp1.get((f, h)), comp1.get((g, h))
-                if fh is not None and gh is not None and (fh, gh) not in rel:
-                    bad.append(("right", f, g, h))
-            if X.tgt[1][h] == X.src[1][f]:
-                hf, hg = comp1.get((h, f)), comp1.get((h, g))
-                if hf is not None and hg is not None and (hf, hg) not in rel:
-                    bad.append(("left", f, g, h))
+            # right: f.h and g.h, left: h.f and h.g
+            for side, near, far, order in (("right", X.src, X.tgt, 1), ("left", X.tgt, X.src, -1)):
+                if near[1][h] == far[1][f]:
+                    wf, wg = (comp1.get((x, h)[::order]) for x in (f, g))
+                    if wf is not None and wg is not None and (wf, wg) not in rel:
+                        bad.append((side, f, g, h))
     item(3, not bad, bad, "whiskered 2-cells exist")
 
     # (4) identity 1-cells
@@ -594,17 +578,13 @@ def chi_check(X: FinGlobSet, structure: dict) -> list:
     # (6) unit constraints (nonemptiness)
     bad = []
     for f in X.cells[1]:
-        a, b = X.src[1][f], X.tgt[1][f]
-        if a in id1 and (id1[a], f) in comp1:
-            c = comp1[(id1[a], f)]
-            for pair in ((c, f), (f, c)):
-                if pair not in rel:
-                    bad.append(("pre-unit", f, pair))
-        if b in id1 and (f, id1[b]) in comp1:
-            c = comp1[(f, id1[b])]
-            for pair in ((c, f), (f, c)):
-                if pair not in rel:
-                    bad.append(("post-unit", f, pair))
+        # pre: id(src f).f, post: f.id(tgt f)
+        for side, end, order in (("pre-unit", X.src, 1), ("post-unit", X.tgt, -1)):
+            a = end[1][f]
+            key = (id1.get(a), f)[::order]
+            if a in id1 and key in comp1:
+                c = comp1[key]
+                bad += [(side, f, pair) for pair in ((c, f), (f, c)) if pair not in rel]
     item(6, not bad, bad, "unit constraint 2-cells inhabit both directions")
 
     # (7) associators (nonemptiness)

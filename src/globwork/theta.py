@@ -188,8 +188,9 @@ class HomSet(Sequence):
     ``hs[i] is hs[i]``.  Iterating builds the whole set in one product
     pass, keeps the maps already handed out, and from then on holds one
     tuple in place of the per-index memo.  A set of more than
-    ``DEFAULT_HOM_BOUND`` maps is read by index only: iterating it, or a
-    slice that long, raises ``SizeGuardError`` before any map is built.
+    ``DEFAULT_HOM_BOUND`` maps is read by index only: iterating it (also
+    through ``reversed`` or ``index``), or a slice that long, raises
+    ``SizeGuardError`` before any map is built.
     """
 
     __slots__ = ("source", "target", "_len", "_got", "_table")
@@ -229,6 +230,13 @@ class HomSet(Sequence):
             got = self._got = tuple(maps)
             self._table = None
         return iter(got)
+
+    # Sequence's versions read every rank one by one, past the bound
+    def __reversed__(self):
+        return reversed(tuple(self))
+
+    def index(self, *args):
+        return tuple(self).index(*args)
 
     def _phis(self):
         """Each phi in lexicographic order, with the child hom sets of

@@ -132,7 +132,7 @@ def test_criterion_3_category_laws():
 
 def test_criterion_4_homogeneous_globular_factorization():
     with criterion(4, "homogeneous-globular factorization, unique", 120.0):
-        small = list(all_trees(4))
+        small = list(all_trees(5))
         for S in small:
             for T in small:
                 for f in hom(S, T):

@@ -1,5 +1,8 @@
+import collections
 import functools
 import random
+import re
+import time
 
 import pytest
 
@@ -101,6 +104,14 @@ def test_spheres():
     assert sphere(0).counts() == (2,)
     assert sphere(1).counts() == (2, 2)
     assert sphere(2).counts() == (2, 2, 2)
+
+
+def test_map_refuses_a_broken_boundary():
+    D1 = globe_set(1)
+    (a0, a1), (e,) = D1.cells
+    for points, side in (({a0: a1, a1: a0}, "src"), ({a0: a0, a1: a0}, "tgt")):
+        with pytest.raises(TypingError, match=f"^{re.escape(f'{side} not preserved at {e!r}')}$"):
+            GlobMap(D1, D1, [points, {e: e}])
 
 
 def test_boundary_inclusion_commutes():
@@ -591,3 +602,138 @@ def test_factorization_matches_the_pair_scan():
         assert gs.is_m_fully_faithful(f, m) == ff_by_pair_scan(f, m)
         assert gs.is_m_fully_faithful(g, m) == ff_by_pair_scan(g, m)
     assert len(cases) >= 800 and answers == {True, False}
+
+
+def find_lifts(i, p, top, bottom):
+    """All diagonals d with d.i = top and p.d = bottom.
+
+    Exhaustive search over dimensionwise assignments, pruned by the square
+    and by src/tgt commutation with the layers already placed.
+    """
+    A, B = i.dom, i.cod
+    X = p.dom
+    if top.dom != A or bottom.dom != B or top.cod != X or bottom.cod != p.cod:
+        raise TypingError("square does not type-check")
+    for k in range(A.n + 1):
+        for c in A.cells[k]:
+            if p.maps[k][top.maps[k][c]] != bottom.maps[k][i.maps[k][c]]:
+                raise TypingError("square does not commute")
+
+    results = []
+
+    def go(k, layers):
+        if k > B.n:
+            results.append(GlobMap(B, X, [dict(m) for m in layers]))
+            return
+        forced = {}
+        if k <= A.n:
+            for c in A.cells[k]:
+                b, v = i.maps[k][c], top.maps[k][c]
+                if forced.setdefault(b, v) != v:
+                    return
+        options = []
+        for b in B.cells[k]:
+            cands = []
+            for x in X.cells[k] if k <= X.n else ():
+                if p.maps[k][x] != bottom.maps[k][b]:
+                    continue
+                if b in forced and forced[b] != x:
+                    continue
+                if k >= 1 and (
+                    X.src[k][x] != layers[k - 1][B.src[k][b]]
+                    or X.tgt[k][x] != layers[k - 1][B.tgt[k][b]]
+                ):
+                    continue
+                cands.append(x)
+            options.append((b, cands))
+
+        def assign(idx, layer):
+            if idx == len(options):
+                go(k + 1, layers + [layer])
+                return
+            b, cands = options[idx]
+            for x in cands:
+                assign(idx + 1, {**layer, b: x})
+
+        assign(0, {})
+
+    go(0, [])
+    return results
+
+
+def orthogonal_by_search(i, p, top, bottom):
+    """``check_orthogonal`` read off the list of every diagonal."""
+    lifts = find_lifts(i, p, top, bottom)
+    if not lifts:
+        raise DomainError("no filler: orthogonality violated")
+    if len(lifts) > 1:
+        raise DomainError("filler is not unique: orthogonality violated")
+    return lifts[0]
+
+
+def lift_outcome(check, square):
+    """("unique", d), ("none" | "not unique", message), or the typing error."""
+    try:
+        return "unique", check(*square)
+    except DomainError as e:
+        return ("none" if str(e).startswith("no filler") else "not unique"), str(e)
+    except TypingError as e:
+        return TypingError, str(e)
+
+
+def test_lifts_match_the_exhaustive_search():
+    squares = [(h, g, h, g) for h, g in (factor_bij_ff(f, m) for f, m in criterion_5_maps())]
+    # squares outside the factorization system: f against itself; for
+    # random i (from the empty set or from a random A) and p, the square
+    # induced by a map w : B -> X, and the same top with a random bottom
+    squares += [(f, f, identity_map(f.dom), identity_map(f.cod)) for f, _ in criterion_5_maps()]
+    rng = random.Random(1919)
+    while len(squares) < 2400:
+        A, B, X, Y = (gs.random_finglobset(rng, n=2, max_cells=3) for _ in range(4))
+        i = GlobMap(EMPTY, B, []) if rng.random() < 0.3 else gs.random_globmap(rng, A, B)
+        p, w = gs.random_globmap(rng, X, Y), gs.random_globmap(rng, B, X)
+        if i is None or p is None or w is None:
+            continue
+        squares.append((i, p, i.then(w), w.then(p)))
+        bottom = gs.random_globmap(rng, B, Y)
+        if bottom is not None:
+            squares.append((i, p, i.then(w), bottom))
+    # a square that does not type-check, and one whose diagonal would land
+    # in a lower truncation
+    f = squares[0][0]
+    squares.append((f, f, identity_map(f.cod), identity_map(f.dom)))
+    D0 = globe_set(0)
+    B = Y = gs.pad_to(D0, 1)
+    ident = [{c: c for c in D0.cells[0]}]
+    squares.append((GlobMap(EMPTY, B, []), GlobMap(D0, Y, ident), GlobMap(EMPTY, D0, []), GlobMap(B, Y, ident + [{}])))
+    seen = collections.Counter()
+    for square in squares:
+        outcome = lift_outcome(check_orthogonal, square)
+        assert outcome == lift_outcome(orthogonal_by_search, square)
+        seen[outcome[0] if outcome[0] is not TypingError else outcome[1]] += 1
+    assert min(seen[v] for v in ("none", "unique", "not unique", "square does not commute")) >= 40, seen
+    assert seen["square does not type-check"] == seen["codomain truncation too small"] == 1
+
+
+def test_many_lifts_stop_at_the_second(monkeypatch):
+    # 40 points over a two-point fibre: 2**40 diagonals, two of them built
+    D0 = globe_set(0)
+    B = colimit({("b", j): D0 for j in range(40)}, []).obj
+    X = colimit({"x": D0, "y": D0}, []).obj
+    pt = D0.cells[0][0]
+    i = GlobMap(EMPTY, B, [])
+    p = GlobMap(X, D0, [dict.fromkeys(X.cells[0], pt)])
+    bottom = GlobMap(B, D0, [dict.fromkeys(B.cells[0], pt)])
+    built = []
+
+    class CountedGlobMap(GlobMap):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gs, "GlobMap", CountedGlobMap)
+    start = time.monotonic()
+    with pytest.raises(DomainError, match=r"^filler is not unique: orthogonality violated$"):
+        check_orthogonal(i, p, GlobMap(EMPTY, X, []), bottom)
+    assert time.monotonic() - start < 1.0
+    assert len(built) == 2

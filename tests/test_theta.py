@@ -258,6 +258,25 @@ def test_hom_size_guard():
     assert len(fresh[:3]) == 3
 
 
+def test_hom_size_guard_covers_reversed_and_index(monkeypatch):
+    # reversed and index read the whole set, so they meet the bound first
+    monkeypatch.setattr(theta, "DEFAULT_HOM_BOUND", 10)
+    hs = HomSet(globe(1), wide_target(2))
+    assert len(hs) == 27
+    message = r"^hom would have 27 elements \(bound 10\)$"
+    with pytest.raises(SizeGuardError, match=message):
+        reversed(hs)
+    with pytest.raises(SizeGuardError, match=message):
+        hs.index(object())
+    assert hs._got == {}
+    monkeypatch.setattr(theta, "DEFAULT_HOM_BOUND", 27)
+    maps = tuple(HomSet(globe(1), wide_target(2)))
+    assert tuple(reversed(hs)) == maps[::-1]
+    assert [hs.index(f) for f in maps] == list(range(27))
+    with pytest.raises(ValueError):
+        hs.index(object())
+
+
 def test_oracle_equivalence_small():
     for T in SMALL_TREES:
         for k in range(4):
