@@ -56,14 +56,6 @@ class FinGlobSet:
             for c in self.cells[k]:
                 yield k, c
 
-    def iterated(self, k, c, steps, which):
-        mp = self.src if which == "s" else self.tgt
-        d = k
-        for _ in range(steps):
-            c = mp[d][c]
-            d -= 1
-        return c
-
     def __eq__(self, other):
         return (
             isinstance(other, FinGlobSet)
@@ -75,25 +67,6 @@ class FinGlobSet:
 
     def __repr__(self):
         return f"FinGlobSet(n={self.n}, counts={self.counts()})"
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "cells": [[repr(c) for c in layer] for layer in self.cells],
-            "src": [sorted([repr(c), repr(v)] for c, v in d.items()) for d in self.src],
-            "tgt": [sorted([repr(c), repr(v)] for c, v in d.items()) for d in self.tgt],
-        }
-
-    def dot_1_skeleton(self):
-        lines = ["digraph skel {"]
-        names = {c: f"v{i}" for i, c in enumerate(self.cells[0])} if self.n >= 0 else {}
-        for c, nm in names.items():
-            lines.append(f'  {nm} [label="{c}"];')
-        if self.n >= 1:
-            for e in self.cells[1]:
-                lines.append(f'  {names[self.src[1][e]]} -> {names[self.tgt[1][e]]} [label="{e}"];')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 EMPTY = FinGlobSet(-1, (), (), ())
@@ -348,16 +321,9 @@ def pad_map(f: GlobMap, n: int) -> GlobMap:
 
 
 def is_m_bijective(f: GlobMap, m: int) -> bool:
-    for k in range(m + 1):
-        if k > f.cod.n:
-            break
-        if k > f.dom.n:
-            if f.cod.cells[k]:
-                return False
-            continue
-        if not f.is_bijective_at(k):
-            return False
-    return True
+    if f.dom.n < f.cod.n:
+        f = pad_map(f, f.cod.n)
+    return all(f.is_bijective_at(k) for k in range(min(m, f.cod.n) + 1))
 
 
 def _pullback(Y: FinGlobSet, k: int, below, image: dict, src: dict, tgt: dict):
@@ -427,7 +393,8 @@ def check_orthogonal(i: GlobMap, p: GlobMap, top: GlobMap, bottom: GlobMap) -> G
     k-cell b of B may go to the k-cells x of X with p(x) = bottom(b) whose
     source and target are the images of b's, one bucket of X_k, or only to
     top(a) if b = i(a).  The choices within a level are independent, and
-    the search stops at the second diagonal.
+    the search stops at the second diagonal.  A free cell of B whose image
+    under bottom has an empty fibre in X refutes the square up front.
     """
     A, B, X = i.dom, i.cod, p.dom
     if top.dom != A or bottom.dom != B or top.cod != X or bottom.cod != p.cod:
@@ -441,11 +408,14 @@ def check_orthogonal(i: GlobMap, p: GlobMap, top: GlobMap, bottom: GlobMap) -> G
                 raise TypingError("square does not commute")
             clash = clash or forced[k].setdefault(b, x) != x
     buckets = [{} for _ in range(B.n + 1)]
-    for k in range(min(B.n, X.n) + 1):
+    for k in range(B.n + 1):
         if len(forced[k]) < len(B.cells[k]):  # some k-cell of B is free
-            for x in X.cells[k]:
+            for x in X.cells[k] if k <= X.n else ():
                 ends = (X.src[k][x], X.tgt[k][x]) if k else ()
                 buckets[k].setdefault((p.maps[k][x], *ends), []).append(x)
+            # a diagonal sends each free b into the fibre of p over bottom(b)
+            images = {bottom.maps[k][b] for b in B.cells[k] if b not in forced[k]}
+            clash = clash or not images <= {key[0] for key in buckets[k]}
 
     def lifts(k, layers):
         if k > B.n:
@@ -474,25 +444,20 @@ def check_orthogonal(i: GlobMap, p: GlobMap, top: GlobMap, bottom: GlobMap) -> G
 # loop space
 
 def loopspace(X: FinGlobSet, a, b) -> FinGlobSet:
+    """The loop space of X at (a, b): the 1-cells a -> b, then level by
+    level the cells whose source lies one level below (by globularity so
+    does their target), each one dimension down."""
     if X.n < 0 or a not in set(X.cells[0]) or b not in set(X.cells[0]):
         raise DomainError("loopspace needs two 0-cells of X")
-    n = X.n - 1
-    cells = [[] for _ in range(n + 1)]
-    for k in range(n + 1):
-        for x in X.cells[k + 1]:
-            if X.iterated(k + 1, x, k + 1, "s") == a and X.iterated(k + 1, x, k + 1, "t") == b:
-                cells[k].append(x)
-    keep = [set(c) for c in cells]
-    src = [dict() for _ in range(n + 1)]
-    tgt = [dict() for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        for x in cells[k]:
-            s, t = X.src[k + 1][x], X.tgt[k + 1][x]
-            if s not in keep[k - 1] or t not in keep[k - 1]:
-                raise TypingError("loopspace boundaries escaped the fiber")
-            src[k][x] = s
-            tgt[k][x] = t
-    return FinGlobSet(n, cells, src, tgt)
+    cells = [[f for f in X.cells[1] if X.src[1][f] == a and X.tgt[1][f] == b]] if X.n else []
+    for k in range(2, X.n + 1):
+        below = set(cells[-1])
+        cells.append([x for x in X.cells[k] if X.src[k][x] in below])
+    src, tgt = (
+        [{x: side[k + 1][x] for x in layer} if k else {} for k, layer in enumerate(cells)]
+        for side in (X.src, X.tgt)
+    )
+    return FinGlobSet(X.n - 1, cells, src, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -525,24 +490,26 @@ def chi_check(X: FinGlobSet, structure: dict) -> list:
     def item(number, ok, witnesses, detail):
         report.append({"item": number, "ok": ok, "witnesses": witnesses, "detail": detail})
 
+    starting = {}  # 0-cell -> the 1-cells out of it, in cell order
+    for f in X.cells[1]:
+        starting.setdefault(X.src[1][f], []).append(f)
+    pairs = [(f, g) for f in X.cells[1] for g in starting.get(X.tgt[1][f], ())]
+    # the 2-cell boundary pairs as an ordered set: witnesses follow the
+    # order of the 2-cells, not of the hash
+    rel = dict.fromkeys((X.src[2][c], X.tgt[2][c]) for c in X.cells[2])
+
     # (1) composition of 1-cells
     bad = []
-    for f in X.cells[1]:
-        for g in X.cells[1]:
-            if X.tgt[1][f] != X.src[1][g]:
-                continue
-            h = comp1.get((f, g))
-            if h is None:
-                bad.append((f, g, "missing"))
-            elif X.src[1][h] != X.src[1][f] or X.tgt[1][h] != X.tgt[1][g]:
-                bad.append((f, g, "bad boundary"))
+    for f, g in pairs:
+        h = comp1.get((f, g))
+        if h is None:
+            bad.append((f, g, "missing"))
+        elif X.src[1][h] != X.src[1][f] or X.tgt[1][h] != X.tgt[1][g]:
+            bad.append((f, g, "bad boundary"))
     item(1, not bad, bad, "composites for all composable pairs")
 
     # (2) vertical composition of 2-cells (transitivity of inhabitation)
     bad = []
-    rel = set()
-    for c in X.cells[2]:
-        rel.add((X.src[2][c], X.tgt[2][c]))
     for (f, g) in rel:
         for (g2, h) in rel:
             if g2 == g and (f, h) not in rel:
@@ -589,23 +556,18 @@ def chi_check(X: FinGlobSet, structure: dict) -> list:
 
     # (7) associators (nonemptiness)
     bad = []
-    for f in X.cells[1]:
-        for g in X.cells[1]:
-            if X.tgt[1][f] != X.src[1][g]:
+    for f, g in pairs:
+        for h in starting.get(X.tgt[1][g], ()):
+            fg = comp1.get((f, g))
+            gh = comp1.get((g, h))
+            if fg is None or gh is None:
                 continue
-            for h in X.cells[1]:
-                if X.tgt[1][g] != X.src[1][h]:
-                    continue
-                fg = comp1.get((f, g))
-                gh = comp1.get((g, h))
-                if fg is None or gh is None:
-                    continue
-                left = comp1.get((fg, h))
-                right = comp1.get((f, gh))
-                if left is None or right is None:
-                    continue
-                if (left, right) not in rel or (right, left) not in rel:
-                    bad.append((f, g, h))
+            left = comp1.get((fg, h))
+            right = comp1.get((f, gh))
+            if left is None or right is None:
+                continue
+            if (left, right) not in rel or (right, left) not in rel:
+                bad.append((f, g, h))
     item(7, not bad, bad, "associator 2-cells inhabit both directions")
     return report
 

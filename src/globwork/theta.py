@@ -171,8 +171,6 @@ def hom_count(S: Tree, T: Tree) -> int:
         for i in range(m):
             for j in range(phi[i] + 1, phi[i + 1] + 1):
                 prod *= hom_count(S.children[i], T.children[j - 1])
-                if prod == 0:
-                    break
         total += prod
     return total
 
@@ -249,18 +247,16 @@ class HomSet(Sequence):
             ]
 
     def _blocks(self):
-        """(start ranks, entries): one entry per phi with at least one
-        map, holding phi, its blocks and the (child, size) radices, last
-        component first."""
+        """(start ranks, entries): one entry per phi (every hom set holds
+        the constant maps, so no run is empty), holding phi, its blocks and
+        the (child, size) radices, last component first."""
         if self._table is None:
             starts, entries, start = [], [], 0
             for phi, blocks in self._phis():
                 radices = tuple((h, len(h)) for block in reversed(blocks) for h in reversed(block))
-                size = math.prod(n for _, n in radices)
-                if size:
-                    starts.append(start)
-                    entries.append((phi, blocks, radices))
-                    start += size
+                starts.append(start)
+                entries.append((phi, blocks, radices))
+                start += math.prod(n for _, n in radices)
             self._table = (starts, entries)
         return self._table
 

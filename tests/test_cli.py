@@ -208,6 +208,69 @@ def test_theory_file_rejects_malformed_items(tmp_path, capsys, patch, message):
     assert len(err.splitlines()) == 1 and err.startswith("error: " + message), err
 
 
+C1_CELL = {"op": "c1", "args": {"cells": [{"leaf": 0}, {"leaf": 1}]}}
+
+
+def op_cell_spec(tmp_path, cell):
+    """A spec adjoining a 2-operation on [[][]] with ``cell`` on both sides."""
+    item = {"name": "cc", "arity": "[[][]]", "k": 2, "src": {"cells": [cell]}, "tgt": {"cells": [cell]}}
+    f = tmp_path / "spec.json"
+    f.write_text(json.dumps({"batches": [[item]]}))
+    return str(f)
+
+
+def test_theory_file_adjoins_an_operation_cell(tmp_path, capsys):
+    assert main(["theory", "build", "--file", op_cell_spec(tmp_path, C1_CELL), "--json"]) == 0
+    stages = json.loads(capsys.readouterr().out)["stages"]
+    assert stages["2"][-1] == {
+        "arity": "[[][]]", "dim": 2, "equation": False, "image": "(0,2)[(0,0);(0,0)]", "name": "cc"
+    }
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        (dict(C1_CELL, op="nope"), "unknown operation symbol 'nope'"),
+        ({"op": "c1"}, "malformed --file: KeyError: 'args'"),
+        (dict(C1_CELL, args={"cells": [{"leaf": 0}]}), "term needs one entry per source leaf"),
+    ],
+    ids=["unknown-op", "no-args", "one-argument"],
+)
+def test_theory_file_refuses_a_bad_operation_cell(tmp_path, capsys, cell, message):
+    assert main(["theory", "build", "--file", op_cell_spec(tmp_path, cell)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (["theta", "homogeneous", "D1", "[[][]]", "--index", "2"], 0, "True\n"),
+        (["theta", "homogeneous", "D1", "[[][]]", "--index", "4", "--json"], 0, "false\n"),
+        (["theta", "hom", "D1", "D1"], 0, "0: (0,0)\n1: (0,1)[(0)]\n2: (1,1)\n"),
+        (["theta", "filler", "D1", "D2", "--index", "0", "--second", "1"], 1, "no filler\n"),
+        (["theta", "admissible", "D1", "[[][]]", "--index", "0", "--second", "3", "--kind", "categorical"], 0, "False\n"),
+    ],
+    ids=["homogeneous", "not-homogeneous-json", "hom-listing", "no-filler", "not-admissible"],
+)
+def test_theta_actions_print_their_answer(argv, code, out, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["theta", "factor", "D1", "D2"], "need --index or --map"),
+        (["cyl", "stack", "--k", "3"], "stacks are built for operations of dimension 1 and 2"),
+        (["cyl", "stack", "--k", "1", "--tree", "[[[]]]"], "no homogeneous operations into that sum"),
+    ],
+    ids=["factor-without-a-map", "stack-of-dimension-3", "stack-with-no-operation"],
+)
+def test_domain_refusals_print_one_line(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_cyl_present(capsys):
     code, out = run(capsys, "cyl", "present", "--k", "2")
     assert code == 0

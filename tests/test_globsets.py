@@ -1,5 +1,6 @@
 import collections
 import functools
+import itertools
 import random
 import re
 import time
@@ -9,7 +10,7 @@ import pytest
 from globwork.errors import DomainError, TypingError
 from globwork import globsets as gs
 from globwork.computads import Computad, find_computad_iso
-from globwork.trees import all_trees, globe, parse_tree, suspend
+from globwork.trees import all_trees, dim, globe, parse_tree, suspend
 from globwork.globsets import (
     EMPTY,
     FinGlobSet,
@@ -329,6 +330,25 @@ def test_chi_check_witnesses_both_sides_in_order():
     ]
 
 
+def cyclic_checklist():
+    """chi_check on 2-cells f => g, g => i and i => f (named so that they
+    sort in that order) with every composite chosen as i."""
+    ones = {"f": "a", "g": "a", "i": "a"}
+    rel = {"fg": ("f", "g"), "gi": ("g", "i"), "if": ("i", "f")}
+    X = FinGlobSet(
+        2,
+        [["a"], list(ones), list(rel)],
+        [{}, ones, {c: s for c, (s, _) in rel.items()}],
+        [{}, ones, {c: t for c, (_, t) in rel.items()}],
+    )
+    return chi_check(X, {"comp1": {(x, y): "i" for x in ones for y in ones}, "id1": {"a": "i"}})
+
+
+def test_chi_check_reports_in_cell_order():
+    by_item = {r["item"]: r for r in cyclic_checklist()}
+    assert by_item[2]["witnesses"][:2] == [("f", "g", "i"), ("g", "i", "f")]
+
+
 def test_chi_check_rejects_ill_typed_tables():
     X = realize(globe(2))
     with pytest.raises(TypingError):
@@ -354,14 +374,6 @@ def test_bijective_closed_under_pushout():
                 assert gs.is_m_bijective(inj2, m)
                 done += 1
     assert done >= 10
-
-
-def test_json_and_dot_exports():
-    X = realize(NINE_TREE)
-    data = X.to_json()
-    assert data["n"] == 2
-    assert [len(layer) for layer in data["cells"]] == [3, 4, 2]
-    assert X.dot_1_skeleton().startswith("digraph")
 
 
 def test_orthogonal_lifting_on_induced_squares():
@@ -737,3 +749,192 @@ def test_many_lifts_stop_at_the_second(monkeypatch):
         check_orthogonal(i, p, GlobMap(EMPTY, X, []), bottom)
     assert time.monotonic() - start < 1.0
     assert len(built) == 2
+
+
+def test_empty_fibre_refutes_the_square_at_once():
+    # 20 free points and an edge b0 -> b1 over a point with a loop, against
+    # two points and no edge: the edge's fibre is empty, so none of the
+    # 2**20 choices on the points extends
+    Y = FinGlobSet(1, [["pt"], ["loop"]], [{}, {"loop": "pt"}], [{}, {"loop": "pt"}])
+    points = [("b", j) for j in range(20)]
+    B = FinGlobSet(1, [points, ["e"]], [{}, {"e": points[0]}], [{}, {"e": points[1]}])
+    X = FinGlobSet(1, [["x", "y"], []], [{}, {}], [{}, {}])
+    p = GlobMap(X, Y, [dict.fromkeys(X.cells[0], "pt"), {}])
+    bottom = GlobMap(B, Y, [dict.fromkeys(points, "pt"), {"e": "loop"}])
+    start = time.monotonic()
+    with pytest.raises(DomainError, match=r"^no filler: orthogonality violated$"):
+        check_orthogonal(GlobMap(EMPTY, B, []), p, GlobMap(EMPTY, X, []), bottom)
+    assert time.monotonic() - start < 0.5
+
+
+def loopspace_by_filter(X, a, b):
+    """The loop space filtered out of X: the (k+1)-cells whose iterated
+    source is a and iterated target is b, with each boundary checked to
+    stay inside."""
+
+    def iterated(side, k, x):
+        for d in range(k, 0, -1):
+            x = side[d][x]
+        return x
+
+    if X.n < 0 or a not in set(X.cells[0]) or b not in set(X.cells[0]):
+        raise DomainError("loopspace needs two 0-cells of X")
+    n = X.n - 1
+    cells = [
+        [x for x in X.cells[k + 1] if iterated(X.src, k + 1, x) == a and iterated(X.tgt, k + 1, x) == b]
+        for k in range(n + 1)
+    ]
+    src = [dict() for _ in range(n + 1)]
+    tgt = [dict() for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        for x in cells[k]:
+            s, t = X.src[k + 1][x], X.tgt[k + 1][x]
+            if s not in cells[k - 1] or t not in cells[k - 1]:
+                raise TypingError("loopspace boundaries escaped the fiber")
+            src[k][x], tgt[k][x] = s, t
+    return FinGlobSet(n, cells, src, tgt)
+
+
+def test_loopspace_matches_the_filter():
+    rng = random.Random(2020)
+    spaces = [realize(t) for t in all_trees(6)]
+    spaces += [gs.random_finglobset(rng, n=rng.randint(0, 3), max_cells=5) for _ in range(1500)]
+    sizes = collections.Counter()
+    for X in spaces:
+        for a in X.cells[0]:
+            for b in X.cells[0]:
+                L = loopspace(X, a, b)
+                assert L == loopspace_by_filter(X, a, b)
+                sizes[L.n, sum(L.counts()) > 0] += 1
+    # every truncation occurs, empty and (from n = 0 on) not
+    assert {(-1, False)} | {(n, full) for n in range(3) for full in (False, True)} <= set(sizes), sizes
+
+
+def is_m_bijective_by_levels(f, m):
+    """Bijective through dimension m, read level by level on the unpadded
+    map: a level above the domain's truncation must be empty."""
+    for k in range(m + 1):
+        if k > f.cod.n:
+            break
+        if k > f.dom.n:
+            if f.cod.cells[k]:
+                return False
+            continue
+        if not f.is_bijective_at(k):
+            return False
+    return True
+
+
+def test_is_m_bijective_matches_the_level_scan():
+    rng = random.Random(7373)
+    answers = collections.Counter()
+    done = 0
+    while done < 400:
+        X = gs.random_finglobset(rng, n=rng.randint(0, 2), max_cells=3)
+        Y = gs.random_finglobset(rng, n=rng.randint(X.n + 1, 3), max_cells=3)
+        maps = [gs.random_globmap(rng, X, Y), GlobMap(X, gs.pad_to(X, Y.n), identity_map(X).maps)]
+        for f in filter(None, maps):
+            for m in range(5):
+                answer = gs.is_m_bijective(f, m)
+                assert answer == is_m_bijective_by_levels(f, m)
+                answers[answer] += 1
+        done += 1
+    assert answers[True] >= 100 and answers[False] >= 100
+
+
+def chi_check_by_filter(X, structure):
+    """``chi_check`` (without its table checks) over nested filters of all
+    pairs and triples of 1-cells, the 2-cell boundary pairs kept as a set."""
+    comp1, id1 = dict(structure.get("comp1", {})), dict(structure.get("id1", {}))
+    src, tgt, ones = X.src[1], X.tgt[1], X.cells[1]
+    rel = {(X.src[2][c], X.tgt[2][c]) for c in X.cells[2]}
+    report = []
+
+    def item(number, bad, detail):
+        report.append({"item": number, "ok": not bad, "witnesses": bad, "detail": detail})
+
+    bad = []
+    for f in ones:
+        for g in ones:
+            if tgt[f] == src[g]:
+                h = comp1.get((f, g))
+                if h is None:
+                    bad.append((f, g, "missing"))
+                elif src[h] != src[f] or tgt[h] != tgt[g]:
+                    bad.append((f, g, "bad boundary"))
+    item(1, bad, "composites for all composable pairs")
+    bad = [(f, g, h) for f, g in rel for g2, h in rel if g2 == g and (f, h) not in rel]
+    item(2, bad, "2-cell inhabitation closed under vertical pasting")
+    bad = []
+    for f, g in rel:
+        for h in ones:
+            for side, near, far, order in (("right", src, tgt, 1), ("left", tgt, src, -1)):
+                if near[h] == far[f]:
+                    wf, wg = (comp1.get((x, h)[::order]) for x in (f, g))
+                    if wf is not None and wg is not None and (wf, wg) not in rel:
+                        bad.append((side, f, g, h))
+    item(3, bad, "whiskered 2-cells exist")
+    bad = []
+    for a in X.cells[0]:
+        f = id1.get(a)
+        if f is None:
+            bad.append((a, "missing"))
+        elif src[f] != a or tgt[f] != a:
+            bad.append((a, "not an endo-cell"))
+    item(4, bad, "identity 1-cells chosen for every object")
+    item(5, [f for f in ones if (f, f) not in rel], "reflexive 2-cells on every 1-cell")
+    bad = []
+    for f in ones:
+        for side, end, order in (("pre-unit", src, 1), ("post-unit", tgt, -1)):
+            a = end[f]
+            key = (id1.get(a), f)[::order]
+            if a in id1 and key in comp1:
+                c = comp1[key]
+                bad += [(side, f, pair) for pair in ((c, f), (f, c)) if pair not in rel]
+    item(6, bad, "unit constraint 2-cells inhabit both directions")
+    bad = []
+    for f, g, h in itertools.product(ones, repeat=3):
+        if tgt[f] == src[g] and tgt[g] == src[h]:
+            fg, gh = comp1.get((f, g)), comp1.get((g, h))
+            if fg is not None and gh is not None:
+                left, right = comp1.get((fg, h)), comp1.get((f, gh))
+                if left is not None and right is not None:
+                    if (left, right) not in rel or (right, left) not in rel:
+                        bad.append((f, g, h))
+    item(7, bad, "associator 2-cells inhabit both directions")
+    return report
+
+
+def random_tables(rng, X):
+    """comp1 on most pairs of 1-cells (mostly a composite with the right
+    boundary, where one exists) and id1 on most 0-cells (mostly a loop)."""
+    ones = X.cells[1]
+    if not ones:
+        return {}
+    comp1, id1 = {}, {}
+    for f in ones:
+        for g in ones:
+            if rng.random() < 0.8:
+                fit = [h for h in ones if X.src[1][h] == X.src[1][f] and X.tgt[1][h] == X.tgt[1][g]]
+                comp1[f, g] = rng.choice(fit if fit and rng.random() < 0.8 else ones)
+    for a in X.cells[0]:
+        if rng.random() < 0.8:
+            loops = [f for f in ones if X.src[1][f] == X.tgt[1][f] == a]
+            id1[a] = rng.choice(loops if loops and rng.random() < 0.8 else ones)
+    return {"comp1": comp1, "id1": id1}
+
+
+def test_chi_check_matches_the_filter():
+    rng = random.Random(4747)
+    spaces = [realize(t) for t in all_trees(5) if dim(t) == 2]
+    spaces += [gs.random_finglobset(rng, n=2, max_cells=rng.randint(1, 6)) for _ in range(700)]
+    flagged = collections.Counter()
+    for X in spaces:
+        structure = random_tables(rng, X)
+        for got, want in zip(chi_check(X, structure), chi_check_by_filter(X, structure), strict=True):
+            if got["item"] in (2, 3):
+                assert collections.Counter(got.pop("witnesses")) == collections.Counter(want.pop("witnesses"))
+            assert got == want
+            flagged[got["item"], got["ok"]] += 1
+    # each item passes and fails somewhere
+    assert all(flagged[number, ok] for number in range(1, 8) for ok in (True, False)), flagged

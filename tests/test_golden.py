@@ -10,7 +10,12 @@ division and promotion composites, and the stacks and sum cylinders over
 the criterion-9 family (trees of at most 9 nodes, dimension at most 2, at
 most 5 leaves).  The two families are large, so each stack and each sum
 cylinder is pinned by a sha256 prefix of its full rendering; to see what
-changed, print the renderings from both versions and diff them.
+changed, print the renderings from both versions and diff them.  One
+more test renders every case, and the ``chi_check`` report of
+``cyclic_checklist`` (tests/test_globsets.py), in fresh interpreters under
+PYTHONHASHSEED 1 and 2 and compares the bytes with the goldens and the
+in-process report, so no output may follow the iteration order of a set
+of strings or tuples.
 
 Regenerate only for an intended change of output:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -20,7 +25,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -36,6 +44,7 @@ from globwork.theory import (
 )
 from globwork.theta import hom, is_homogeneous
 from globwork.trees import all_trees, dim, globe
+from test_globsets import cyclic_checklist
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 NINE_TREE = "[[[][]][]]"
@@ -219,6 +228,40 @@ CASES.update(
 def test_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_bytes()
     assert CASES[name]().encode() == expected
+
+
+# every golden, and the checklist whose witness order once followed the
+# hash of its 2-cell boundary pairs, rendered in a fresh interpreter
+RENDER_ALL = """
+import json
+import test_globsets, test_golden
+renders = {name: render() for name, render in test_golden.CASES.items()}
+renders["checklist"] = repr(test_globsets.cyclic_checklist())
+print(json.dumps(renders))
+"""
+
+
+def test_renders_do_not_depend_on_the_hash_seed():
+    here = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    procs = {
+        seed: subprocess.Popen(
+            [sys.executable, "-c", RENDER_ALL],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+        )
+        for seed in ("1", "2")
+    }
+    outputs = {seed: proc.communicate(timeout=300)[0] for seed, proc in procs.items()}
+    expected = {name: (GOLDEN / f"{name}.txt").read_bytes() for name in CASES}
+    expected["checklist"] = repr(cyclic_checklist()).encode()
+    for seed, proc in procs.items():
+        assert proc.returncode == 0, seed
+        renders = json.loads(outputs[seed])
+        assert sorted(renders) == sorted(expected)
+        for name, text in renders.items():
+            assert text.encode() == expected[name], (seed, name)
 
 
 if __name__ == "__main__":

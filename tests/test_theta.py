@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import math
 import random
 import time
 
@@ -55,6 +56,16 @@ def test_hom_enumeration_is_duplicate_free_and_counted():
             maps = hom(S, T)
             assert len(maps) == hom_count(S, T)
             assert len(set(maps)) == len(maps)
+
+
+def test_every_hom_set_holds_the_constant_maps():
+    # the T.arity + 1 constant maps make every hom set, and every run of
+    # ranks of one phi, nonempty: the rank table has one entry per phi
+    for S in all_trees(5):
+        for T in all_trees(5):
+            assert hom_count(S, T) >= T.arity + 1
+            starts, entries = HomSet(S, T)._blocks()
+            assert len(starts) == len(entries) == math.comb(T.arity + S.arity + 1, S.arity + 1)
 
 
 def hom_by_product(S, T, memo):
