@@ -12,6 +12,7 @@ import pytest
 from globwork import cli, steiner
 from globwork.cli import build_parser, main
 from globwork.cylinders import MAX_SUM_NODES
+from globwork.theory import groupoidalize, single, standard_library, zero_cell_pick
 from globwork.theta import compose, hg_factorize, hom, map_from_json, sigma_theta, tau_theta
 from globwork.trees import all_trees, globe, parse_tree
 
@@ -159,25 +160,55 @@ def test_theory_cofibs(capsys):
     assert "|I|=5 |J|=3" in out
 
 
+EXTRA_OP = {
+    "name": "extra_op",
+    "arity": "[[][]]",
+    "k": 1,
+    "src": {"cells": [{"leaf": 0, "chain": "s"}]},
+    "tgt": {"cells": [{"leaf": 1, "chain": "t"}]},
+}
+
+
 def test_theory_from_file(tmp_path, capsys):
-    spec = {
-        "batches": [
-            [
-                {
-                    "name": "extra_op",
-                    "arity": "[[][]]",
-                    "k": 1,
-                    "src": {"cells": [{"leaf": 0, "chain": "s"}]},
-                    "tgt": {"cells": [{"leaf": 1, "chain": "t"}]},
-                }
-            ]
-        ]
-    }
     f = tmp_path / "spec.json"
-    f.write_text(json.dumps(spec))
+    f.write_text(json.dumps({"batches": [[EXTRA_OP]]}))
     code, out = run(capsys, "theory", "build", "--file", str(f))
     assert code == 0
     assert "extra_op" in out
+
+
+def test_theory_build_reuses_the_tower_unchanged(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"batches": [[EXTRA_OP]]}))
+    _, first = run(capsys, "theory", "build", "--n", "3", "--json")
+    _, extended = run(capsys, "theory", "build", "--n", "3", "--json", "--file", str(spec))
+    assert "extra_op" in extended and "extra_op" not in first
+    _, again = run(capsys, "theory", "build", "--n", "3", "--json")
+    assert again == first
+
+
+def test_theory_build_defaults_to_n_3_after_another_n(capsys):
+    run(capsys, "theory", "build", "--n", "4")
+    _, out = run(capsys, "theory", "build")
+    assert out.splitlines()[0] == "categorical tower, n=3"
+
+
+def test_an_adjoin_on_a_tower_copy_stays_in_that_copy(capsys):
+    two = parse_tree("[[][]]")
+    th = cli._tower(3, True).copy()
+    th._adjoin("extra_op", two, 1, single(0, two, zero_cell_pick(two, 0)), single(0, two, zero_cell_pick(two, 2)))
+    assert "extra_op" not in cli._tower(3, True).copy().symbols
+    _, out = run(capsys, "theory", "build", "--groupoidalize")
+    assert "extra_op" not in out
+
+
+@pytest.mark.parametrize("groupoidal", [False, True])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_memoised_tower_reports_as_a_fresh_build(n, groupoidal):
+    fresh = standard_library(n)
+    if groupoidal:
+        fresh = groupoidalize(fresh)
+    assert cli.tower_report(cli._tower(n, groupoidal).copy()) == cli.tower_report(fresh)
 
 
 @pytest.mark.parametrize(
@@ -194,15 +225,8 @@ def test_theory_from_file(tmp_path, capsys):
     ids=str,
 )
 def test_theory_file_rejects_malformed_items(tmp_path, capsys, patch, message):
-    item = {
-        "name": "extra_op",
-        "arity": "[[][]]",
-        "k": 1,
-        "src": {"cells": [{"leaf": 0, "chain": "s"}]},
-        "tgt": {"cells": [{"leaf": 1, "chain": "t"}]},
-    }
     f = tmp_path / "spec.json"
-    f.write_text(json.dumps({"batches": [[dict(item, **patch)]]}))
+    f.write_text(json.dumps({"batches": [[dict(EXTRA_OP, **patch)]]}))
     assert main(["theory", "build", "--file", str(f)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: " + message), err

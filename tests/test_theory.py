@@ -155,15 +155,21 @@ def answers(th, op):
 
 
 def test_extensions_of_one_parent_keep_their_caches_apart():
-    # extend hands the parent's caches on; each branch must still answer as
+    # extend copies the parent's caches; each branch must still answer as
     # the same branch built from scratch, and the parent must not know x
     parent = standard_systems(base_theory(3))
     expected = answers(standard_systems(base_theory(3)), "c1")
     branches = {}
+
+    def cache_sizes():
+        return len(parent._boundary_cache), len(parent._eval_cache)
+
     for end in (2, 1):
-        assert answers(parent, "c1") == expected  # warm caches to hand on
+        assert answers(parent, "c1") == expected  # warm caches to copy
+        warm = cache_sizes()
         branches[end] = parent.extend([x_item(end)])
         answers(branches[end], "x")
+        assert cache_sizes() == warm  # the branch filled its own copies only
     assert answers(branches[1], "x") != answers(branches[2], "x")
     for end, th in branches.items():
         assert answers(th, "x") == answers(standard_systems(base_theory(3)).extend([x_item(end)]), "x")
