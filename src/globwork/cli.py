@@ -285,10 +285,11 @@ def cmd_cyl(args):
     raise GlobworkError(f"unknown cyl action {args.action!r}")
 
 
-# The largest sizes the check suites accept.  On a 2-core Xeon VM each
-# bound runs in at most 4.1 s; one step more took 7.6 s (trees at 11
-# nodes), 14.8 s (theta at 9), 7.3 s (stack at 13) and 8.5 s
-# (factorization --count 20000).
+# The largest sizes the check suites accept.  In a fresh process on a
+# 2-core Xeon VM each bound runs in at most 3.2 s (factorization, the node
+# bounds in 0.8-1.4 s); one step more took 2.8 s and 21 MB (trees at 11
+# nodes), 4.5-5.4 s and 99 MB (theta at 9), 3.8-4.3 s and 48 MB (stack at
+# 13) and 5.8-6.2 s (factorization --count 20000).
 CHECK_MAX_NODES = {"trees": 10, "theta": 8, "stack": 12}
 CHECK_MAX_COUNT = 10_000
 

@@ -215,9 +215,10 @@ def degenerate_cyl(k: int, p, q, th: TheoryPresentation) -> Computad:
 # cylinders on globular sums, with the structural inclusions
 
 # Every one-vertex extension maps every cell of its scheme, so the sum
-# cylinder costs time and memory quadratic in the tree: on a 2-core Xeon VM
-# a root with 400 leaves takes 1.2-1.5 s and 109 MB, one with 800 leaves
-# 5.6-7.7 s and 413 MB.  Trees with more nodes than the first are refused.
+# cylinder costs time and memory quadratic in the tree: `globwork cyl sum`
+# in a fresh process on a 2-core Xeon VM takes 0.8-0.9 s and 110 MB for a
+# root with 400 leaves, 3.1-4.5 s and 414 MB for one with 800 leaves.
+# Trees with more nodes than the first are refused.
 MAX_SUM_NODES = 401
 
 

@@ -1,7 +1,7 @@
-"""Finite truncated globular sets and their colimit/factorization toolkit.
+"""Finite truncated globular sets, spheres and the (bij_m, ff_m) factorization.
 
-Cells are identified by hashable tuples; colimits pick deterministic
-minimal representatives so every construction is reproducible bit for bit.
+Cells are hashable tuples, each named canonically by the construction
+that makes it, so every construction is reproducible bit for bit.
 Where the structure fixes the answer it is constructed, not searched: the
 sphere S^k is the globe D_{k+1} without its top cell, so the boundary
 inclusions and the fold S^k -> D_k are identities on cells, and both
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from .errors import DomainError, TypingError
 from .trees import Tree, cells as tree_cells, dim as tree_dim, face, globe
 
@@ -50,11 +49,6 @@ class FinGlobSet:
 
     def counts(self):
         return tuple(len(c) for c in self.cells)
-
-    def iter_cells(self):
-        for k in range(self.n + 1):
-            for c in self.cells[k]:
-                yield k, c
 
     def __eq__(self, other):
         return (
@@ -168,88 +162,7 @@ def globe_face_map(k: int, side: str) -> GlobMap:
 
 
 # ---------------------------------------------------------------------------
-# colimits
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # deterministic minimal representative
-            lo, hi = sorted((ra, rb), key=repr)
-            self.parent[hi] = lo
-
-
-@dataclass
-class Colimit:
-    obj: FinGlobSet
-    legs: dict  # vertex -> GlobMap
-
-
-def colimit(spaces: dict, edges: list) -> Colimit:
-    """Colimit of a finite diagram of globular sets.
-
-    ``spaces`` maps vertex names to FinGlobSets; ``edges`` is a list of
-    ``(v, w, GlobMap)`` with domain ``spaces[v]`` and codomain ``spaces[w]``.
-    """
-    n = max([X.n for X in spaces.values()], default=-1)
-    uf = _UnionFind()
-    for v, X in spaces.items():
-        for k, c in X.iter_cells():
-            uf.add((k, v, c))
-    for v, w, f in edges:
-        for k in range(f.dom.n + 1):
-            for c in f.dom.cells[k]:
-                uf.add((k, w, f.maps[k][c]))
-                uf.union((k, v, c), (k, w, f.maps[k][c]))
-    cells = [set() for _ in range(n + 1)]
-    for v, X in spaces.items():
-        for k, c in X.iter_cells():
-            cells[k].add(uf.find((k, v, c)))
-    src = [dict() for _ in range(n + 1)]
-    tgt = [dict() for _ in range(n + 1)]
-    for v, X in spaces.items():
-        for k in range(1, X.n + 1):
-            for c in X.cells[k]:
-                rep = uf.find((k, v, c))
-                s = uf.find((k - 1, v, X.src[k][c]))
-                t = uf.find((k - 1, v, X.tgt[k][c]))
-                if src[k].setdefault(rep, s) != s or tgt[k].setdefault(rep, t) != t:
-                    raise TypingError("colimit boundaries are not well defined")
-    P = FinGlobSet(n, cells, src, tgt)
-    legs = {}
-    for v, X in spaces.items():
-        maps = [
-            {c: uf.find((k, v, c)) for c in X.cells[k]} for k in range(X.n + 1)
-        ]
-        legs[v] = GlobMap(X, P, maps)
-    return Colimit(P, legs)
-
-
-def pushout(f: GlobMap, g: GlobMap):
-    """Degreewise pushout of ``Y <- X -> Z``; returns (P, Y->P, Z->P, colim)."""
-    if f.dom != g.dom:
-        raise TypingError("pushout needs a common domain")
-    co = colimit(
-        {"X": f.dom, "Y": f.cod, "Z": g.cod},
-        [("X", "Y", f), ("X", "Z", g)],
-    )
-    return co.obj, co.legs["Y"], co.legs["Z"], co
-
-
-# ---------------------------------------------------------------------------
-# spheres and latching objects
+# spheres
 
 def sphere(k: int) -> FinGlobSet:
     """S^k: the globe D_{k+1} without its top cell, so S^{-1} is empty."""
@@ -273,31 +186,6 @@ def sphere_collapse(k: int) -> GlobMap:
     (top,) = D.cells[k]
     maps = [{c: c for c in layer} for layer in S.cells[:k]]
     return GlobMap(S, D, maps + [dict.fromkeys(S.cells[k], top)])
-
-
-def latching(family, m: int) -> FinGlobSet:
-    """Latching object at m of a coglobular family.
-
-    The indexing slice has one object per map j -> m in the globe category
-    (two for each j < m, named by the bottom letter), and one morphism
-    between consecutive stages for each matching bottom letter.
-    """
-    spaces, sigmas, taus = family
-    if m > len(spaces) - 1 + 1:
-        raise DomainError("latching index beyond family truncation")
-    verts = {}
-    for j in range(m):
-        for eps in ("s", "t"):
-            verts[(j, eps)] = spaces[j]
-    edges = []
-    for j in range(m - 1):
-        for eps in ("s", "t"):
-            step = sigmas[j] if eps == "s" else taus[j]
-            for eps2 in ("s", "t"):
-                edges.append(((j, eps), (j + 1, eps2), step))
-    if not verts:
-        return EMPTY
-    return colimit(verts, edges).obj
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +282,8 @@ def check_orthogonal(i: GlobMap, p: GlobMap, top: GlobMap, bottom: GlobMap) -> G
     source and target are the images of b's, one bucket of X_k, or only to
     top(a) if b = i(a).  The choices within a level are independent, and
     the search stops at the second diagonal.  A free cell of B whose image
-    under bottom has an empty fibre in X refutes the square up front.
+    under bottom has an empty fibre in X, or whose faces are both forced
+    and whose one bucket is empty, refutes the square up front.
     """
     A, B, X = i.dom, i.cod, p.dom
     if top.dom != A or bottom.dom != B or top.cod != X or bottom.cod != p.cod:
@@ -413,9 +302,14 @@ def check_orthogonal(i: GlobMap, p: GlobMap, top: GlobMap, bottom: GlobMap) -> G
             for x in X.cells[k] if k <= X.n else ():
                 ends = (X.src[k][x], X.tgt[k][x]) if k else ()
                 buckets[k].setdefault((p.maps[k][x], *ends), []).append(x)
-            # a diagonal sends each free b into the fibre of p over bottom(b)
-            images = {bottom.maps[k][b] for b in B.cells[k] if b not in forced[k]}
-            clash = clash or not images <= {key[0] for key in buckets[k]}
+            # a diagonal sends each free b into the fibre of p over bottom(b),
+            # and into the one bucket over its faces where both are forced
+            free = [b for b in B.cells[k] if b not in forced[k]]
+            clash = clash or not {bottom.maps[k][b] for b in free} <= {key[0] for key in buckets[k]}
+            for b in free if k else ():
+                s, t = B.src[k][b], B.tgt[k][b]
+                if s in forced[k - 1] and t in forced[k - 1]:
+                    clash = clash or (bottom.maps[k][b], forced[k - 1][s], forced[k - 1][t]) not in buckets[k]
 
     def lifts(k, layers):
         if k > B.n:

@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from .errors import DomainError, SizeGuardError, TypingError
@@ -164,15 +165,18 @@ def tau_theta(k: int) -> ThetaMap:
 
 @functools.lru_cache(maxsize=None)
 def hom_count(S: Tree, T: Tree) -> int:
-    m, n = S.arity, T.arity
-    total = 0
-    for phi in itertools.combinations_with_replacement(range(n + 1), m + 1):
-        prod = 1
-        for i in range(m):
-            for j in range(phi[i] + 1, phi[i + 1] + 1):
-                prod *= hom_count(S.children[i], T.children[j - 1])
-        total += prod
-    return total
+    """|hom(S, T)|, counted gap by gap instead of phi by phi.
+
+    ``ways[b]`` counts the maps of the source blocks so far whose phi ends
+    at gap b.  The next block ends at gap b either by spanning no branch
+    (it starts at b) or as a block ending at b - 1 extended over target
+    branch b - 1, in ``hom_count(c, d)`` ways.
+    """
+    ways = [1] * (T.arity + 1)
+    for c in S.children:
+        for b, d in enumerate(T.children, 1):
+            ways[b] += ways[b - 1] * hom_count(c, d)
+    return sum(ways)
 
 
 class HomSet(Sequence):
@@ -188,7 +192,8 @@ class HomSet(Sequence):
     tuple in place of the per-index memo.  A set of more than
     ``DEFAULT_HOM_BOUND`` maps is read by index only: iterating it (also
     through ``reversed`` or ``index``), or a slice that long, raises
-    ``SizeGuardError`` before any map is built.
+    ``SizeGuardError`` before any map is built, and so does ``len()`` of a
+    set too large for it to return.
     """
 
     __slots__ = ("source", "target", "_len", "_got", "_table")
@@ -201,6 +206,8 @@ class HomSet(Sequence):
         self._table = None
 
     def __len__(self):
+        if self._len > sys.maxsize:
+            raise SizeGuardError(f"hom has {self._len} elements, more than len() can hold")
         return self._len
 
     def __getitem__(self, i):

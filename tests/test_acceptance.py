@@ -28,7 +28,7 @@ from globwork.theta import (
     to_steiner_cell,
 )
 from globwork.trees import Tree, all_trees, boundary, boundary_table_oracle, dim, globe, linearization, parse_tree
-from test_globsets import globset_iso
+from test_globsets import globset_iso, latching
 
 NINE_TREE = parse_tree("[[[][]][]]")
 
@@ -174,7 +174,7 @@ def test_criterion_6_spheres_latching_boundary():
     with criterion(6, "latching objects are spheres; boundary oracle", 10.0):
         fam = ([gs.globe_set(k) for k in range(5)], *([gs.globe_face_map(k, e) for k in range(4)] for e in "st"))
         for m in range(1, 5):
-            iso = globset_iso(gs.latching(fam, m), gs.sphere(m - 1))
+            iso = globset_iso(latching(fam, m), gs.sphere(m - 1))
             assert iso is not None
         for t in all_trees(6):
             if dim(t) >= 1:

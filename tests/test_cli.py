@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -127,6 +128,34 @@ def test_theta_hom_refuses_to_build_a_set_above_the_bound(flags, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: hom would have 1234567 elements (bound 1000000)\n"
+
+
+def corolla(n):
+    return "[" + "[]" * n + "]"
+
+
+def test_theta_hom_counts_wide_corollas_at_once(capsys):
+    # C(25, 13) maps: counted gap by gap, not phi by phi
+    start = time.monotonic()
+    assert run(capsys, "theta", "hom", corolla(12), corolla(12), "--count") == (0, "5200300\n")
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hom", corolla(20), corolla(20)], "hom would have 269128937220 elements (bound 1000000)"),
+        (
+            ["factor", corolla(40), corolla(40), "--index", "0"],
+            "hom has 212392290424395860814420 elements, more than len() can hold",
+        ),
+    ],
+)
+def test_theta_refuses_the_hom_sets_of_wide_corollas(argv, message, capsys):
+    assert main(["theta", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -18,14 +18,11 @@ from globwork.globsets import (
     boundary_inclusion,
     check_orthogonal,
     chi_check,
-    colimit,
     factor_bij_ff,
     globe_set,
     globe_face_map,
     identity_map,
-    latching,
     loopspace,
-    pushout,
     realize,
     sphere,
     sphere_collapse,
@@ -38,9 +35,10 @@ def as_computad(X):
     """X as a computad: one generator per cell, named by its dimension and
     repr, with the generators of its source and target as boundary."""
     P = Computad(repr(X))
-    for k, c in X.iter_cells():
-        faces = (P[f"{k - 1}:{X.src[k][c]!r}"], P[f"{k - 1}:{X.tgt[k][c]!r}"]) if k else ()
-        P.add(f"{k}:{c!r}", k, *faces)
+    for k, layer in enumerate(X.cells):
+        for c in layer:
+            faces = (P[f"{k - 1}:{X.src[k][c]!r}"], P[f"{k - 1}:{X.tgt[k][c]!r}"]) if k else ()
+            P.add(f"{k}:{c!r}", k, *faces)
     return P
 
 
@@ -467,6 +465,68 @@ def test_factorization_unique_up_to_middle_iso():
 # ---------------------------------------------------------------------------
 # oracles: the search routes that the constructions replaced
 
+Colimit = collections.namedtuple("Colimit", "obj legs")
+
+
+def colimit(spaces, edges):
+    """Colimit of a finite diagram of globular sets.
+
+    ``spaces`` maps vertex names to FinGlobSets; ``edges`` is a list of
+    ``(v, w, GlobMap)`` with domain ``spaces[v]`` and codomain
+    ``spaces[w]``.  The cells ``(k, v, c)`` are glued by a union-find that
+    names each class by its least member under ``repr``.
+    """
+    parent = {(k, v, c): (k, v, c) for v, X in spaces.items() for k, layer in enumerate(X.cells) for c in layer}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for v, w, f in edges:
+        for k, layer in enumerate(f.maps):
+            for c, y in layer.items():
+                lo, hi = sorted((find((k, v, c)), find((k, w, y))), key=repr)
+                parent[hi] = lo
+    rep = {x: find(x) for x in parent}
+    n = max([X.n for X in spaces.values()], default=-1)
+    cells = [set() for _ in range(n + 1)]
+    src, tgt = [{} for _ in range(n + 1)], [{} for _ in range(n + 1)]
+    for (k, v, c), r in rep.items():
+        cells[k].add(r)
+        if k:
+            s, t = (rep[k - 1, v, side[k][c]] for side in (spaces[v].src, spaces[v].tgt))
+            if src[k].setdefault(r, s) != s or tgt[k].setdefault(r, t) != t:
+                raise TypingError("colimit boundaries are not well defined")
+    P = FinGlobSet(n, cells, src, tgt)
+    legs = {
+        v: GlobMap(X, P, [{c: rep[k, v, c] for c in layer} for k, layer in enumerate(X.cells)])
+        for v, X in spaces.items()
+    }
+    return Colimit(P, legs)
+
+
+def pushout(f, g):
+    """Degreewise pushout of ``Y <- X -> Z``; returns (P, Y->P, Z->P, colim)."""
+    if f.dom != g.dom:
+        raise TypingError("pushout needs a common domain")
+    co = colimit({"X": f.dom, "Y": f.cod, "Z": g.cod}, [("X", "Y", f), ("X", "Z", g)])
+    return co.obj, co.legs["Y"], co.legs["Z"], co
+
+
+def latching(family, m):
+    """Latching object at m of a coglobular family ``(spaces, sigmas, taus)``.
+
+    The indexing slice has one object per map j -> m in the globe category
+    (two for each j < m, named by the bottom letter), and one morphism
+    between consecutive stages for each matching bottom letter.
+    """
+    spaces, sigmas, taus = family
+    verts = {(j, eps): spaces[j] for j in range(m) for eps in "st"}
+    steps = [(j, eps, step) for j in range(m - 1) for eps, step in (("s", sigmas[j]), ("t", taus[j]))]
+    return colimit(verts, [((j, eps), (j + 1, eps2), step) for j, eps, step in steps for eps2 in "st"]).obj
+
+
 def mediate(co, cocone):
     """The induced map out of a colimit, given a compatible cocone."""
     maps = [dict() for _ in range(co.obj.n + 1)]
@@ -710,6 +770,7 @@ def test_lifts_match_the_exhaustive_search():
         bottom = gs.random_globmap(rng, B, Y)
         if bottom is not None:
             squares.append((i, p, i.then(w), bottom))
+    squares += [forced_edge_square(n) for n in range(2, 9)]
     # a square that does not type-check, and one whose diagonal would land
     # in a lower truncation
     f = squares[0][0]
@@ -764,6 +825,31 @@ def test_empty_fibre_refutes_the_square_at_once():
     start = time.monotonic()
     with pytest.raises(DomainError, match=r"^no filler: orthogonality violated$"):
         check_orthogonal(GlobMap(EMPTY, B, []), p, GlobMap(EMPTY, X, []), bottom)
+    assert time.monotonic() - start < 0.5
+
+
+def forced_edge_square(n):
+    """n points and an edge b0 -> b1 over a point with a loop, with b0 and
+    b1 forced to x and y, against X = {x, y, y -> x}: the loop's fibre
+    holds y -> x, but no cell of X goes x -> y."""
+    Y = FinGlobSet(1, [["pt"], ["loop"]], [{}, {"loop": "pt"}], [{}, {"loop": "pt"}])
+    points = [("b", j) for j in range(n)]
+    B = FinGlobSet(1, [points, ["e"]], [{}, {"e": points[0]}], [{}, {"e": points[1]}])
+    A = FinGlobSet(0, [["a0", "a1"]], [{}], [{}])
+    X = FinGlobSet(1, [["x", "y"], ["f"]], [{}, {"f": "y"}], [{}, {"f": "x"}])
+    i = GlobMap(A, B, [{"a0": points[0], "a1": points[1]}])
+    top = GlobMap(A, X, [{"a0": "x", "a1": "y"}])
+    p = GlobMap(X, Y, [dict.fromkeys(X.cells[0], "pt"), {"f": "loop"}])
+    bottom = GlobMap(B, Y, [dict.fromkeys(points, "pt"), {"e": "loop"}])
+    return i, p, top, bottom
+
+
+def test_forced_faces_refute_the_square_at_once():
+    # the edge's faces are both forced, so its one bucket is known before
+    # the 2**22 choices on the free points, and it is empty
+    start = time.monotonic()
+    with pytest.raises(DomainError, match=r"^no filler: orthogonality violated$"):
+        check_orthogonal(*forced_edge_square(24))
     assert time.monotonic() - start < 0.5
 
 

@@ -88,6 +88,19 @@ def hom_by_product(S, T, memo):
     return memo[S, T]
 
 
+def hom_count_by_phis(S, T):
+    """|hom(S, T)| summed over every monotone phi between the root gaps:
+    the product, over each block's target branches, of the child counts."""
+    total = 0
+    for phi in itertools.combinations_with_replacement(range(T.arity + 1), S.arity + 1):
+        prod = 1
+        for i, c in enumerate(S.children):
+            for j in range(phi[i], phi[i + 1]):
+                prod *= hom_count_by_phis(c, T.children[j])
+        total += prod
+    return total
+
+
 def wide_target(b):
     return parse_tree("[" + "[[][][]]" * b + "]")
 
@@ -99,7 +112,7 @@ def test_homset_matches_product_enumeration():
     pairs += [(globe(k), wide_target(b)) for b in range(5) for k in range(3)]
     for S, T in pairs:
         oracle = hom_by_product(S, T, memo)
-        assert len(HomSet(S, T)) == len(oracle) == hom_count(S, T)
+        assert len(HomSet(S, T)) == len(oracle) == hom_count(S, T) == hom_count_by_phis(S, T)
         # map by map from its rank, and in one pass
         ranked = HomSet(S, T)
         assert tuple(ranked[i] for i in range(len(oracle))) == oracle
