@@ -25,7 +25,6 @@ from .trees import (
     all_trees,
     boundary,
     boundary_table_oracle,
-    decompose,
     dim,
     globe,
     linearization,
@@ -61,7 +60,7 @@ def cmd_tree(args):
         s = suspend(t)
         _emit(args, s.to_json(), str(s))
     elif args.action == "decompose":
-        blocks = decompose(t)
+        blocks = t.children
         _emit(args, [b.to_json() for b in blocks], " ".join(str(b) for b in blocks))
     if getattr(args, "dot", False):
         print(tree_to_dot(t))
@@ -162,7 +161,6 @@ def cmd_theta(args):
             ok = th_mod.is_admissible_categorical(f, g)
         _emit(args, ok, str(ok))
         return 0
-    raise GlobworkError(f"unknown theta action {args.action!r}")
 
 
 # The shipped tower for (n, groupoidal), built once per process; callers
@@ -206,7 +204,6 @@ def cmd_theory(args):
         P = theory_mod.interval_presentation(th)
         _emit(args, P.to_json(), f"counts {P.counts()}")
         return 0
-    raise GlobworkError(f"unknown theory action {args.action!r}")
 
 
 def tower_report(th):
@@ -282,7 +279,6 @@ def cmd_cyl(args):
             meta = cyl_mod.vcompose_meta(squares)
             print(f"composite: {meta['top']} ~> {meta['bottom']} (p={meta['p']}, q={meta['q']})")
         return 0
-    raise GlobworkError(f"unknown cyl action {args.action!r}")
 
 
 # The largest sizes the check suites accept.  In a fresh process on a

@@ -177,39 +177,37 @@ class Computad:
 
 
 def find_computad_iso(P: Computad, Q: Computad):
-    """A dimension- and boundary-preserving bijection of generators, or None."""
+    """A dimension- and boundary-preserving bijection of generators, or None.
+
+    Backtracks over P's generators in (dimension, ``P.order``) order, each
+    trying Q's generators of its dimension in ``Q.order``; ``tried[i]`` is
+    the index of the candidate the i-th generator is placed on.
+    """
     if P.counts() != Q.counts():
         return None
-    dims = sorted({c.dim for c in P.gens.values()})
-    mapping: dict = {}
-
-    def extend(di):
-        if di == len(dims):
-            return True
-        d = dims[di]
-        ps = [n for n in P.order if P.gens[n].dim == d]
-        qs = [n for n in Q.order if Q.gens[n].dim == d]
-
-        def place(i, used):
-            if i == len(ps):
-                return extend(di + 1)
-            p = ps[i]
-            pc = P.gens[p]
-            for q in qs:
-                if q in used:
-                    continue
-                qc = Q.gens[q]
-                if pc.dim > 0:
-                    if rename(pc.src, mapping) != qc.src or rename(pc.tgt, mapping) != qc.tgt:
-                        continue
+    ps = sorted(P.order, key=lambda n: P.gens[n].dim)
+    qs = {}
+    for q in Q.order:
+        qs.setdefault(Q.gens[q].dim, []).append(q)
+    mapping, used, tried, start = {}, set(), [], 0
+    while len(tried) < len(ps):
+        p = ps[len(tried)]
+        pc = P.gens[p]
+        if pc.dim > 0:
+            src, tgt = rename(pc.src, mapping), rename(pc.tgt, mapping)
+        cands = qs[pc.dim]
+        for j in range(start, len(cands)):
+            q = cands[j]
+            qc = Q.gens[q]
+            if q not in used and (pc.dim == 0 or (qc.src == src and qc.tgt == tgt)):
                 mapping[p] = q
-                if place(i + 1, used | {q}):
-                    return True
-                del mapping[p]
-            return False
-
-        return place(0, set())
-
-    if extend(0):
-        return dict(mapping)
-    return None
+                used.add(q)
+                tried.append(j)
+                start = 0
+                break
+        else:
+            if not tried:
+                return None
+            start = tried.pop() + 1
+            used.discard(mapping.pop(ps[len(tried)]))
+    return mapping

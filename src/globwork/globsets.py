@@ -113,13 +113,6 @@ class GlobMap:
         ]
         return GlobMap(self.dom, other.cod, maps)
 
-    def is_injective_at(self, k):
-        vals = list(self.maps[k].values())
-        return len(vals) == len(set(vals))
-
-    def is_bijective_at(self, k):
-        return self.is_injective_at(k) and set(self.maps[k].values()) == set(self.cod.cells[k])
-
 
 def identity_map(X: FinGlobSet) -> GlobMap:
     return GlobMap(X, X, [{c: c for c in X.cells[k]} for k in range(X.n + 1)])
@@ -211,7 +204,11 @@ def pad_map(f: GlobMap, n: int) -> GlobMap:
 def is_m_bijective(f: GlobMap, m: int) -> bool:
     if f.dom.n < f.cod.n:
         f = pad_map(f, f.cod.n)
-    return all(f.is_bijective_at(k) for k in range(min(m, f.cod.n) + 1))
+    for k in range(min(m, f.cod.n) + 1):
+        image = set(f.maps[k].values())
+        if len(image) != len(f.maps[k]) or image != set(f.cod.cells[k]):
+            return False
+    return True
 
 
 def _pullback(Y: FinGlobSet, k: int, below, image: dict, src: dict, tgt: dict):

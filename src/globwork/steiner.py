@@ -30,10 +30,6 @@ def _freeze(d):
     return tuple(sorted((a, c) for a, c in d.items() if c))
 
 
-def _unfreeze(ch):
-    return dict(ch)
-
-
 def chain_sub(a, b):
     out = dict(a)
     for atom, c in b:
@@ -161,7 +157,7 @@ def enumerate_cells(t: Tree, k: int, bound=2):
 
     def extend(level, levels):
         prev_m, prev_p = levels[-1]
-        found = K._solutions(level, chain_sub(_unfreeze(prev_p), prev_m), bound)
+        found = K._solutions(level, chain_sub(dict(prev_p), prev_m), bound)
         if level == k:
             for x in found:
                 cells.append(tuple(levels) + ((x, x),))

@@ -641,37 +641,25 @@ def division_term(n: int, th: TheoryPresentation):
     c = fvar("c", 0)
     f = fvar("f", 1, b, c)
     f_inv = fop(th.symbol("inv_l_1").name, (f,), 1, c, b)
-    if n == 1:
-        A = fvar("A", 1, a, b)
-        B = fvar("B", 1, a, b)
-        fA = fcomp([A, f])
-        fB = fcomp([B, f])
-        H = fvar("H", 2, fA, fB)
-        coh1 = fop("coh", (A,), 2, A, fcomp([fA, f_inv]))
-        mid = fwhisker(H, f_inv, "r")
-        coh2 = fop("coh", (B,), 2, fcomp([fB, f_inv]), B)
-        factors = [coh1, mid, coh2]
-        out = fcomp(factors)
-        ftypecheck(out)
-        return factors, out
-    sA = fvar("sA", 1, a, b)
-    tA = fvar("tA", 1, a, b)
-    A = fvar("A", 2, sA, tA)
-    B = fvar("B", 2, sA, tA)
-    fA = fwhisker(A, f, "r")
-    fB = fwhisker(B, f, "r")
-    H = fvar("H", 3, fA, fB)
-    blown_A = fwhisker(fA, f_inv, "r")
-    blown_B = fwhisker(fB, f_inv, "r")
-    # coherence collars making the blown-up pasting parallel to A
-    coh_s = fop("coh", (sA,), 2, sA, fcomp([sA, f, f_inv]))
-    coh_t = fop("coh", (tA,), 2, fcomp([tA, f, f_inv]), tA)
-    stage_a = fcomp([coh_s, blown_A, coh_t])
-    stage_b = fcomp([coh_s, blown_B, coh_t])
-    coh1 = fop("coh", (A,), 3, A, stage_a)
-    mid = fop("whisker", (coh_s, fwhisker(H, f_inv, "r"), coh_t), 3, stage_a, stage_b)
-    coh2 = fop("coh", (B,), 3, stage_b, B)
-    factors = [coh1, mid, coh2]
+
+    def blown(X):
+        # X f f^-1, collared back to X's boundary by the coh cells of its
+        # faces (none at dimension 1)
+        w = fwhisker(fwhisker(X, f, "r"), f_inv, "r")
+        return w if X.dim == 1 else fcomp([coh(X.src, True), w, coh(X.tgt, False)])
+
+    def coh(X, into):
+        ends = (X, blown(X)) if into else (blown(X), X)
+        return fop("coh", (X,), X.dim + 1, *ends)
+
+    s, t = (a, b) if n == 1 else (fvar("sA", 1, a, b), fvar("tA", 1, a, b))
+    A = fvar("A", n, s, t)
+    B = fvar("B", n, s, t)
+    H = fvar("H", n + 1, fwhisker(A, f, "r"), fwhisker(B, f, "r"))
+    mid = fwhisker(H, f_inv, "r")
+    if n == 2:
+        mid = fop("whisker", (coh(s, True), mid, coh(t, False)), 3, blown(A), blown(B))
+    factors = [coh(A, True), mid, coh(B, False)]
     out = fcomp(factors)
     ftypecheck(out)
     return factors, out

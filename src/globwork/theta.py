@@ -448,14 +448,6 @@ def homogeneous_op(k: int, A: Tree):
     return _make(globe(k), A, (0, A.arity), (block,))
 
 
-def support(c: ThetaMap):
-    """Minimal globular subobject through which a globe-sourced cell factors."""
-    if c.source != globe(tree_dim(c.source)):
-        raise DomainError("support expects a globe-sourced map")
-    fact = hg_factorize(c)
-    return fact.middle, fact.globular, fact.homogeneous
-
-
 def all_globular_monos(B: Tree, T: Tree):
     """Every globular injection B -> T, in hom order.
 

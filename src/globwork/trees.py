@@ -27,8 +27,8 @@ H3 = "H3"
 ALL_KLASSES = (H1_RIGHT, H1_LEFT, H1_MID, H2_OVER_EDGE, H2_MAX, H2_MIN, H2_MID, H3)
 
 # The package recurses along the height of a tree, so no tree of dimension
-# above this bound is built: the constructor refuses it, and the parser and
-# from_json refuse their input on the way down, before recursing that deep.
+# above this bound is built: the constructor refuses it, and the parser
+# refuses its input on the way down, before recursing that deep.
 MAX_PARSE_DEPTH = 100
 
 
@@ -91,12 +91,6 @@ class Tree:
 
     def to_json(self):
         return [c.to_json() for c in self.children]
-
-    @staticmethod
-    def from_json(data, depth=0):
-        if depth > MAX_PARSE_DEPTH:
-            raise _too_deep()
-        return Tree(tuple(Tree.from_json(c, depth + 1) for c in data))
 
 
 LEAF = Tree()
@@ -270,14 +264,6 @@ def boundary_table_oracle(t: Tree) -> Tree:
 def suspend(t: Tree) -> Tree:
     """New root with the old tree as its single branch; all heights shift up."""
     return Tree((t,))
-
-
-def decompose(t: Tree) -> tuple[Tree, ...]:
-    """The unique suspension blocks: the root's branches, re-rooted.
-
-    The point decomposes into the empty sequence.
-    """
-    return t.children
 
 
 # ---------------------------------------------------------------------------

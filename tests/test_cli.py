@@ -38,6 +38,14 @@ def test_tree_globe_shorthand(capsys):
     assert out.strip() == "[[[]]]"
 
 
+def test_tree_decompose(capsys):
+    # the suspension blocks are the root's branches; the point has none
+    assert run(capsys, "tree", "decompose", NINE_TREE) == (0, "[[][]] []\n")
+    assert run(capsys, "tree", "decompose", "[]") == (0, "\n")
+    code, out = run(capsys, "tree", "decompose", NINE_TREE, "--json")
+    assert code == 0 and json.loads(out) == [[[], []], []]
+
+
 def test_tree_domain_error_exit_code(capsys):
     code = main(["tree", "boundary", "[]"])
     assert code == 1

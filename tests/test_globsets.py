@@ -906,7 +906,8 @@ def is_m_bijective_by_levels(f, m):
             if f.cod.cells[k]:
                 return False
             continue
-        if not f.is_bijective_at(k):
+        image = [f.maps[k][c] for c in f.dom.cells[k]]
+        if sorted(image, key=repr) != sorted(f.cod.cells[k], key=repr):
             return False
     return True
 

@@ -6,7 +6,7 @@ import dataclasses
 
 from globwork.theta import ThetaMap, hom
 from globwork.theory import Term, TermCell, groupoidalize, standard_library
-from globwork.trees import Tree, all_trees, globe
+from globwork.trees import Tree, all_trees, globe, parse_tree
 
 VALUES = (Tree, ThetaMap, TermCell, Term)
 
@@ -60,6 +60,6 @@ def test_term_hashes():
 
 def test_equal_values_share_the_hash():
     for t in all_trees(5):
-        fresh = Tree.from_json(t.to_json())
+        fresh = parse_tree(str(t))
         assert fresh is not t and fresh._h is None
         assert hash(fresh) == hash(t) and fresh == t

@@ -1,0 +1,62 @@
+"""Laws checked on shrinking examples: trees, small finite globular sets
+presented as computads, and the hom sets between small trees."""
+
+from hypothesis import given, strategies as st
+
+from test_computads import assert_searches_agree, relabelled
+from test_globsets import as_computad
+from globwork.globsets import FinGlobSet
+from globwork.theta import HomSet, hom, hom_count
+from globwork.trees import LEAF, Tree, boundary, boundary_table_oracle, parse_tree
+
+
+def trees(max_leaves=8):
+    return st.recursive(
+        st.just(LEAF),
+        lambda kids: st.lists(kids, min_size=1, max_size=3).map(lambda cs: Tree(tuple(cs))),
+        max_leaves=max_leaves,
+    )
+
+
+@st.composite
+def finglobsets(draw, max_dim=2, max_cells=4):
+    """A finite globular set of dimension at most ``max_dim``: each k-cell
+    draws its source and target from the parallel pairs of (k-1)-cells."""
+    n = draw(st.integers(0, max_dim))
+    cells = [[("c", 0, i) for i in range(draw(st.integers(1, max_cells)))]]
+    src, tgt = [{}], [{}]
+    for k in range(1, n + 1):
+        below = cells[k - 1]
+        parallel = [
+            (s, t) for s in below for t in below
+            if k == 1 or (src[k - 1][s], tgt[k - 1][s]) == (src[k - 1][t], tgt[k - 1][t])
+        ]
+        ends = draw(st.lists(st.sampled_from(parallel), max_size=max_cells)) if parallel else []
+        cells.append([("c", k, i) for i in range(len(ends))])
+        src.append({c: s for c, (s, _) in zip(cells[k], ends)})
+        tgt.append({c: t for c, (_, t) in zip(cells[k], ends)})
+    return FinGlobSet(n, cells, src, tgt)
+
+
+@given(trees())
+def test_parse_inverts_str(t):
+    fresh = parse_tree(str(t))
+    assert fresh == t and hash(fresh) == hash(t)
+
+
+@given(trees().filter(lambda t: t.children))
+def test_boundary_matches_the_table_rule(t):
+    assert boundary(t) == boundary_table_oracle(t)
+
+
+@given(finglobsets().map(as_computad), st.randoms(use_true_random=False), st.booleans())
+def test_computad_search_matches_the_recursion(P, rng, reverse):
+    iso = assert_searches_agree(P, relabelled(P, rng, reverse))
+    assert reverse or iso is not None
+
+
+@given(trees(max_leaves=4), trees(max_leaves=4))
+def test_reading_by_rank_is_the_full_pass(S, T):
+    # a fresh set read rank by rank, before any full pass of that set
+    by_rank = tuple(HomSet(S, T)[i] for i in range(hom_count(S, T)))
+    assert by_rank == tuple(HomSet(S, T)) == tuple(hom(S, T))
