@@ -164,14 +164,24 @@ def cmd_theta(args):
 
 
 # The shipped tower for (n, groupoidal), built once per process; callers
-# take a copy, so the memo never gains a symbol or a cache entry.  Under
-# tracemalloc a tower holds about 0.2 MB at n <= 4 and 8-9 MB at n = 32,
-# and all 64 keys held 181 MB together, so the memo keeps the eight last
-# used.
+# take a copy, so the memo never gains a symbol or a cache entry.  The
+# groupoidal tower is the categorical one with inverses adjoined to a copy,
+# so building a groupoidal key also puts its categorical key in the memo.
+# Under tracemalloc the two keys of n = 4 hold 0.2 MB and those of n = 32
+# hold 9.4 MB, and the eight keys of n = 29..32 held 33 MB together, so the
+# memo keeps the eight last used.
 @functools.lru_cache(maxsize=8)
 def _tower(n, groupoidal):
-    th = theory_mod.standard_library(n)
-    return theory_mod.groupoidalize(th) if groupoidal else th
+    if groupoidal:
+        return theory_mod.groupoidalize(_tower(n, False))
+    return theory_mod.standard_library(n)
+
+
+# The report of each shipped tower, with the keys and bound of _tower.
+# Callers only dump it, never change it.
+@functools.lru_cache(maxsize=8)
+def _tower_report(n, groupoidal):
+    return tower_report(_tower(n, groupoidal))
 
 
 def _read_batches(path):
@@ -193,7 +203,7 @@ def cmd_theory(args):
         for batch in _decode("--file", lambda: _read_batches(args.file)):
             th = th.extend(_decode("--file", lambda: [theory_mod.batch_from_json(th, item) for item in batch]))
     if args.action == "build":
-        payload = tower_report(th)
+        payload = tower_report(th) if args.file else _tower_report(args.n, args.groupoidalize)
         _emit(args, payload, render_tower(payload))
         return 0
     if args.action == "audit":

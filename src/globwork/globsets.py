@@ -35,12 +35,16 @@ class FinGlobSet:
         self.validate()
 
     def validate(self):
-        for k in range(1, self.n + 1):
-            below = set(self.cells[k - 1])
-            for c in self.cells[k]:
+        below = set()
+        for k, level in enumerate(self.cells):
+            here = set(level)
+            if len(here) != len(level):
+                raise TypingError(f"a cell repeats in level {k}")
+            for c in level if k >= 1 else ():
                 for mp in (self.src[k], self.tgt[k]):
                     if c not in mp or mp[c] not in below:
                         raise TypingError(f"missing or dangling boundary for {c!r}")
+            below = here
         for k in range(2, self.n + 1):
             for c in self.cells[k]:
                 s, t = self.src[k][c], self.tgt[k][c]

@@ -217,11 +217,12 @@ def test_theory_from_file(tmp_path, capsys):
 def test_theory_build_reuses_the_tower_unchanged(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"batches": [[EXTRA_OP]]}))
-    _, first = run(capsys, "theory", "build", "--n", "3", "--json")
-    _, extended = run(capsys, "theory", "build", "--n", "3", "--json", "--file", str(spec))
-    assert "extra_op" in extended and "extra_op" not in first
-    _, again = run(capsys, "theory", "build", "--n", "3", "--json")
-    assert again == first
+    for flags in (["--json"], [], ["--groupoidalize", "--json"], ["--groupoidalize"]):
+        _, first = run(capsys, "theory", "build", "--n", "3", *flags)
+        _, extended = run(capsys, "theory", "build", "--n", "3", *flags, "--file", str(spec))
+        assert "extra_op" in extended and "extra_op" not in first
+        _, again = run(capsys, "theory", "build", "--n", "3", *flags)
+        assert again == first
 
 
 def test_theory_build_defaults_to_n_3_after_another_n(capsys):
@@ -241,11 +242,36 @@ def test_an_adjoin_on_a_tower_copy_stays_in_that_copy(capsys):
 
 @pytest.mark.parametrize("groupoidal", [False, True])
 @pytest.mark.parametrize("n", range(1, 6))
-def test_memoised_tower_reports_as_a_fresh_build(n, groupoidal):
+def test_memoised_tower_reports_as_a_fresh_build(n, groupoidal, capsys):
     fresh = standard_library(n)
     if groupoidal:
         fresh = groupoidalize(fresh)
-    assert cli.tower_report(cli._tower(n, groupoidal).copy()) == cli.tower_report(fresh)
+    payload = cli.tower_report(fresh)
+    assert cli.tower_report(cli._tower(n, groupoidal).copy()) == payload
+    for as_json in (False, True):
+        cli._emit(argparse.Namespace(json=as_json), payload, cli.render_tower(payload))
+        expected = capsys.readouterr().out
+        argv = ["theory", "build", "--n", str(n)] + ["--groupoidalize"] * groupoidal + ["--json"] * as_json
+        assert [run(capsys, *argv) for _ in range(2)] == [(0, expected)] * 2
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_a_groupoidal_tower_reuses_the_categorical_build(n, monkeypatch):
+    builds = []
+
+    def counted(m):
+        builds.append(m)
+        return standard_library(m)
+
+    cli._tower.cache_clear()
+    monkeypatch.setattr(cli.theory_mod, "standard_library", counted)
+    categorical = cli._tower(n, False)
+    sizes = len(categorical._boundary_cache), len(categorical._eval_cache)
+    assert "inv_l_1" in cli._tower(n, True).symbols
+    assert builds == [n]
+    assert cli._tower(n, False) is categorical and categorical.kind == "categorical"
+    assert not any(name.startswith("inv_") for name in categorical.symbols)
+    assert (len(categorical._boundary_cache), len(categorical._eval_cache)) == sizes
 
 
 @pytest.mark.parametrize(

@@ -113,6 +113,19 @@ def test_map_refuses_a_broken_boundary():
             GlobMap(D1, D1, [points, {e: e}])
 
 
+@pytest.mark.parametrize(
+    "n, cells, src, tgt",
+    [
+        (0, [["a", "a"]], [{}], [{}]),
+        (1, [["a"], ["e", "e"]], [{}, {"e": "a"}], [{}, {"e": "a"}]),
+        (2, [["a"], ["e"], ["x", "x"]], [{}, {"e": "a"}, {"x": "e"}], [{}, {"e": "a"}, {"x": "e"}]),
+    ],
+)
+def test_globular_set_refuses_a_repeated_cell(n, cells, src, tgt):
+    with pytest.raises(TypingError, match=f"^a cell repeats in level {n}$"):
+        FinGlobSet(n, cells, src, tgt)
+
+
 def test_boundary_inclusion_commutes():
     for k in range(4):
         jk = boundary_inclusion(k)
