@@ -177,11 +177,12 @@ def _tower(n, groupoidal):
     return theory_mod.standard_library(n)
 
 
-# The report of each shipped tower, with the keys and bound of _tower.
-# Callers only dump it, never change it.
-@functools.lru_cache(maxsize=8)
-def _tower_report(n, groupoidal):
-    return tower_report(_tower(n, groupoidal))
+# The printed report of each shipped tower, in text or JSON: the eight
+# towers of _tower in both formats.
+@functools.lru_cache(maxsize=16)
+def _tower_text(n, groupoidal, as_json):
+    payload = tower_report(_tower(n, groupoidal))
+    return json.dumps(payload, indent=1, sort_keys=True) if as_json else render_tower(payload)
 
 
 def _read_batches(path):
@@ -198,12 +199,15 @@ def cmd_theory(args):
         }
         _emit(args, payload, f"|I|={len(I_n)} |J|={len(J_n)}")
         return 0
+    if args.action == "build" and not args.file:
+        print(_tower_text(args.n, args.groupoidalize, args.json))
+        return 0
     th = _tower(args.n, args.groupoidalize).copy()
     if args.file:
         for batch in _decode("--file", lambda: _read_batches(args.file)):
             th = th.extend(_decode("--file", lambda: [theory_mod.batch_from_json(th, item) for item in batch]))
     if args.action == "build":
-        payload = tower_report(th) if args.file else _tower_report(args.n, args.groupoidalize)
+        payload = tower_report(th)
         _emit(args, payload, render_tower(payload))
         return 0
     if args.action == "audit":

@@ -6,7 +6,7 @@ computad on a globe (the full one, the degenerate ones whose collapsed
 sides take units, and the copies inside a modification) is glued by one
 step, ``_glue``; a modification is two glued copies that share the globes,
 and its restriction maps Xi0/Xi1 onto the cylinder are read off the gluing
-and checked by ``_verify_xi``.
+(the tests check them against the renamed cylinder for every k).
 
 The cylinder on a sum of dimension <= 2 follows one rule, the recursion of
 Lafont, Metayer & Worytkiewicz: each cell x of the tree has a top copy
@@ -44,7 +44,7 @@ from .trees import (
     table_to_tree,
 )
 from . import trees as tree_mod
-from .computads import Computad, FCell, fcomp, funit, fwhisker, rename
+from .computads import Computad, FCell, fcomp, funit, fwhisker
 from .theta import ThetaMap, homogeneous_op, is_homogeneous, leaf_inclusion, render
 from .theory import Term, TheoryPresentation, app_cell, glob_cell, single, whisker
 
@@ -653,102 +653,63 @@ def modification_presentation(k: int, th: TheoryPresentation):
             for i, part in enumerate((first, second))
         }
     xi["equations"] = equations
-    _verify_xi(k, th, P, xi)
     return P, xi
-
-
-def _verify_xi(k, th, P, xi):
-    """The restriction maps must send cylinder generators to cells with the
-    renamed boundaries."""
-    cyl = cyl_presentation(k, th)
-    for key in ("Xi0", "Xi1"):
-        mapping = xi[key]
-        for name in cyl.order:
-            gen = cyl.gens[name]
-            img = P.gens[mapping[name]]
-            if gen.dim != img.dim:
-                raise TypingError(f"{key} changes dimension at {name}")
-            if gen.dim > 0:
-                if rename(gen.src, mapping) != img.src or rename(gen.tgt, mapping) != img.tgt:
-                    raise TypingError(f"{key} breaks the boundary at {name}")
 
 
 # ---------------------------------------------------------------------------
 # coherence-cylinder boundary pairs
 
-def _wrap(th, cell, target, lefts, rights, order="lr"):
-    """Whisker a single-cell term by edges of the target, inner to outer."""
-    seq = (
-        [(i, "l") for i in lefts] + [(i, "r") for i in rights]
-        if order == "lr"
-        else [(i, "r") for i in rights] + [(i, "l") for i in lefts]
-    )
-    for idx, side in seq:
-        cell = whisker(th, side, cell, glob_cell(leaf_inclusion(target, idx)), target)
-    return cell
-
-
 def coherence_boundary(kind: str, indices, level: int, th: TheoryPresentation):
     """The two boundary components of a coherence-cylinder extension problem.
 
-    ``kind`` selects the family: "psi" bundles the middle with its nearest
-    edge on either side; "phi" and "theta" carry an extra cell glued one
-    codimension in, bundled by the suspended whiskering.  The extensions
-    themselves are opaque choices; only their boundary pair is built.
+    ``kind`` selects the family and its core: the middle leaf m of psi's
+    (m, k), or leaves q and q+1 of phi's and theta's (q, m, k), a glued block
+    or its mirror, bundled by the suspended whiskering.  The components
+    whisker the core by the edges, inner to outer: all left ones, then the
+    right ones; or the nearest right one (psi) or all of them, then the rest.
+    The extensions are opaque choices; only their boundary pair is built.
     """
-    if kind == "psi":
-        m, k = indices
-        mid_dim = level + 1
-        if mid_dim > th.n:
-            raise DomainError("component dimension exceeds the truncation")
-        M = Tree((LEAF,) * m + (globe(level),) + (LEAF,) * k)
-        mid = glob_cell(leaf_inclusion(M, m))
-
-        def bundle(side):
-            edge = glob_cell(leaf_inclusion(M, m - 1 if side == "l" else m + 1))
-            return whisker(th, side, mid, edge, M)
-
-        # with no edge on a side, that side's component is the bare middle
-        c1 = _wrap(th, bundle("l") if m else mid, M, range(m - 2, -1, -1), range(m + 1, m + k + 1))
-        c2 = _wrap(th, bundle("r") if k else mid, M, range(m - 1, -1, -1), range(m + 2, m + k + 1))
-        t1 = single(mid_dim, M, c1)
-        t2 = single(mid_dim, M, c2)
-        th.validate_term(t1)
-        th.validate_term(t2)
-        return t1, t2
-
-    if kind not in ("phi", "theta"):
+    if kind not in ("psi", "phi", "theta"):
         raise DomainError(f"unknown coherence family {kind!r}")
-    q, m, k = indices
-    if m < 1:
-        raise DomainError("the glued-cell families need m >= 1")
-    j = level + m
-    if j + 1 > th.n + 1 or j > th.n:
-        raise DomainError("component dimension exceeds the truncation")
-    fused = table_to_tree(
-        DimensionTable((m + 1, j), (m,))
-        if kind == "phi"
-        else DimensionTable((j, m + 1), (m,))
-    )
-    M = Tree((LEAF,) * q + (fused.children[0],) + (LEAF,) * k)
-    cellleaf = q if kind == "phi" else q + 1
-    midleaf = q + 1 if kind == "phi" else q
-    mid = glob_cell(leaf_inclusion(M, midleaf))
-    extra = glob_cell(leaf_inclusion(M, cellleaf))
-    if j == m + 1:
-        bundle_sym = f"c{j}"
-    elif m == 1 and j == 3 and "sw_l_3" in th.symbols:
-        bundle_sym = "sw_l_3" if kind == "phi" else "sw_r_3"
+    glued = kind != "psi"
+    if glued:
+        q, m, k = indices
+        if m < 1:
+            raise DomainError("the glued-cell families need m >= 1")
+        dim = level + m
     else:
-        raise DomainError("suspended whiskering outside the shipped range")
-    entries = (extra, mid) if kind == "phi" else (mid, extra)
-    core = app_cell(bundle_sym, Term(th.symbol(bundle_sym).arity, M, entries))
-    lefts = range(q - 1, -1, -1)
-    rights = range(q + 2, q + 2 + k)
-    c1 = _wrap(th, core, M, lefts, rights, order="lr")
-    c2 = _wrap(th, core, M, lefts, rights, order="rl")
-    t1 = single(j, M, c1)
-    t2 = single(j, M, c2)
-    th.validate_term(t1)
-    th.validate_term(t2)
-    return t1, t2
+        q, k = indices  # psi's (m, k): the core is leaf q = m
+        dim = level + 1
+    if dim > th.n:
+        raise DomainError("component dimension exceeds the truncation")
+    if glued:
+        rows = (m + 1, dim) if kind == "phi" else (dim, m + 1)
+        block = table_to_tree(DimensionTable(rows, (m,))).children[0]
+    else:
+        block = globe(level)
+    M = Tree((LEAF,) * q + (block,) + (LEAF,) * k)
+
+    def leaf(i):
+        return glob_cell(leaf_inclusion(M, i))
+
+    core = leaf(q)
+    if glued:
+        if dim == m + 1:
+            sym = f"c{dim}"
+        elif m == 1 and dim == 3 and "sw_l_3" in th.symbols:
+            sym = "sw_l_3" if kind == "phi" else "sw_r_3"
+        else:
+            raise DomainError("suspended whiskering outside the shipped range")
+        core = app_cell(sym, Term(th.symbol(sym).arity, M, (core, leaf(q + 1))))
+    lefts = [(i, "l") for i in range(q - 1, -1, -1)]
+    rights = [(i, "r") for i in range(q + 1 + glued, q + 1 + glued + k)]
+    near = len(rights) if glued else 1
+    terms = []
+    for edges in (lefts + rights, rights[:near] + lefts + rights[near:]):
+        cell = core
+        for i, side in edges:
+            cell = whisker(th, side, cell, leaf(i), M)
+        terms.append(single(dim, M, cell))
+    for t in terms:
+        th.validate_term(t)
+    return tuple(terms)

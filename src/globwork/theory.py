@@ -22,7 +22,7 @@ from .errors import AdmissibilityError, DomainError, SizeGuardError, TypingError
 from .trees import LEAF, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, parse_tree, suspend
 from . import globsets as gs
 from . import theta as th_ops
-from .computads import Computad, fcomp, fop, funit, fvar, fwhisker, typecheck as ftypecheck
+from .computads import Computad, fcomp, fop, funit, fvar, fwhisker
 from .theta import (
     ThetaMap,
     address_inclusion,
@@ -660,9 +660,7 @@ def division_term(n: int, th: TheoryPresentation):
     if n == 2:
         mid = fop("whisker", (coh(s, True), mid, coh(t, False)), 3, blown(A), blown(B))
     factors = [coh(A, True), mid, coh(B, False)]
-    out = fcomp(factors)
-    ftypecheck(out)
-    return factors, out
+    return factors, fcomp(factors)
 
 
 def promote_inverse_term(th: TheoryPresentation):
@@ -684,10 +682,7 @@ def promote_inverse_term(th: TheoryPresentation):
     first = fwhisker(kappa_r, k, "r")  # k => k f g (units absorbed)
     second = fwhisker(inv_kappa_l, g, "l")  # k f g => g
     factors = [first, second]
-    out = fcomp(factors)
-    ftypecheck(out)
-    assert out.src == k and out.tgt == g
-    return factors, out
+    return factors, fcomp(factors)
 
 
 # ---------------------------------------------------------------------------

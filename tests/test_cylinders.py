@@ -2,7 +2,7 @@ import pytest
 
 from globwork.errors import DomainError, TypingError
 from globwork import cylinders as cyl
-from globwork.computads import fcomp, find_computad_iso, fwhisker
+from globwork.computads import fcomp, find_computad_iso, fwhisker, rename
 from globwork.theory import groupoidalize, standard_library
 from globwork.theta import (
     compose,
@@ -590,10 +590,33 @@ def test_modification_k1_shape():
     assert any(part.name == "FC" for part in filler.src.args)
 
 
+def verify_xi(k, P, xi):
+    """The restriction maps must send cylinder generators to cells with the
+    renamed boundaries."""
+    cyl_k = cyl.cyl_presentation(k, TH)
+    for key in ("Xi0", "Xi1"):
+        mapping = xi[key]
+        for name in cyl_k.order:
+            gen = cyl_k.gens[name]
+            img = P.gens[mapping[name]]
+            if gen.dim != img.dim:
+                raise TypingError(f"{key} changes dimension at {name}")
+            if gen.dim > 0:
+                if rename(gen.src, mapping) != img.src or rename(gen.tgt, mapping) != img.tgt:
+                    raise TypingError(f"{key} breaks the boundary at {name}")
+
+
 def test_modification_xi_restricts():
     for k in range(3):
         P, xi = cyl.modification_presentation(k, TH)
+        verify_xi(k, P, xi)
         order = cyl.cyl_presentation(k, TH).order
+        # the oracle refuses Xi1 with two images swapped: two points (a
+        # broken boundary) or a point and the top filler (a changed dimension)
+        for x, y in ((order[0], order[1]), (order[0], order[-1])):
+            bad = {**xi, "Xi1": {**xi["Xi1"], x: xi["Xi1"][y], y: xi["Xi1"][x]}}
+            with pytest.raises(TypingError, match="Xi1"):
+                verify_xi(k, P, bad)
         globes = [n for n in order if n not in ("f", "g", "C") and not n.startswith("E")]
         for key in ("Xi0", "Xi1"):
             assert set(xi[key]) == set(order)
@@ -653,10 +676,16 @@ def test_phi_theta_components():
 
 
 def test_coherence_rejects_bad_input():
-    with pytest.raises(DomainError):
-        cyl.coherence_boundary("psi", (1, 1), 3, TH)
-    with pytest.raises(DomainError):
-        cyl.coherence_boundary("nope", (1, 1), 1, TH)
+    th4 = groupoidalize(standard_library(4))
+    for kind, indices, level, th, message in (
+        ("psi", (1, 1), 3, TH, "exceeds the truncation"),
+        ("nope", (1, 1), 1, TH, "unknown coherence family"),
+        ("phi", (1, 0, 1), 1, TH, "m >= 1"),
+        ("theta", (1, 1, 1), 3, TH, "exceeds the truncation"),
+        ("phi", (1, 2, 1), 2, th4, "outside the shipped range"),
+    ):
+        with pytest.raises(DomainError, match=message):
+            cyl.coherence_boundary(kind, indices, level, th)
 
 
 def test_vcompose_single_square_is_itself():

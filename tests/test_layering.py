@@ -1,5 +1,5 @@
-"""The README's layering claims, read off the import statements of the
-package sources."""
+"""The README's layering claims, and that no import goes unused, read off
+the import statements of the package sources."""
 
 import ast
 import pathlib
@@ -36,3 +36,26 @@ def test_readme_layering_claims():
     assert imports["steiner"] == {"globsets", "trees"}
     # the reader sees both import forms the package uses
     assert {"globsets", "theta", "theory", "cylinders", "trees"} <= imports["cli"]
+
+
+def unused_imports(path):
+    """The names a source file imports but never reads, at any depth in it,
+    nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) > 1
+    assert {path.stem: unused_imports(path) for path in sources if unused_imports(path)} == {}

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -7,7 +8,7 @@ import pytest
 from globwork.errors import AdmissibilityError, DomainError, SizeGuardError, TypingError
 from globwork import globsets as gs
 from globwork import theory as T
-from globwork.computads import Computad, fvar, typecheck as ftypecheck
+from globwork.computads import Computad, fop, fvar, typecheck as ftypecheck
 from globwork.cylinders import coherence_boundary
 from globwork.theta import (
     ThetaMap,
@@ -441,14 +442,15 @@ def test_truncation_bound():
 
 
 def test_division_term_shapes():
+    # the schemas have finitely many outputs, so their typecheck runs here
     th = groupoidalize(standard_library(3))
     factors, out = division_term(1, th)
     assert len(factors) == 3
     assert factors[0].name == "coh" and factors[2].name == "coh"
-    ftypecheck(out)
     factors2, out2 = division_term(2, th)
     assert len(factors2) == 3
-    ftypecheck(out2)
+    for cell in factors + [out] + factors2 + [out2]:
+        ftypecheck(cell)
     with pytest.raises(DomainError):
         division_term(3, th)
 
@@ -458,7 +460,32 @@ def test_promote_inverse_term_shape():
     factors, out = promote_inverse_term(th)
     assert len(factors) == 2
     assert factors[0].name == "wr"
-    ftypecheck(out)
+    for cell in factors + [out]:
+        ftypecheck(cell)
+    # a comparison from the left inverse k to the right inverse g of f
+    x, y = fvar("x", 0), fvar("y", 0)
+    f = fvar("f", 1, x, y)
+    assert out.src == fop("inv_l_1", (f,), 1, y, x)
+    assert out.tgt == fop("inv_r_1", (f,), 1, y, x)
+
+
+def test_audit_reports_each_broken_symbol():
+    # symbols put in by hand, past _adjoin's checks
+    A = parse_tree("[[][]]")
+    edge = single(1, A, glob_cell(leaf_inclusion(A, 0)))
+    ghost = app_cell("nope", T.Term(A, A, tuple(glob_cell(leaf_inclusion(A, i)) for i in range(2))))
+    c1 = standard_library(2).symbol("c1")
+    for sym, problems in (
+        (dataclasses.replace(c1, name="bad", src=c1.tgt, tgt=c1.src),
+         [("bad", "image source mismatch"), ("bad", "image target mismatch")]),
+        (T.OperationSymbol("twice", A, 2, edge, edge, None), [("twice", "inadmissible")]),
+        (T.OperationSymbol("ghost", A, 2, single(1, A, ghost), edge, None),
+         [("ghost", "unknown operation symbol 'nope'")]),
+    ):
+        th = standard_library(2)
+        th.stages[sym.dim].append(sym)
+        th.symbols[sym.name] = sym
+        assert th.audit() == problems
 
 
 def test_interval_presentation():
