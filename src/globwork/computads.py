@@ -10,20 +10,15 @@ bracketings" used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from .errors import TypingError
 
 UNIT = "1"
 
 
-@dataclass(frozen=True)
-class FCell:
-    kind: str  # "var" | "op" | "comp"
-    name: str = ""
-    args: tuple = ()
-    dim: int = 0
-    src: "FCell | None" = None
-    tgt: "FCell | None" = None
+class FCell(namedtuple("FCell", "kind name args dim src tgt", defaults=("", (), 0, None, None))):
+    # kind is "var", "op" or "comp"
+    __slots__ = ()
 
     def __str__(self):
         if self.kind == "var":
@@ -126,14 +121,14 @@ def rename(cell: FCell, mapping: dict) -> FCell:
     )
 
 
-@dataclass
 class Computad:
     """Generators by dimension with formal boundary cells."""
 
-    label: str
-    gens: dict = field(default_factory=dict)
-    order: list = field(default_factory=list)
-    designated: dict = field(default_factory=dict)
+    def __init__(self, label: str):
+        self.label = label
+        self.gens = {}
+        self.order = []
+        self.designated = {}
 
     def add(self, name: str, dim: int, src: FCell | None = None, tgt: FCell | None = None) -> FCell:
         if name in self.gens:

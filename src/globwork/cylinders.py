@@ -27,7 +27,7 @@ import functools
 import itertools
 import json
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from .errors import DomainError, SizeGuardError, TypingError
 from .trees import (
     LEAF,
@@ -222,12 +222,10 @@ def degenerate_cyl(k: int, p, q, th: TheoryPresentation) -> Computad:
 MAX_SUM_NODES = 401
 
 
-@dataclass
-class SumCylinder:
-    tree: Tree
-    presentation: Computad
-    atoms: dict  # (side, cell of the tree) -> generator, side "u", "v" or "c"
-    inclusions: list  # one per linearization element: dict cell -> FCell
+class SumCylinder(namedtuple("SumCylinder", "tree presentation atoms inclusions")):
+    # atoms: (side, cell of the tree) -> generator, side "u", "v" or "c";
+    # inclusions: one per linearization element, a dict cell -> FCell
+    __slots__ = ()
 
 
 def _gen_name(A: Tree, side: str, x) -> str:
@@ -367,21 +365,14 @@ def _verify_inclusion(incl, cells):
 # ---------------------------------------------------------------------------
 # the stack of squares over the ordered tree extensions
 
-@dataclass
 class StackSquare:
-    index: int
-    element: ExtendedTree
-    case: str
-    top_section: tuple
-    bottom_section: tuple
-    top: str
-    bottom: str
-    left: dict | None = None
-    right: dict | None = None
-    source_degenerate: bool = False
-    target_degenerate: bool = False
-    p: int | None = None
-    q: int | None = None
+    def __init__(self, index: int, element: ExtendedTree, case: str, top_section: tuple,
+                 bottom_section: tuple, top: str, bottom: str):
+        self.index, self.element, self.case = index, element, case
+        self.top_section, self.bottom_section, self.top, self.bottom = top_section, bottom_section, top, bottom
+        # filled in per side by stack()
+        self.left = self.right = self.p = self.q = None
+        self.source_degenerate = self.target_degenerate = False
 
     def to_json(self):
         return {
@@ -672,10 +663,15 @@ def coherence_boundary(kind: str, indices, level: int, th: TheoryPresentation):
     if kind not in ("psi", "phi", "theta"):
         raise DomainError(f"unknown coherence family {kind!r}")
     glued = kind != "psi"
+    names = ("q", "m", "k") if glued else ("m", "k")
+    if len(indices) != len(names):
+        raise DomainError(f"{kind} takes the indices ({', '.join(names)}), got {tuple(indices)}")
+    for name, i in zip(names + ("level",), (*indices, level)):
+        least = 1 if glued and name in ("m", "level") else 0
+        if i < least:
+            raise DomainError(f"{kind} needs {name} >= {least}, got {i}")
     if glued:
         q, m, k = indices
-        if m < 1:
-            raise DomainError("the glued-cell families need m >= 1")
         dim = level + m
     else:
         q, k = indices  # psi's (m, k): the core is leaf q = m

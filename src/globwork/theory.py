@@ -17,9 +17,9 @@ of the suspended whiskering family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from .errors import AdmissibilityError, DomainError, SizeGuardError, TypingError
-from .trees import LEAF, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, parse_tree, suspend
+from .trees import LEAF, Frozen, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, parse_tree, suspend
 from . import globsets as gs
 from . import theta as th_ops
 from .computads import Computad, fcomp, fop, funit, fvar, fwhisker
@@ -48,26 +48,35 @@ def _junction_height(p: tuple, q: tuple) -> int:
     return h
 
 
-@dataclass(frozen=True, slots=True)
-class TermCell:
+_set = object.__setattr__
+
+
+class TermCell(Frozen):
     """A single morphism D_k -> B: a globular map or an applied symbol."""
 
-    glob: ThetaMap | None = None
-    op: str | None = None
-    args: "Term | None" = None
-    _h: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("glob", "op", "args", "_h")
+    _fields = __slots__[:3]
+
+    def __init__(self, glob: ThetaMap | None = None, op: str | None = None, args: "Term | None" = None):
+        if (glob is None) == (op is None):
+            raise TypingError("a term cell is either globular or a symbol application")
+        _set(self, "glob", glob)
+        _set(self, "op", op)
+        _set(self, "args", args)
+        _set(self, "_h", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.glob, self.op, self.args) == (other.glob, other.op, other.args)
+        return NotImplemented
 
     def __hash__(self):
         # memoised like Tree.__hash__
         h = self._h
         if h is None:
             h = hash((self.glob, self.op, self.args))
-            object.__setattr__(self, "_h", h)
+            _set(self, "_h", h)
         return h
-
-    def __post_init__(self):
-        if (self.glob is None) == (self.op is None):
-            raise TypingError("a term cell is either globular or a symbol application")
 
     @property
     def is_glob(self):
@@ -79,21 +88,29 @@ class TermCell:
         return f"{self.op}({self.args})"
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class Term(Frozen):
     """A morphism source -> target: one cell per leaf of the source."""
 
-    source: Tree
-    target: Tree
-    cells: tuple[TermCell, ...]
-    _h: int | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("source", "target", "cells", "_h")
+    _fields = __slots__[:3]
+
+    def __init__(self, source: Tree, target: Tree, cells: tuple[TermCell, ...]):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "cells", cells)
+        _set(self, "_h", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.cells) == (other.source, other.target, other.cells)
+        return NotImplemented
 
     def __hash__(self):
         # memoised like Tree.__hash__
         h = self._h
         if h is None:
             h = hash((self.source, self.target, self.cells))
-            object.__setattr__(self, "_h", h)
+            _set(self, "_h", h)
         return h
 
     def __str__(self):
@@ -118,15 +135,10 @@ def single(source_dim: int, target: Tree, cell: TermCell) -> Term:
     return Term(globe(source_dim), target, (cell,))
 
 
-@dataclass(frozen=True)
-class OperationSymbol:
-    name: str
-    arity: Tree
-    dim: int
-    src: Term | None
-    tgt: Term | None
-    theta_image: ThetaMap | None
-    is_equation: bool = False
+class OperationSymbol(
+    namedtuple("OperationSymbol", "name arity dim src tgt theta_image is_equation", defaults=(False,))
+):
+    __slots__ = ()
 
 
 # The largest truncation built.  The work grows with n: the slowest tower

@@ -21,32 +21,40 @@ import itertools
 import math
 import operator
 import sys
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from .errors import DomainError, SizeGuardError, TypingError
-from .trees import LEAF, Tree, dim as tree_dim, globe, leaf_address, leaf_paths
+from .trees import LEAF, Frozen, Tree, dim as tree_dim, globe, leaf_address, leaf_paths
 
 DEFAULT_HOM_BOUND = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class ThetaMap:
-    source: Tree
-    target: Tree
-    phi: tuple[int, ...]
-    components: tuple[tuple["ThetaMap", ...], ...]
-    _h: int | None = field(default=None, init=False, repr=False, compare=False)
+class ThetaMap(Frozen):
+    __slots__ = ("source", "target", "phi", "components", "_h")
+    _fields = __slots__[:4]
+
+    def __init__(self, source: Tree, target: Tree, phi: tuple[int, ...],
+                 components: tuple[tuple["ThetaMap", ...], ...]):
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_phi(self, phi)
+        _set_components(self, components)
+        _set_h(self, None)
+        check_map(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.phi, self.components) == (
+                other.source, other.target, other.phi, other.components)
+        return NotImplemented
 
     def __hash__(self):
         # memoised like Tree.__hash__
         h = self._h
         if h is None:
             h = hash((self.source, self.target, self.phi, self.components))
-            object.__setattr__(self, "_h", h)
+            _set_h(self, h)
         return h
-
-    def __post_init__(self):
-        check_map(self)
 
     def __str__(self):
         return f"{self.source}->{self.target}:{render(self)}"
@@ -366,10 +374,8 @@ def glob_top_image(f: ThetaMap):
 # ---------------------------------------------------------------------------
 # homogeneous-globular factorization
 
-@dataclass(frozen=True)
-class HGFactorization:
-    homogeneous: ThetaMap
-    globular: ThetaMap
+class HGFactorization(namedtuple("HGFactorization", "homogeneous globular")):
+    __slots__ = ()
 
     @property
     def middle(self) -> Tree:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from .errors import ParseError, InvalidTableError, DomainError, SizeGuardError
 
 # Classification tags for one-vertex extensions, keyed to the insertion
@@ -36,26 +36,53 @@ def _too_deep():
     return SizeGuardError(f"tree is deeper than the bound {MAX_PARSE_DEPTH}")
 
 
-@dataclass(frozen=True, slots=True)
-class Tree:
-    children: tuple["Tree", ...] = ()
-    _h: int | None = field(default=None, init=False, repr=False, compare=False)
-    # the dimension, stored so that dim() does not walk the tree
-    _height: int = field(init=False, repr=False, compare=False)
+class Frozen:
+    """Base of the value classes: slotted, refusing assignment after
+    construction, with the repr and the pickle recipe read off ``_fields``,
+    the fields that equality and the hash compare."""
 
-    def __post_init__(self):
-        height = 1 + max(c._height for c in self.children) if self.children else 0
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+_set = object.__setattr__
+
+
+class Tree(Frozen):
+    # _height is the dimension, stored so that dim() does not walk the tree
+    __slots__ = ("children", "_h", "_height")
+    _fields = ("children",)
+
+    def __init__(self, children: tuple["Tree", ...] = ()):
+        height = 1 + max(c._height for c in children) if children else 0
         if height > MAX_PARSE_DEPTH:
             raise _too_deep()
-        object.__setattr__(self, "_height", height)
+        _set(self, "children", children)
+        _set(self, "_h", None)
+        _set(self, "_height", height)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.children,) == (other.children,)
+        return NotImplemented
 
     def __hash__(self):
-        # the dataclass hash of the fields, memoised: unmemoised, every call
+        # the hash of the compared fields, memoised: unmemoised, every call
         # walks the whole tree
         h = self._h
         if h is None:
             h = hash((self.children,))
-            object.__setattr__(self, "_h", h)
+            _set(self, "_h", h)
         return h
 
     def __str__(self):
@@ -140,23 +167,32 @@ def parse_tree(text: str) -> Tree:
     return t
 
 
-@dataclass(frozen=True)
-class DimensionTable:
+class DimensionTable(Frozen):
     """Tops i_1..i_m and joins i'_1..i'_{m-1} with i'_k < i_k, i'_k < i_{k+1}."""
 
-    tops: tuple[int, ...]
-    joins: tuple[int, ...]
+    __slots__ = ("tops", "joins")
+    _fields = __slots__
 
-    def __post_init__(self):
-        if len(self.tops) != len(self.joins) + 1:
+    def __init__(self, tops: tuple[int, ...], joins: tuple[int, ...]):
+        if len(tops) != len(joins) + 1:
             raise InvalidTableError("need exactly m tops and m-1 joins")
-        if any(i < 0 for i in self.tops) or any(j < 0 for j in self.joins):
+        if any(i < 0 for i in tops) or any(j < 0 for j in joins):
             raise InvalidTableError("table entries must be naturals")
-        for k, j in enumerate(self.joins):
-            if not (j < self.tops[k] and j < self.tops[k + 1]):
+        for k, j in enumerate(joins):
+            if not (j < tops[k] and j < tops[k + 1]):
                 raise InvalidTableError(
                     f"join {j} at position {k} is not below both neighbours"
                 )
+        _set(self, "tops", tops)
+        _set(self, "joins", joins)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tops, self.joins) == (other.tops, other.joins)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.tops, self.joins))
 
     def __str__(self):
         tops = ",".join(str(i) for i in self.tops)
@@ -313,19 +349,14 @@ def leaf_address(t: Tree, cell) -> tuple[int, str]:
     return leaf, "s" * (len(paths[leaf]) - len(path) - 1) + ("t" if last else "s")
 
 
-@dataclass(frozen=True)
-class Sector:
+class Sector(namedtuple("Sector", "path gap")):
     """One gap at a node: ``gap`` indexes the r+1 slots around r children."""
 
-    path: tuple[int, ...]
-    gap: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExtendedTree:
-    base: Tree
-    sector: Sector
-    klass: str
+class ExtendedTree(namedtuple("ExtendedTree", "base sector klass")):
+    __slots__ = ()
 
     @property
     def result(self) -> Tree:

@@ -688,6 +688,26 @@ def test_coherence_rejects_bad_input():
             cyl.coherence_boundary(kind, indices, level, th)
 
 
+@pytest.mark.parametrize(
+    "kind, indices, level, message",
+    [
+        ("psi", (1, 1, 1), 1, r"psi takes the indices \(m, k\), got \(1, 1, 1\)"),
+        ("phi", (1, 1), 1, r"phi takes the indices \(q, m, k\), got \(1, 1\)"),
+        ("phi", (1, 1, 1), 0, "phi needs level >= 1, got 0"),
+        ("theta", (1, 1, 1), 0, "theta needs level >= 1, got 0"),
+        ("psi", (-1, 1), 1, "psi needs m >= 0, got -1"),
+        ("phi", (-1, 1, 1), 1, "phi needs q >= 0, got -1"),
+        ("theta", (1, -1, 1), 1, "theta needs m >= 1, got -1"),
+        ("theta", (1, 1, -1), 1, "theta needs k >= 0, got -1"),
+    ],
+)
+def test_coherence_names_the_bad_argument(kind, indices, level, message):
+    # refused before any table or term is built, by the argument's name
+    with pytest.raises(DomainError, match=message) as info:
+        cyl.coherence_boundary(kind, indices, level, TH)
+    assert type(info.value) is DomainError
+
+
 def test_vcompose_single_square_is_itself():
     rho = homogeneous_ops(NINE_TREE, 2)[0]
     sq = cyl.stack(rho, TH)[0]

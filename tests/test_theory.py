@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import re
@@ -476,7 +475,7 @@ def test_audit_reports_each_broken_symbol():
     ghost = app_cell("nope", T.Term(A, A, tuple(glob_cell(leaf_inclusion(A, i)) for i in range(2))))
     c1 = standard_library(2).symbol("c1")
     for sym, problems in (
-        (dataclasses.replace(c1, name="bad", src=c1.tgt, tgt=c1.src),
+        (T.OperationSymbol("bad", c1.arity, c1.dim, c1.tgt, c1.src, c1.theta_image, c1.is_equation),
          [("bad", "image source mismatch"), ("bad", "image target mismatch")]),
         (T.OperationSymbol("twice", A, 2, edge, edge, None), [("twice", "inadmissible")]),
         (T.OperationSymbol("ghost", A, 2, single(1, A, ghost), edge, None),

@@ -189,6 +189,8 @@ def test_map_refusals():
     for message, args in cases:
         with pytest.raises(TypingError, match=message):
             ThetaMap(*args)
+        with pytest.raises(TypingError, match=message):
+            ThetaMap(**dict(zip(("source", "target", "phi", "components"), args)))
     with pytest.raises(TypingError, match="wrong shape"):
         map_from_json(globe(1), A, {"phi": [0, 1], "components": []})
     with pytest.raises(TypingError, match="must be monotone"):

@@ -88,6 +88,8 @@ def test_stored_height_and_constructor_bound():
         trees.suspend(table_to_tree(DimensionTable((400,), ())))
     with pytest.raises(SizeGuardError):
         Tree((globe(k),))
+    with pytest.raises(SizeGuardError):
+        Tree(children=(globe(k),))
 
 
 def test_pretty_print_round_trip():
