@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from .errors import AdmissibilityError, DomainError, SizeGuardError, TypingError
-from .trees import LEAF, Frozen, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, parse_tree, suspend
+from .trees import (
+    LEAF, Frozen, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, parse_tree, suspend, tree_to_table,
+)
 from . import globsets as gs
 from . import theta as th_ops
 from .computads import Computad, fcomp, fop, funit, fvar, fwhisker
@@ -28,6 +30,7 @@ from .theta import (
     address_inclusion,
     assemble,
     compose,
+    face_reader,
     face_theta,
     filler,
     identity,
@@ -39,13 +42,6 @@ from .theta import (
 
 CATEGORICAL = "categorical"
 GROUPOIDAL = "groupoidal"
-
-
-def _junction_height(p: tuple, q: tuple) -> int:
-    h = 0
-    while h < len(p) and h < len(q) and p[h] == q[h]:
-        h += 1
-    return h
 
 
 _set = object.__setattr__
@@ -143,8 +139,9 @@ class OperationSymbol(
 
 # The largest truncation built.  The work grows with n: the slowest tower
 # command, ``theory audit --groupoidalize``, run in a fresh process on a
-# 2-core Xeon VM, takes 0.41-0.60 s and 28 MB of peak RSS at n = 32, and
-# 2.7 s and 69 MB at n = 64.
+# 2-core Xeon VM, takes 0.60-0.72 s and 25 MB of peak RSS at n = 32, and
+# 3.2-3.5 s and 66 MB at n = 64 (with the bound raised).  Building the
+# tower is most of that: the audit of the n = 32 tower takes 19-25 ms.
 MAX_TRUNCATION = 32
 
 
@@ -202,37 +199,30 @@ class TheoryPresentation:
             return tree_dim(cell.glob.source)
         return self.symbol(cell.op).dim
 
-    def cell_target(self, cell: TermCell) -> Tree:
-        if cell.is_glob:
-            return cell.glob.target
-        return cell.args.target
-
-    def validate_cell(self, cell: TermCell):
-        if cell.is_glob:
-            if not th_ops.is_globular(cell.glob):
-                raise TypingError("globular entries must be globular maps")
-            return
-        sym = self.symbol(cell.op)
-        if cell.args.source != sym.arity:
-            raise TypingError(f"arguments of {cell.op} must be shaped {sym.arity}")
-        self.validate_term(cell.args)
-
     def validate_term(self, t: Term):
-        paths = leaf_paths(t.source)
-        if len(t.cells) != len(paths):
+        tbl = tree_to_table(t.source)
+        heights = tbl.tops
+        if len(t.cells) != len(heights):
             raise TypingError("term needs one entry per source leaf")
-        tbl_heights = [len(p) for p in paths]
-        for cell, h in zip(t.cells, tbl_heights):
-            self.validate_cell(cell)
-            if self.cell_dim(cell) != h:
+        for cell, h in zip(t.cells, heights):
+            if cell.is_glob:
+                if not th_ops.is_globular(cell.glob):
+                    raise TypingError("globular entries must be globular maps")
+                k, target = tree_dim(cell.glob.source), cell.glob.target
+            else:
+                sym = self.symbol(cell.op)
+                if cell.args.source != sym.arity:
+                    raise TypingError(f"arguments of {cell.op} must be shaped {sym.arity}")
+                self.validate_term(cell.args)
+                k, target = sym.dim, cell.args.target
+            if k != h:
                 raise TypingError("entry dimension does not match its leaf")
-            if self.cell_target(cell) != t.target:
+            if target != t.target:
                 raise TypingError("entry lands in the wrong target")
         # matched boundaries: consecutive leaves agree at the junction height
-        for i in range(len(paths) - 1):
-            join = _junction_height(paths[i], paths[i + 1])
-            left = self.iterated_boundary_cell(t.cells[i], tbl_heights[i] - join, "t")
-            right = self.iterated_boundary_cell(t.cells[i + 1], tbl_heights[i + 1] - join, "s")
+        for i, join in enumerate(tbl.joins):
+            left = self.iterated_boundary_cell(t.cells[i], heights[i] - join, "t")
+            right = self.iterated_boundary_cell(t.cells[i + 1], heights[i + 1] - join, "s")
             if left != right:
                 raise TypingError(
                     f"leaves {i} and {i + 1} do not share their dim-{join} boundary"
@@ -371,10 +361,10 @@ class TheoryPresentation:
                     if not self.admissible(sym.dim, sym.src, sym.tgt):
                         problems.append((sym.name, "inadmissible"))
                     if sym.theta_image is not None:
+                        is_face = face_reader(sym.theta_image, sym.dim)
                         sides = (("s", sym.src, "source"), ("t", sym.tgt, "target"))
                         for side, term, what in sides:
-                            face = compose(face_theta(sym.dim - 1, side), sym.theta_image)
-                            if face != self.eval_term(term):
+                            if not is_face(self.eval_term(term), side):
                                 problems.append((sym.name, f"image {what} mismatch"))
                 except (TypingError, DomainError) as e:
                     problems.append((sym.name, str(e)))

@@ -24,7 +24,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 from .errors import DomainError, SizeGuardError, TypingError
-from .trees import LEAF, Frozen, Tree, dim as tree_dim, globe, leaf_address, leaf_paths
+from .trees import LEAF, Frozen, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, tree_to_table
 
 DEFAULT_HOM_BOUND = 10**6
 
@@ -166,6 +166,36 @@ def sigma_theta(k: int) -> ThetaMap:
 
 def tau_theta(k: int) -> ThetaMap:
     return face_theta(k, "t")
+
+
+def face_reader(f: ThetaMap, k: int):
+    """The test "h is compose(face_theta(k - 1, side), f)", as a function
+    of h and side that compares in place.
+
+    The face of a map out of D_k keeps its phi and takes the face of each
+    component; the face of a map out of D_1 is the point phi[0] (sigma) or
+    phi[-1] (tau).  Like ``compose``, it refuses an f not out of D_k, and
+    it does so at once, before any h is made.
+    """
+    face_source = globe(k - 1)  # face_theta's refusal of k < 1
+    if f.source != globe(k):
+        raise TypingError("composition mismatch")
+
+    def is_face(h: ThetaMap, side: str) -> bool:
+        return h.source == face_source and h.target == f.target and _face_of(h, f, side)
+
+    return is_face
+
+
+def _face_of(h: ThetaMap, f: ThetaMap, side: str) -> bool:
+    if not h.components:  # h is out of the point
+        return h.phi == (f.phi[0] if side == "s" else f.phi[-1],)
+    if h.phi != f.phi:
+        return False
+    for p, q in zip(h.components[0], f.components[0]):
+        if not _face_of(p, q, side):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +382,11 @@ def address_inclusion(t: Tree, leaf: int, chain: str) -> ThetaMap:
 
 
 def is_globular(f: ThetaMap) -> bool:
-    """Whether f is induced by a (dimension-preserving, monic) map of schemes."""
-    if f.source.is_leaf:
-        return True
-    for i in range(f.source.arity):
-        if f.phi[i + 1] != f.phi[i] + 1:
-            return False
-        if not is_globular(f.components[i][0]):
+    """Whether f is induced by a (dimension-preserving, monic) map of schemes:
+    every source branch spans exactly one target gap (a block holds one
+    component per gap), by a globular component."""
+    for block in f.components:
+        if len(block) != 1 or not is_globular(block[0]):
             return False
     return True
 
@@ -411,9 +439,13 @@ def hg_factorize(f: ThetaMap) -> HGFactorization:
 
 def splits_off(f: ThetaMap, g: ThetaMap) -> bool:
     """Whether the globular map g into f's target is the globular half of
-    hg_factorize(f): the point phi[0] when f's span phi[0]..phi[-1] is one
-    0-cell, else the run of the span's gaps with, over each gap, the
-    globular half of f's component there."""
+    hg_factorize(f), read off the wreath data with no factorisation built:
+    the point phi[0] when f's span phi[0]..phi[-1] is one 0-cell, else the
+    run of the span's gaps with, over each gap, the globular half of f's
+    component there.  The two halves the package asks about, the identity
+    of the target (homogeneity) and d_sigma, d_tau (boundary admissibility),
+    are read by ``_spans`` without building g; the tests hold it to this
+    general form."""
     a, b = f.phi[0], f.phi[-1]
     if g.source.is_leaf:
         return a == b == g.phi[0]
@@ -424,15 +456,36 @@ def splits_off(f: ThetaMap, g: ThetaMap) -> bool:
     return all(splits_off(c, h) for c, (h,) in zip(gaps, g.components))
 
 
+def _spans(f: ThetaMap, levels: int, side) -> bool:
+    """Whether the globular half of f is the identity of the target down to
+    ``levels`` heights below f, and there the target's first (side "s") or
+    last ("t") point: above that height phi runs from 0 to the target's
+    arity, in f and in every component, and at it f's span is that point.
+    With levels < 0 there is no such height, and this is homogeneity; with
+    levels = dim A - 1 for f's target A, it is splits_off(f, d) for the
+    side's map d of ``boundary_maps(A)``."""
+    if levels == 0:
+        return f.phi[0] == f.phi[-1] == (0 if side == "s" else f.target.arity)
+    if f.phi[0] != 0 or f.phi[-1] != f.target.arity:
+        return False
+    for block in f.components:
+        for c in block:
+            if not _spans(c, levels - 1, side):
+                return False
+    return True
+
+
 def is_homogeneous(f: ThetaMap) -> bool:
-    """No nontrivial globular map can be split off the target side: the
-    identity of the target is the globular half of f, which splits_off
-    reads off the wreath data without building the factorisation."""
-    ok = splits_off(f, identity(f.target))
+    """No nontrivial globular map can be split off the target side, that
+    is, the identity of the target is the globular half of f: phi runs from
+    0 to the target's arity (at a point target, trivially) and every
+    component is homogeneous.  A recursion on the wreath data; no map is
+    built."""
+    ok = _spans(f, -1, None)
     if ok:
         # dimension consequence for globe-sourced operations
         k = tree_dim(f.source)
-        if f.source == globe(k) and k < tree_dim(f.target):
+        if k < tree_dim(f.target) and f.source == globe(k):
             raise DomainError(f"homogeneous map out of D_{k} into a sum of higher dimension")
     return ok
 
@@ -521,8 +574,10 @@ def is_admissible_categorical(f: ThetaMap, g: ThetaMap) -> bool:
 
     A homogeneous h with h;d_sigma = f is the homogeneous half of the
     unique homogeneous-globular factorization of f, so f factors that way
-    exactly when splits_off(f, d_sigma) and splits_off(g, d_tau), read off
-    the wreath data with no factorisation or realization built.
+    exactly when splits_off(f, d_sigma) and splits_off(g, d_tau).  Those
+    two tests and the homogeneity of f and g are read off the wreath data by
+    ``_spans``, with no factorisation, boundary inclusion or realization
+    built.
     """
     if f.target != g.target:
         raise TypingError("admissible pairs need a common target")
@@ -534,7 +589,8 @@ def is_admissible_categorical(f: ThetaMap, g: ThetaMap) -> bool:
     A = f.target
     if tree_dim(A) == 0 or f.source != globe(k) or g.source != globe(k):
         return False
-    return all(splits_off(m, d) for m, d in zip((f, g), boundary_maps(A)))
+    d = tree_dim(A) - 1
+    return _spans(f, d, "s") and _spans(g, d, "t")
 
 
 def filler(f: ThetaMap, g: ThetaMap):
@@ -583,7 +639,7 @@ def assemble(source: Tree, target: Tree, leaf_maps) -> ThetaMap:
     the maps it comes from.
     """
     leaf_maps = list(leaf_maps)
-    heights = [len(p) for p in leaf_paths(source)]
+    heights = tree_to_table(source).tops
     if len(leaf_maps) != len(heights) or any(
         m.source != globe(h) or m.target != target for m, h in zip(leaf_maps, heights)
     ):

@@ -215,7 +215,10 @@ def dim(t: Tree) -> int:
     return t._height
 
 
+@functools.lru_cache(maxsize=None)
 def tree_to_table(t: Tree) -> DimensionTable:
+    """The leaf heights and the junction heights of consecutive leaves,
+    built once per tree."""
     tops = []
     joins = []
 

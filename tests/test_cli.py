@@ -1,5 +1,7 @@
 import argparse
 import collections
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -9,6 +11,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from globwork import cli, steiner
 from globwork.cli import build_parser, main
@@ -603,3 +606,59 @@ def test_cli_fuzz_exits_cleanly(tmp_path, capsys):
         codes[code] += 1
         capsys.readouterr()
     assert all(codes[c] for c in (0, 1, 2)), codes
+
+
+# Literals no option accepts, or accepts only to refuse: mixed into every
+# value the strategy below draws.
+BAD_LITERALS = ["x", "-1", "33", "[[", "frobnicate", ""]
+# Drawn values stay small, so that every call answers in milliseconds.
+SMALL_INTS = ["0", "1", "2", "3"]
+SMALL_TREES = ["[]", "[[]]", "[[][]]", "[[[]][]]", "D1", "D2"]
+
+
+@st.composite
+def cli_argv(draw):
+    """A command line drawn from build_parser()'s own subcommands, options
+    and choices, with bad literals and unknown words mixed in."""
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    name = draw(st.sampled_from(sorted(subs.choices) + ["frobnicate"]))
+    argv = [name]
+    actions = subs.choices[name]._actions if name in subs.choices else []
+    for action in actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.choices:
+            values = list(action.choices)
+        elif action.type is int:
+            values = SMALL_INTS
+        elif action.dest == "map":
+            values = FUZZ_MAPS[:-1]
+        else:
+            values = SMALL_TREES
+        # one value in six is a bad literal
+        value = st.integers(0, 5).flatmap(lambda i: st.sampled_from(values if i else BAD_LITERALS))
+        if not action.option_strings:
+            # a missing positional now and then
+            if draw(st.integers(0, 9)):
+                argv.append(draw(value))
+        elif draw(st.booleans()):
+            argv += [action.option_strings[0]] + ([] if action.nargs == 0 else [draw(value)])
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--frobnicate", "frobnicate"])))
+    return argv
+
+
+@settings(max_examples=300)
+@given(cli_argv())
+def test_drawn_command_lines_exit_with_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err.getvalue() == "", argv
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, err.getvalue())

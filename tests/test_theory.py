@@ -473,10 +473,13 @@ def test_audit_reports_each_broken_symbol():
     A = parse_tree("[[][]]")
     edge = single(1, A, glob_cell(leaf_inclusion(A, 0)))
     ghost = app_cell("nope", T.Term(A, A, tuple(glob_cell(leaf_inclusion(A, i)) for i in range(2))))
-    c1 = standard_library(2).symbol("c1")
+    c1, c2 = (standard_library(2).symbol(name) for name in ("c1", "c2"))
     for sym, problems in (
         (T.OperationSymbol("bad", c1.arity, c1.dim, c1.tgt, c1.src, c1.theta_image, c1.is_equation),
          [("bad", "image source mismatch"), ("bad", "image target mismatch")]),
+        # an image out of D_2 for a 1-cell: its faces cannot be taken at all
+        (T.OperationSymbol("wrong", c1.arity, 1, c1.src, c1.tgt, c2.theta_image, False),
+         [("wrong", "composition mismatch")]),
         (T.OperationSymbol("twice", A, 2, edge, edge, None), [("twice", "inadmissible")]),
         (T.OperationSymbol("ghost", A, 2, single(1, A, ghost), edge, None),
          [("ghost", "unknown operation symbol 'nope'")]),
@@ -485,6 +488,22 @@ def test_audit_reports_each_broken_symbol():
         th.stages[sym.dim].append(sym)
         th.symbols[sym.name] = sym
         assert th.audit() == problems
+
+
+def test_audit_types_an_image_before_evaluating_its_faces():
+    # k_l_2's target uses inv_l_1, which has no strict image; in a groupoidal
+    # tower nothing evaluates it before the image's faces are read
+    th = groupoidalize(standard_library(2))
+    k2, c1 = th.symbol("k_l_2"), th.symbol("c1")
+    for name, dim, image, problems in (
+        ("late", k2.dim, c1.theta_image, [("late", "composition mismatch")]),
+        ("flat", 0, c1.theta_image, [("flat", "inadmissible"), ("flat", "globe dimension must be >= 0, got -1")]),
+        ("lazy", k2.dim, th.symbol("c2").theta_image, [("lazy", "symbol 'inv_l_1' has no strict image")]),
+    ):
+        broken = th.copy()
+        broken.stages.setdefault(dim, []).append(T.OperationSymbol(name, k2.arity, dim, k2.tgt, k2.tgt, image, False))
+        broken.symbols[name] = broken.stages[dim][-1]
+        assert broken.audit() == problems
 
 
 def test_interval_presentation():

@@ -11,7 +11,7 @@ from globwork.errors import DomainError, SizeGuardError, TypingError
 from globwork import steiner, theta
 from globwork.globsets import GlobMap, realize
 from globwork.theory import groupoidalize, standard_library
-from globwork.trees import LEAF, Tree, all_trees, boundary, dim, globe, parse_tree, suspend
+from globwork.trees import LEAF, Tree, all_trees, boundary, dim, globe, parse_tree, suspend, tree_to_table
 from globwork.theta import (
     HomSet,
     ThetaMap,
@@ -19,6 +19,7 @@ from globwork.theta import (
     boundary_maps,
     cell_inclusion,
     compose,
+    face_reader,
     face_theta,
     filler,
     hg_factorize,
@@ -815,6 +816,73 @@ def test_splits_off_matches_factorisation():
                     positive += ok
                     negative += not ok
     assert positive > 0 and negative > 0
+
+
+def test_face_read_matches_composition():
+    # h runs over the face itself, the opposite face and the face's wreath
+    # data into a wider target; the oracle builds the composite and compares
+    checked = 0
+    for T in all_trees(6):
+        wider = Tree(T.children + (LEAF,))
+        for k in range(1, 4):
+            for f in hom(globe(k), T):
+                is_face = face_reader(f, k)
+                faces = {side: compose(face_theta(k - 1, side), f) for side in "st"}
+                for side, other in ("st", "ts"):
+                    h = faces[side]
+                    elsewhere = ThetaMap(h.source, wider, h.phi, h.components)
+                    for g in (h, faces[other], elsewhere):
+                        assert is_face(g, side) == (compose(face_theta(k - 1, side), f) == g)
+                    assert is_face(h, side) and not is_face(elsewhere, side)
+                    checked += 1
+    assert checked == 2 * sum(hom_count(globe(k), T) for T in all_trees(6) for k in range(1, 4))
+
+
+def test_boundary_read_matches_splits_off():
+    # the d_sigma / d_tau test of is_admissible_categorical, read without
+    # the boundary inclusions, against splits_off on the built ones
+    positive = negative = 0
+    for T in all_trees(6):
+        if dim(T) == 0:
+            continue
+        d_maps = boundary_maps(T)
+        for S in [globe(k) for k in range(4)] + list(all_trees(4)):
+            for f in hom(S, T):
+                for side, d in zip("st", d_maps):
+                    ok = theta._spans(f, dim(T) - 1, side)
+                    assert ok == splits_off(f, d)
+                    positive += ok
+                    negative += not ok
+    assert positive > 0 and negative > 0
+
+
+def test_face_read_refuses_as_composition_does():
+    # a map not out of D_k has no face through face_theta(k - 1, side), and
+    # there is no face_theta(-1, side)
+    f = leaf_inclusion(NINE_TREE, 0)
+    for k, error in ((1, TypingError), (3, TypingError), (0, DomainError)):
+        for side in "st":
+            with pytest.raises(error) as composed:
+                compose(face_theta(k - 1, side), f)
+            with pytest.raises(error) as read:
+                face_reader(f, k)
+            assert str(read.value) == str(composed.value)
+
+
+def junction_height(p, q):
+    h = 0
+    while h < len(p) and h < len(q) and p[h] == q[h]:
+        h += 1
+    return h
+
+
+def test_leaf_table_matches_the_leaf_paths():
+    for t in all_trees(9):
+        paths = leaf_paths(t)
+        table = tree_to_table(t)
+        assert table.tops == tuple(len(p) for p in paths)
+        assert table.joins == tuple(junction_height(p, q) for p, q in zip(paths, paths[1:]))
+        assert tree_to_table(t) is table
 
 
 def test_boundary_maps_match_globsets():
