@@ -1,11 +1,11 @@
 """Formal cells over named generators, and finite computad presentations.
 
-The cylinder and modification presentations, the interval, and the division
-schemas all describe cells by formal composites: generators, applied
-operations (with declared boundaries when the operation is an opaque chosen
-filler), and unbiased codimension-1 composites.  Composites are normalized
-by flattening and unit removal, which is the working notion of "omitting
-bracketings" used throughout.
+The cylinder and modification presentations and the interval all describe
+cells by formal composites: generators, applied operations (with declared
+boundaries when the operation is an opaque chosen filler), and unbiased
+codimension-1 composites.  Composites are normalized by flattening and unit
+removal, which is the working notion of "omitting bracketings" used
+throughout.
 """
 
 from __future__ import annotations

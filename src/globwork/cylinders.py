@@ -30,8 +30,6 @@ import operator
 from collections import namedtuple
 from .errors import DomainError, SizeGuardError, TypingError
 from .trees import (
-    LEAF,
-    DimensionTable,
     ExtendedTree,
     Tree,
     boundary as tree_boundary,
@@ -41,12 +39,11 @@ from .trees import (
     globe,
     insert_at,
     linearization,
-    table_to_tree,
 )
 from . import trees as tree_mod
 from .computads import Computad, FCell, fcomp, funit, fwhisker
-from .theta import ThetaMap, homogeneous_op, is_homogeneous, leaf_inclusion, render
-from .theory import Term, TheoryPresentation, app_cell, glob_cell, single, whisker
+from .theta import ThetaMap, homogeneous_op, is_homogeneous, render
+from .theory import TheoryPresentation
 
 
 def _require_systems(th: TheoryPresentation, k: int):
@@ -645,67 +642,3 @@ def modification_presentation(k: int, th: TheoryPresentation):
         }
     xi["equations"] = equations
     return P, xi
-
-
-# ---------------------------------------------------------------------------
-# coherence-cylinder boundary pairs
-
-def coherence_boundary(kind: str, indices, level: int, th: TheoryPresentation):
-    """The two boundary components of a coherence-cylinder extension problem.
-
-    ``kind`` selects the family and its core: the middle leaf m of psi's
-    (m, k), or leaves q and q+1 of phi's and theta's (q, m, k), a glued block
-    or its mirror, bundled by the suspended whiskering.  The components
-    whisker the core by the edges, inner to outer: all left ones, then the
-    right ones; or the nearest right one (psi) or all of them, then the rest.
-    The extensions are opaque choices; only their boundary pair is built.
-    """
-    if kind not in ("psi", "phi", "theta"):
-        raise DomainError(f"unknown coherence family {kind!r}")
-    glued = kind != "psi"
-    names = ("q", "m", "k") if glued else ("m", "k")
-    if len(indices) != len(names):
-        raise DomainError(f"{kind} takes the indices ({', '.join(names)}), got {tuple(indices)}")
-    for name, i in zip(names + ("level",), (*indices, level)):
-        least = 1 if glued and name in ("m", "level") else 0
-        if i < least:
-            raise DomainError(f"{kind} needs {name} >= {least}, got {i}")
-    if glued:
-        q, m, k = indices
-        dim = level + m
-    else:
-        q, k = indices  # psi's (m, k): the core is leaf q = m
-        dim = level + 1
-    if dim > th.n:
-        raise DomainError("component dimension exceeds the truncation")
-    if glued:
-        rows = (m + 1, dim) if kind == "phi" else (dim, m + 1)
-        block = table_to_tree(DimensionTable(rows, (m,))).children[0]
-    else:
-        block = globe(level)
-    M = Tree((LEAF,) * q + (block,) + (LEAF,) * k)
-
-    def leaf(i):
-        return glob_cell(leaf_inclusion(M, i))
-
-    core = leaf(q)
-    if glued:
-        if dim == m + 1:
-            sym = f"c{dim}"
-        elif m == 1 and dim == 3 and "sw_l_3" in th.symbols:
-            sym = "sw_l_3" if kind == "phi" else "sw_r_3"
-        else:
-            raise DomainError("suspended whiskering outside the shipped range")
-        core = app_cell(sym, Term(th.symbol(sym).arity, M, (core, leaf(q + 1))))
-    lefts = [(i, "l") for i in range(q - 1, -1, -1)]
-    rights = [(i, "r") for i in range(q + 1 + glued, q + 1 + glued + k)]
-    near = len(rights) if glued else 1
-    terms = []
-    for edges in (lefts + rights, rights[:near] + lefts + rights[near:]):
-        cell = core
-        for i, side in edges:
-            cell = whisker(th, side, cell, leaf(i), M)
-        terms.append(single(dim, M, cell))
-    for t in terms:
-        th.validate_term(t)
-    return tuple(terms)

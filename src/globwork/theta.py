@@ -437,33 +437,16 @@ def hg_factorize(f: ThetaMap) -> HGFactorization:
     return HGFactorization(residue, mono)
 
 
-def splits_off(f: ThetaMap, g: ThetaMap) -> bool:
-    """Whether the globular map g into f's target is the globular half of
-    hg_factorize(f), read off the wreath data with no factorisation built:
-    the point phi[0] when f's span phi[0]..phi[-1] is one 0-cell, else the
-    run of the span's gaps with, over each gap, the globular half of f's
-    component there.  The two halves the package asks about, the identity
-    of the target (homogeneity) and d_sigma, d_tau (boundary admissibility),
-    are read by ``_spans`` without building g; the tests hold it to this
-    general form."""
-    a, b = f.phi[0], f.phi[-1]
-    if g.source.is_leaf:
-        return a == b == g.phi[0]
-    if a == b or (a, b) != (g.phi[0], g.phi[-1]):
-        return False
-    # f's blocks cover the gaps a+1..b in order, one component per gap
-    gaps = itertools.chain.from_iterable(f.components)
-    return all(splits_off(c, h) for c, (h,) in zip(gaps, g.components))
-
-
 def _spans(f: ThetaMap, levels: int, side) -> bool:
     """Whether the globular half of f is the identity of the target down to
     ``levels`` heights below f, and there the target's first (side "s") or
     last ("t") point: above that height phi runs from 0 to the target's
     arity, in f and in every component, and at it f's span is that point.
     With levels < 0 there is no such height, and this is homogeneity; with
-    levels = dim A - 1 for f's target A, it is splits_off(f, d) for the
-    side's map d of ``boundary_maps(A)``."""
+    levels = dim A - 1 for f's target A, it is whether the side's map d of
+    ``boundary_maps(A)`` is the globular half of f, read without building d;
+    tests/test_theta.py holds it to its oracle ``splits_off(f, d)``, which
+    reads that for any globular d."""
     if levels == 0:
         return f.phi[0] == f.phi[-1] == (0 if side == "s" else f.target.arity)
     if f.phi[0] != 0 or f.phi[-1] != f.target.arity:
@@ -574,10 +557,10 @@ def is_admissible_categorical(f: ThetaMap, g: ThetaMap) -> bool:
 
     A homogeneous h with h;d_sigma = f is the homogeneous half of the
     unique homogeneous-globular factorization of f, so f factors that way
-    exactly when splits_off(f, d_sigma) and splits_off(g, d_tau).  Those
-    two tests and the homogeneity of f and g are read off the wreath data by
-    ``_spans``, with no factorisation, boundary inclusion or realization
-    built.
+    exactly when d_sigma is the globular half of f and d_tau that of g.
+    ``_spans`` reads those two tests and the homogeneity of f and g off the
+    wreath data, with no factorisation, boundary inclusion or realization
+    built; tests/test_theta.py holds it to its oracle ``splits_off``.
     """
     if f.target != g.target:
         raise TypingError("admissible pairs need a common target")

@@ -8,6 +8,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -616,6 +617,31 @@ SMALL_INTS = ["0", "1", "2", "3"]
 SMALL_TREES = ["[]", "[[]]", "[[][]]", "[[[]][]]", "D1", "D2"]
 
 
+def _batch_file(*items):
+    return json.dumps({"batches": [list(items)]})
+
+
+# The contents of a drawn ``--file``: valid one-batch files, malformed JSON,
+# wrong field types, an unknown symbol and missing keys.
+FILE_TEXTS = [
+    _batch_file(EXTRA_OP),
+    _batch_file({"name": "cc", "arity": "[[][]]", "k": 2, "src": {"cells": [C1_CELL]}, "tgt": {"cells": [C1_CELL]}}),
+    json.dumps({"batches": []}),
+    "{",
+    '{"batches": [[',
+    "[]",
+    '{"batches": 1}',
+    '{"batches": [1]}',
+    _batch_file(dict(EXTRA_OP, k="1")),
+    _batch_file(dict(EXTRA_OP, arity=3)),
+    _batch_file(dict(EXTRA_OP, src={"cells": 1})),
+    _batch_file(dict(EXTRA_OP, tgt={"cells": [{"op": "frobnicate", "args": {"cells": []}}]})),
+    "{}",
+    _batch_file({key: value for key, value in EXTRA_OP.items() if key != "tgt"}),
+    _batch_file(dict(EXTRA_OP, src={"cells": [{"op": "c1"}]})),
+]
+
+
 @st.composite
 def cli_argv(draw):
     """A command line drawn from build_parser()'s own subcommands, options
@@ -633,6 +659,8 @@ def cli_argv(draw):
             values = SMALL_INTS
         elif action.dest == "map":
             values = FUZZ_MAPS[:-1]
+        elif action.dest == "file":
+            values = FILE_TEXTS
         else:
             values = SMALL_TREES
         # one value in six is a bad literal
@@ -648,17 +676,43 @@ def cli_argv(draw):
     return argv
 
 
-@settings(max_examples=300)
-@given(cli_argv())
+@st.composite
+def file_argv(draw):
+    """``theory build|audit --file`` with drawn contents (one in six a bad
+    literal), now and then with a truncation, ``--groupoidalize`` or
+    ``--json``."""
+    contents = st.integers(0, 5).flatmap(lambda i: st.sampled_from(FILE_TEXTS if i else BAD_LITERALS))
+    argv = ["theory", draw(st.sampled_from(["build", "audit"])), "--file", draw(contents)]
+    if draw(st.booleans()):
+        argv += ["--n", draw(st.sampled_from(SMALL_INTS))]
+    for flag in ("--groupoidalize", "--json"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv
+
+
+@settings(max_examples=400)
+@given(st.one_of(cli_argv(), file_argv()))
 def test_drawn_command_lines_exit_with_one_line(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # a drawn --file value is the file's contents: pass a file holding them
+        spec = pathlib.Path(tmp) / "spec.json"
+        line = list(argv)
+        for i in range(1, len(line)):
+            if line[i - 1] == "--file":
+                spec.write_text(line[i])
+                line[i] = str(spec)
         try:
-            code = main(argv)
+            code = main(line)
         except SystemExit as e:
             code = e.code
     assert code in (0, 1, 2), argv
     if code == 0:
         assert err.getvalue() == "", argv
+    elif argv[:2] == ["theta", "filler"] and out.getvalue() == "no filler\n":
+        # the negative answer test_theta_actions_print_their_answer pins:
+        # exit 1 with the answer on stdout
+        assert code == 1 and err.getvalue() == "", argv
     else:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, err.getvalue())

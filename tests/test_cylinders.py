@@ -3,7 +3,16 @@ import pytest
 from globwork.errors import DomainError, TypingError
 from globwork import cylinders as cyl
 from globwork.computads import fcomp, find_computad_iso, fwhisker, rename
-from globwork.theory import groupoidalize, standard_library
+from globwork.theory import (
+    Term,
+    TheoryPresentation,
+    app_cell,
+    glob_cell,
+    groupoidalize,
+    single,
+    standard_library,
+    whisker,
+)
 from globwork.theta import (
     compose,
     face_theta,
@@ -11,12 +20,25 @@ from globwork.theta import (
     hom,
     homogeneous_op,
     is_homogeneous,
+    leaf_inclusion,
     render,
     sigma_theta,
     tau_theta,
 )
 from globwork import trees as tree_mod
-from globwork.trees import H3, LEAF, all_trees, boundary, dim, globe, linearization, parse_tree
+from globwork.trees import (
+    H3,
+    LEAF,
+    DimensionTable,
+    Tree,
+    all_trees,
+    boundary,
+    dim,
+    globe,
+    linearization,
+    parse_tree,
+    table_to_tree,
+)
 
 TH = groupoidalize(standard_library(3))
 NINE_TREE = parse_tree("[[[][]][]]")
@@ -626,10 +648,72 @@ def test_modification_xi_restricts():
 
 
 # ---------------------------------------------------------------------------
-# coherence boundaries
+# coherence boundaries: the boundary pairs of the coherence-cylinder extension
+# problems, a golden generator (tests/golden/coherence_boundaries.txt)
+
+def coherence_boundary(kind: str, indices, level: int, th: TheoryPresentation):
+    """The two boundary components of a coherence-cylinder extension problem.
+
+    ``kind`` selects the family and its core: the middle leaf m of psi's
+    (m, k), or leaves q and q+1 of phi's and theta's (q, m, k), a glued block
+    or its mirror, bundled by the suspended whiskering.  The components
+    whisker the core by the edges, inner to outer: all left ones, then the
+    right ones; or the nearest right one (psi) or all of them, then the rest.
+    The extensions are opaque choices; only their boundary pair is built.
+    """
+    if kind not in ("psi", "phi", "theta"):
+        raise DomainError(f"unknown coherence family {kind!r}")
+    glued = kind != "psi"
+    names = ("q", "m", "k") if glued else ("m", "k")
+    if len(indices) != len(names):
+        raise DomainError(f"{kind} takes the indices ({', '.join(names)}), got {tuple(indices)}")
+    for name, i in zip(names + ("level",), (*indices, level)):
+        least = 1 if glued and name in ("m", "level") else 0
+        if i < least:
+            raise DomainError(f"{kind} needs {name} >= {least}, got {i}")
+    if glued:
+        q, m, k = indices
+        dim = level + m
+    else:
+        q, k = indices  # psi's (m, k): the core is leaf q = m
+        dim = level + 1
+    if dim > th.n:
+        raise DomainError("component dimension exceeds the truncation")
+    if glued:
+        rows = (m + 1, dim) if kind == "phi" else (dim, m + 1)
+        block = table_to_tree(DimensionTable(rows, (m,))).children[0]
+    else:
+        block = globe(level)
+    M = Tree((LEAF,) * q + (block,) + (LEAF,) * k)
+
+    def leaf(i):
+        return glob_cell(leaf_inclusion(M, i))
+
+    core = leaf(q)
+    if glued:
+        if dim == m + 1:
+            sym = f"c{dim}"
+        elif m == 1 and dim == 3 and "sw_l_3" in th.symbols:
+            sym = "sw_l_3" if kind == "phi" else "sw_r_3"
+        else:
+            raise DomainError("suspended whiskering outside the shipped range")
+        core = app_cell(sym, Term(th.symbol(sym).arity, M, (core, leaf(q + 1))))
+    lefts = [(i, "l") for i in range(q - 1, -1, -1)]
+    rights = [(i, "r") for i in range(q + 1 + glued, q + 1 + glued + k)]
+    near = len(rights) if glued else 1
+    terms = []
+    for edges in (lefts + rights, rights[:near] + lefts + rights[near:]):
+        cell = core
+        for i, side in edges:
+            cell = whisker(th, side, cell, leaf(i), M)
+        terms.append(single(dim, M, cell))
+    for t in terms:
+        th.validate_term(t)
+    return tuple(terms)
+
 
 def test_psi_components_nested_shape():
-    t1, t2 = cyl.coherence_boundary("psi", (2, 1), 1, TH)
+    t1, t2 = coherence_boundary("psi", (2, 1), 1, TH)
     # first component: innermost bundle joins the middle to its nearest left
     # edge, then the remaining edges wrap outward
     c1 = t1.sole
@@ -652,26 +736,26 @@ def test_psi_components_nested_shape():
 
 
 def test_psi_degenerate():
-    t1, t2 = cyl.coherence_boundary("psi", (0, 0), 1, TH)
+    t1, t2 = coherence_boundary("psi", (0, 0), 1, TH)
     assert t1 == t2
     assert t1.sole.is_glob
 
 
 def test_psi_one_sided():
     # with no edges on one side the two bracketings coincide
-    t1, t2 = cyl.coherence_boundary("psi", (0, 2), 1, TH)
+    t1, t2 = coherence_boundary("psi", (0, 2), 1, TH)
     assert t1 == t2
     assert TH.eval_term(t1) == TH.eval_term(t2)
-    t1b, t2b = cyl.coherence_boundary("psi", (3, 0), 1, TH)
+    t1b, t2b = coherence_boundary("psi", (3, 0), 1, TH)
     assert t1b == t2b
     assert TH.eval_term(t1b) == TH.eval_term(t2b)
 
 
 def test_phi_theta_components():
     for kind in ("phi", "theta"):
-        t1, t2 = cyl.coherence_boundary(kind, (1, 1, 1), 1, TH)
+        t1, t2 = coherence_boundary(kind, (1, 1, 1), 1, TH)
         assert TH.eval_term(t1) == TH.eval_term(t2)
-        t1b, t2b = cyl.coherence_boundary(kind, (1, 1, 0), 2, TH)
+        t1b, t2b = coherence_boundary(kind, (1, 1, 0), 2, TH)
         assert TH.eval_term(t1b) == TH.eval_term(t2b)
 
 
@@ -685,7 +769,7 @@ def test_coherence_rejects_bad_input():
         ("phi", (1, 2, 1), 2, th4, "outside the shipped range"),
     ):
         with pytest.raises(DomainError, match=message):
-            cyl.coherence_boundary(kind, indices, level, th)
+            coherence_boundary(kind, indices, level, th)
 
 
 @pytest.mark.parametrize(
@@ -704,7 +788,7 @@ def test_coherence_rejects_bad_input():
 def test_coherence_names_the_bad_argument(kind, indices, level, message):
     # refused before any table or term is built, by the argument's name
     with pytest.raises(DomainError, match=message) as info:
-        cyl.coherence_boundary(kind, indices, level, TH)
+        coherence_boundary(kind, indices, level, TH)
     assert type(info.value) is DomainError
 
 

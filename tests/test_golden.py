@@ -17,8 +17,16 @@ PYTHONHASHSEED 1 and 2 and compares the bytes with the goldens and the
 in-process report, so no output may follow the iteration order of a set
 of strings or tuples.
 
+The whiskering sums, the coherence-cylinder boundary pairs and the
+division and promotion composites are constructions no package command
+calls, so their generators live in the test modules beside their tests:
+``coherence_boundary`` in tests/test_cylinders.py, and ``whisker_sum``,
+``division_term`` and ``promote_inverse_term`` in tests/test_theory.py.
+
 Regenerate only for an intended change of output:
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``.  CI runs it and then
+``git diff --exit-code tests/golden``, so the regeneration path must keep
+importing and write the same bytes.
 """
 
 import contextlib
@@ -35,16 +43,12 @@ import pytest
 from globwork.cli import main
 from globwork import cylinders as cyl
 from globwork.errors import DomainError
-from globwork.theory import (
-    division_term,
-    groupoidalize,
-    promote_inverse_term,
-    standard_library,
-    whisker_sum,
-)
+from globwork.theory import groupoidalize, standard_library
 from globwork.theta import hom, is_homogeneous
 from globwork.trees import all_trees, dim, globe
+from test_cylinders import coherence_boundary
 from test_globsets import cyclic_checklist
+from test_theory import division_term, promote_inverse_term, whisker_sum
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 NINE_TREE = "[[[][]][]]"
@@ -121,7 +125,7 @@ def _coherence_boundaries():
     for kind, indices, level in COHERENCE_CASES:
         head = f"{kind} {indices} {level}"
         try:
-            t1, t2 = cyl.coherence_boundary(kind, indices, level, th)
+            t1, t2 = coherence_boundary(kind, indices, level, th)
         except DomainError as e:
             lines.append(f"{head}: DomainError: {e}")
             continue

@@ -24,6 +24,19 @@ def package_imports(path):
     return found
 
 
+def names_imported(path, module):
+    """The names a source file imports from the sibling ``module``; the
+    module's own name when the file imports the module whole."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == module:
+                names.update(a.name for a in node.names)
+            elif node.module is None:
+                names.update(a.name for a in node.names if a.name == module)
+    return names
+
+
 def test_readme_layering_claims():
     imports = {path.stem: package_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert imports["theta"] == {"errors", "trees"}
@@ -34,6 +47,10 @@ def test_readme_layering_claims():
     assert imports["trees"] == {"errors"}
     # the chain-model oracle stays independent of the wreath encoding
     assert imports["steiner"] == {"globsets", "trees"}
+    # the cylinders read the tower type alone from the term calculus, and
+    # the term calculus three names from the formal cells
+    assert names_imported(SRC / "cylinders.py", "theory") == {"TheoryPresentation"}
+    assert names_imported(SRC / "theory.py", "computads") == {"Computad", "fop", "funit"}
     # the reader sees both import forms the package uses
     assert {"globsets", "theta", "theory", "cylinders", "trees"} <= imports["cli"]
 
@@ -59,3 +76,54 @@ def test_no_unused_imports():
     sources = sorted(SRC.glob("*.py"))
     assert len(sources) > 1
     assert {path.stem: unused_imports(path) for path in sources if unused_imports(path)} == {}
+
+
+# Package functions that only the tests call, each with the reason it stays
+# in the package.
+TEST_ONLY = {
+    "degenerate_cyl": "it shares _globes and _glue with the cylinders; moved out, "
+    "their same_c, same_d and merged options would be set only by a test",
+    "chi_check": "the program side of chi_check_by_filter in tests/test_globsets.py",
+    "loopspace": "the program side of loopspace_by_filter in tests/test_globsets.py",
+}
+
+
+def names_read(node):
+    """The names a syntax tree reads: loaded names, attributes and the
+    entries of ``__all__``."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in sub.targets):
+            read.update(ast.literal_eval(sub.value))
+    return read
+
+
+def uncalled_public_definitions():
+    """The public top-level functions and classes of the package that no
+    other package module, no part of their own module outside their own
+    body and no benchmark module reads."""
+    modules = {path: ast.parse(path.read_text()).body for path in sorted(SRC.glob("*.py"))}
+    # the names each top-level statement reads
+    reads = {path: [names_read(stmt) for stmt in body] for path, body in modules.items()}
+    bench = set()
+    for path in sorted((SRC.parents[1] / "globbench").glob("*.py")):
+        bench |= names_read(ast.parse(path.read_text()))
+    uncalled = []
+    for path, body in modules.items():
+        elsewhere = bench.union(*(r for other, rs in reads.items() if other != path for r in rs))
+        for i, node in enumerate(body):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = set().union(*(r for j, r in enumerate(reads[path]) if j != i))
+            if node.name not in elsewhere | own:
+                uncalled.append(node.name)
+    return sorted(uncalled)
+
+
+def test_every_public_function_has_a_caller():
+    # the exceptions must still be uncalled, so the list cannot go stale
+    assert uncalled_public_definitions() == sorted(TEST_ONLY)

@@ -1,12 +1,13 @@
 """Laws checked on shrinking examples: trees, small finite globular sets
-presented as computads, and the hom sets between small trees."""
+presented as computads, the hom sets between small trees and the maps in
+them."""
 
 from hypothesis import given, strategies as st
 
 from test_computads import assert_searches_agree, relabelled
 from test_globsets import as_computad
 from globwork.globsets import FinGlobSet
-from globwork.theta import HomSet, hom, hom_count
+from globwork.theta import HomSet, compose, hg_factorize, hom, hom_count, identity, is_globular, is_homogeneous
 from globwork.trees import LEAF, Tree, boundary, boundary_table_oracle, parse_tree
 
 
@@ -38,6 +39,20 @@ def finglobsets(draw, max_dim=2, max_cells=4):
     return FinGlobSet(n, cells, src, tgt)
 
 
+# one strategy object, so hypothesis validates it once
+SMALL_TREES = trees(max_leaves=5)
+
+
+@st.composite
+def maps(draw, source=None):
+    """A map of hom(S, T) read by rank from a fresh hom set, with S (unless
+    given) and T drawn from ``SMALL_TREES``.  No hom set is empty: every
+    map through the point is in it."""
+    S = draw(SMALL_TREES) if source is None else source
+    T = draw(SMALL_TREES)
+    return HomSet(S, T)[draw(st.integers(0, hom_count(S, T) - 1))]
+
+
 @given(trees())
 def test_parse_inverts_str(t):
     fresh = parse_tree(str(t))
@@ -60,3 +75,24 @@ def test_reading_by_rank_is_the_full_pass(S, T):
     # a fresh set read rank by rank, before any full pass of that set
     by_rank = tuple(HomSet(S, T)[i] for i in range(hom_count(S, T)))
     assert by_rank == tuple(HomSet(S, T)) == tuple(hom(S, T))
+
+
+@given(maps())
+def test_identity_is_a_unit(f):
+    assert compose(identity(f.source), f) == f == compose(f, identity(f.target))
+
+
+@given(st.data())
+def test_composition_is_associative(data):
+    f = data.draw(maps())
+    g = data.draw(maps(source=f.target))
+    h = data.draw(maps(source=g.target))
+    assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+
+@given(maps())
+def test_factorisation_recomposes(f):
+    fact = hg_factorize(f)
+    assert compose(fact.homogeneous, fact.globular) == f
+    assert is_homogeneous(fact.homogeneous) and is_globular(fact.globular)
+    assert is_homogeneous(f) == (fact.globular == identity(f.target))

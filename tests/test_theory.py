@@ -7,8 +7,7 @@ import pytest
 from globwork.errors import AdmissibilityError, DomainError, SizeGuardError, TypingError
 from globwork import globsets as gs
 from globwork import theory as T
-from globwork.computads import Computad, fop, fvar, typecheck as ftypecheck
-from globwork.cylinders import coherence_boundary
+from globwork.computads import Computad, fcomp, fop, funit, fvar, fwhisker, typecheck as ftypecheck
 from globwork.theta import (
     ThetaMap,
     address_inclusion,
@@ -25,20 +24,20 @@ from globwork.theory import (
     GROUPOIDAL,
     Term,
     TermCell,
+    TheoryPresentation,
     app_cell,
     base_theory,
-    division_term,
     generating_cofibrations,
     glob_cell,
     groupoidalize,
     interval_presentation,
-    promote_inverse_term,
     single,
     standard_library,
     standard_systems,
-    whisker_sum,
+    whisker,
     zero_cell_pick,
 )
+from test_cylinders import coherence_boundary
 
 TWO = Tree((LEAF, LEAF))
 
@@ -218,6 +217,31 @@ def test_systems_boundary_laws():
 def test_systems_fillers_verified():
     th = standard_systems(base_theory(3))
     assert th.audit() == []
+
+
+# ---------------------------------------------------------------------------
+# the whiskering sum: a golden generator (tests/golden/whisker_sums.txt)
+
+def whisker_sum(th: TheoryPresentation, A: Tree, side: str):
+    """The componentwise whiskering of A by a new edge as a term:
+    A -> A u_{D_0} D_1 for side "r", A -> D_1 u_{D_0} A for side "l".
+
+    Only the block next to the new edge can absorb it: a whiskered block
+    moves its far 0-boundary, so whiskering any other block would break
+    the gluing at a 0-cell join.  On suspensions every cell is whiskered;
+    in general the other blocks pass through untouched.
+    """
+    right = side == "r"
+    if A == LEAF:
+        return Term(LEAF, globe(1), (zero_cell_pick(globe(1), 0 if right else 1),))
+    target = Tree(A.children + (LEAF,) if right else (LEAF,) + A.children)
+    edge = glob_cell(leaf_inclusion(target, A.n_leaves() if right else 0))
+    near_block = A.arity - 1 if right else 0
+    cells = []
+    for j, path in enumerate(leaf_paths(A)):
+        cell = glob_cell(leaf_inclusion(target, j if right else j + 1))
+        cells.append(whisker(th, side, cell, edge, target) if path[0] == near_block else cell)
+    return Term(A, target, tuple(cells))
 
 
 def test_whisker_sum_nine_tree():
@@ -438,6 +462,67 @@ def test_truncation_bound():
         with pytest.raises(SizeGuardError):
             generating_cofibrations(n)
     assert base_theory(T.MAX_TRUNCATION).n == T.MAX_TRUNCATION
+
+
+# ---------------------------------------------------------------------------
+# division and promotion schemas: golden generators
+# (tests/golden/schema_terms.txt)
+
+def division_term(n: int, th: TheoryPresentation):
+    """The correction composite dividing a whiskered cell by the 1-cell.
+
+    Returns the formal composite (a list of factors plus the assembled
+    cell); the outer factors are opaque coherence constraints.
+    """
+    if n not in (1, 2):
+        raise DomainError("division schema implemented for n = 1, 2")
+    a = fvar("a", 0)
+    b = fvar("b", 0)
+    c = fvar("c", 0)
+    f = fvar("f", 1, b, c)
+    f_inv = fop(th.symbol("inv_l_1").name, (f,), 1, c, b)
+
+    def blown(X):
+        # X f f^-1, collared back to X's boundary by the coh cells of its
+        # faces (none at dimension 1)
+        w = fwhisker(fwhisker(X, f, "r"), f_inv, "r")
+        return w if X.dim == 1 else fcomp([coh(X.src, True), w, coh(X.tgt, False)])
+
+    def coh(X, into):
+        ends = (X, blown(X)) if into else (blown(X), X)
+        return fop("coh", (X,), X.dim + 1, *ends)
+
+    s, t = (a, b) if n == 1 else (fvar("sA", 1, a, b), fvar("tA", 1, a, b))
+    A = fvar("A", n, s, t)
+    B = fvar("B", n, s, t)
+    H = fvar("H", n + 1, fwhisker(A, f, "r"), fwhisker(B, f, "r"))
+    mid = fwhisker(H, f_inv, "r")
+    if n == 2:
+        mid = fop("whisker", (coh(s, True), mid, coh(t, False)), 3, blown(A), blown(B))
+    factors = [coh(A, True), mid, coh(B, False)]
+    return factors, fcomp(factors)
+
+
+def promote_inverse_term(th: TheoryPresentation):
+    """From a left and a right inverse to a comparison cell between them.
+
+    The two factors: whisker the right-inverse witness by the left inverse,
+    then whisker the inverted left-inverse witness by the right inverse.
+    Unit cells are absorbed by composite normalization.
+    """
+    x = fvar("x", 0)
+    y = fvar("y", 0)
+    f = fvar("f", 1, x, y)
+    k = fop(th.symbol("inv_l_1").name, (f,), 1, y, x)
+    g = fop(th.symbol("inv_r_1").name, (f,), 1, y, x)
+    # kappa^r f : 1_y => (g then f);  kappa^l f : 1_x => (f then k)
+    kappa_r = fop(th.symbol("k_r_2").name, (f,), 2, funit(y), fcomp([g, f]))
+    kappa_l = fop(th.symbol("k_l_2").name, (f,), 2, funit(x), fcomp([f, k]))
+    inv_kappa_l = fop(th.symbol("inv_r_2").name, (kappa_l,), 2, fcomp([f, k]), funit(x))
+    first = fwhisker(kappa_r, k, "r")  # k => k f g (units absorbed)
+    second = fwhisker(inv_kappa_l, g, "l")  # k f g => g
+    factors = [first, second]
+    return factors, fcomp(factors)
 
 
 def test_division_term_shapes():

@@ -35,7 +35,6 @@ from globwork.theta import (
     leaf_paths,
     map_from_json,
     sigma_theta,
-    splits_off,
     tau_theta,
     to_steiner_cell,
 )
@@ -710,6 +709,25 @@ def homogeneous_by_factorisation(f):
     """Homogeneity as the factorisation defines it: the globular half of
     hg_factorize(f) is the identity of the target."""
     return hg_factorize(f).globular == identity(f.target)
+
+
+def splits_off(f: ThetaMap, g: ThetaMap) -> bool:
+    """Whether the globular map g into f's target is the globular half of
+    hg_factorize(f), read off the wreath data with no factorisation built:
+    the point phi[0] when f's span phi[0]..phi[-1] is one 0-cell, else the
+    run of the span's gaps with, over each gap, the globular half of f's
+    component there.  The two halves the package asks about, the identity
+    of the target (homogeneity) and d_sigma, d_tau (boundary admissibility),
+    are read by ``_spans`` without building g; the tests hold it to this
+    general form."""
+    a, b = f.phi[0], f.phi[-1]
+    if g.source.is_leaf:
+        return a == b == g.phi[0]
+    if a == b or (a, b) != (g.phi[0], g.phi[-1]):
+        return False
+    # f's blocks cover the gaps a+1..b in order, one component per gap
+    gaps = itertools.chain.from_iterable(f.components)
+    return all(splits_off(c, h) for c, (h,) in zip(gaps, g.components))
 
 
 def boundary_maps_via_globsets(t):
