@@ -3,7 +3,8 @@
 Subcommands mirror the package layout: tree operations, the ordered
 extension list, operation-category queries, theory towers, cylinder
 presentations and stacks, and the property-check suites.  Exit codes:
-0 success, 1 domain error, 2 usage error.
+0 success, 1 domain error or a negative answer on stdout (``theta
+filler``, ``theory audit``), 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import random
 import sys
 
-from .errors import DomainError, GlobworkError, SizeGuardError
+from .errors import DomainError, GlobworkError, MalformedError, SizeGuardError
 from . import globsets as gs
 from . import steiner
 from . import theta as th_mod
@@ -101,6 +102,8 @@ def _decode(what, build):
     """build() on JSON given on the command line; malformed input is a domain error."""
     try:
         return build()
+    except MalformedError as e:
+        raise GlobworkError(f"malformed {what}: {e}") from None
     except GlobworkError:
         raise
     except OSError as e:
@@ -187,7 +190,11 @@ def _tower_text(n, groupoidal, as_json):
 
 def _read_batches(path):
     with open(path) as fh:
-        return [list(batch) for batch in json.load(fh)["batches"]]
+        batches = theory_mod.json_field(json.load(fh), "batches", list)
+    for b, batch in enumerate(batches):
+        if type(batch) is not list:
+            raise MalformedError(f"batch {b} must be a list of items")
+    return batches
 
 
 def cmd_theory(args):
@@ -204,8 +211,9 @@ def cmd_theory(args):
         return 0
     th = _tower(args.n, args.groupoidalize).copy()
     if args.file:
-        for batch in _decode("--file", lambda: _read_batches(args.file)):
-            th = th.extend(_decode("--file", lambda: [theory_mod.batch_from_json(th, item) for item in batch]))
+        for b, batch in enumerate(_decode("--file", lambda: _read_batches(args.file))):
+            th = th.extend([_decode(f"--file: batch {b}, item {i}", lambda: theory_mod.batch_from_json(th, item))
+                            for i, item in enumerate(batch)])
     if args.action == "build":
         payload = tower_report(th)
         _emit(args, payload, render_tower(payload))

@@ -26,3 +26,7 @@ class AdmissibilityError(GlobworkError):
 
 class TypingError(GlobworkError):
     """A term or presentation failed a boundary/type check."""
+
+
+class MalformedError(GlobworkError):
+    """JSON input of the wrong shape: a missing key or a value of the wrong type."""

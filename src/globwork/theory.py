@@ -18,9 +18,9 @@ of the suspended whiskering family.
 from __future__ import annotations
 
 from collections import namedtuple
-from .errors import AdmissibilityError, DomainError, SizeGuardError, TypingError
+from .errors import AdmissibilityError, DomainError, MalformedError, SizeGuardError, TypingError
 from .trees import (
-    LEAF, Frozen, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, parse_tree, suspend, tree_to_table,
+    LEAF, Hashed, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, parse_tree, suspend, tree_to_table,
 )
 from . import globsets as gs
 from . import theta as th_ops
@@ -36,6 +36,7 @@ from .theta import (
     identity,
     is_admissible_categorical,
     leaf_inclusion,
+    map_face,
     sigma_theta,
     tau_theta,
 )
@@ -45,34 +46,31 @@ GROUPOIDAL = "groupoidal"
 
 
 _set = object.__setattr__
+_new = object.__new__
+# every TermCell and Term made, keyed by the tuple of its fields
+_cells: dict = {}
+_terms: dict = {}
 
 
-class TermCell(Frozen):
+class TermCell(Hashed):
     """A single morphism D_k -> B: a globular map or an applied symbol."""
 
     __slots__ = ("glob", "op", "args", "_h")
     _fields = __slots__[:3]
 
-    def __init__(self, glob: ThetaMap | None = None, op: str | None = None, args: "Term | None" = None):
-        if (glob is None) == (op is None):
-            raise TypingError("a term cell is either globular or a symbol application")
-        _set(self, "glob", glob)
-        _set(self, "op", op)
-        _set(self, "args", args)
-        _set(self, "_h", None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.glob, self.op, self.args) == (other.glob, other.op, other.args)
-        return NotImplemented
-
-    def __hash__(self):
-        # memoised like Tree.__hash__
-        h = self._h
-        if h is None:
-            h = hash((self.glob, self.op, self.args))
-            _set(self, "_h", h)
-        return h
+    def __new__(cls, glob: ThetaMap | None = None, op: str | None = None, args: "Term | None" = None):
+        key = (glob, op, args)
+        c = _cells.get(key)
+        if c is None:
+            if (glob is None) == (op is None):
+                raise TypingError("a term cell is either globular or a symbol application")
+            c = _new(cls)
+            _set(c, "glob", glob)
+            _set(c, "op", op)
+            _set(c, "args", args)
+            _set(c, "_h", hash(key))
+            _cells[key] = c
+        return c
 
     @property
     def is_glob(self):
@@ -84,30 +82,23 @@ class TermCell(Frozen):
         return f"{self.op}({self.args})"
 
 
-class Term(Frozen):
+class Term(Hashed):
     """A morphism source -> target: one cell per leaf of the source."""
 
     __slots__ = ("source", "target", "cells", "_h")
     _fields = __slots__[:3]
 
-    def __init__(self, source: Tree, target: Tree, cells: tuple[TermCell, ...]):
-        _set(self, "source", source)
-        _set(self, "target", target)
-        _set(self, "cells", cells)
-        _set(self, "_h", None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.source, self.target, self.cells) == (other.source, other.target, other.cells)
-        return NotImplemented
-
-    def __hash__(self):
-        # memoised like Tree.__hash__
-        h = self._h
-        if h is None:
-            h = hash((self.source, self.target, self.cells))
-            _set(self, "_h", h)
-        return h
+    def __new__(cls, source: Tree, target: Tree, cells: tuple[TermCell, ...]):
+        key = (source, target, cells)
+        t = _terms.get(key)
+        if t is None:
+            t = _new(cls)
+            _set(t, "source", source)
+            _set(t, "target", target)
+            _set(t, "cells", cells)
+            _set(t, "_h", hash(key))
+            _terms[key] = t
+        return t
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.cells) + ")"
@@ -139,9 +130,10 @@ class OperationSymbol(
 
 # The largest truncation built.  The work grows with n: the slowest tower
 # command, ``theory audit --groupoidalize``, run in a fresh process on a
-# 2-core Xeon VM, takes 0.60-0.72 s and 25 MB of peak RSS at n = 32, and
-# 3.2-3.5 s and 66 MB at n = 64 (with the bound raised).  Building the
-# tower is most of that: the audit of the n = 32 tower takes 19-25 ms.
+# 2-core Xeon VM, takes 0.26-0.45 s and 23-24 MB of peak RSS at n = 32,
+# and 1.0-1.6 s and 55 MB at n = 64 (with the bound raised).  Building the
+# tower is most of that: in process the n = 32 tower takes 0.16-0.26 s to
+# build and 7-13 ms to audit.
 MAX_TRUNCATION = 32
 
 
@@ -238,7 +230,7 @@ class TheoryPresentation:
         if k == 0:
             raise TypingError(f"0-cells have no {'source' if side == 's' else 'target'}")
         if cell.is_glob:
-            out = glob_cell(compose(face_theta(k - 1, side), cell.glob))
+            out = glob_cell(map_face(cell.glob, side))
         else:
             sym = self.symbol(cell.op)
             out = self.substitute(sym.src if side == "s" else sym.tgt, cell.args).sole
@@ -456,7 +448,7 @@ def standard_systems(th: TheoryPresentation) -> TheoryPresentation:
         # the globe leaf's faces, whiskered by the edge leaf on its side
         globe_leaf = leaf_inclusion(A, 0 if side == "r" else 1)
         edge = glob_cell(leaf_inclusion(A, 1 if side == "r" else 0))
-        faces = (glob_cell(compose(face_theta(k - 1, face), globe_leaf)) for face in "st")
+        faces = (glob_cell(map_face(globe_leaf, face)) for face in "st")
         src, tgt = (single(k - 1, A, whisker(out, side, cell, edge, A, base)) for cell in faces)
         out._adjoin(name, A, k, src, tgt)
 
@@ -623,8 +615,28 @@ def generating_cofibrations(n: int):
 # ---------------------------------------------------------------------------
 # JSON codecs for terms and batches
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _kind(value) -> str:
+    return _JSON_KINDS.get(type(value), type(value).__name__)
+
+
+def json_field(data, key: str, kind=None):
+    """data[key], refused unless data is a JSON object holding key, with a
+    value of type kind when kind is given."""
+    if type(data) is not dict:
+        raise MalformedError(f"expected an object, got {_kind(data)}")
+    if key not in data:
+        raise MalformedError(f"missing key {key!r}")
+    value = data[key]
+    if kind is not None and type(value) is not kind:
+        raise MalformedError(f"{key!r} must be {_JSON_KINDS[kind]}, got {_kind(value)}")
+    return value
+
+
 def cell_from_json(th: TheoryPresentation, target: Tree, data) -> TermCell:
-    if "leaf" in data:
+    if type(data) is dict and "leaf" in data:
         leaf, chain = data["leaf"], data.get("chain", "")
         paths = leaf_paths(target)
         if type(leaf) is not int or not 0 <= leaf < len(paths):
@@ -633,27 +645,28 @@ def cell_from_json(th: TheoryPresentation, target: Tree, data) -> TermCell:
         if type(chain) is not str or not set(chain) <= {"s", "t"} or len(chain) > height:
             raise DomainError(f"cell {data}: the chain must be at most {height} of 's', 't'")
         return glob_cell(address_inclusion(target, leaf, chain))
-    sym = th.symbol(data["op"])
-    return app_cell(data["op"], term_from_json(th, sym.arity, target, data["args"]))
+    op = json_field(data, "op", str)
+    args = json_field(data, "args")
+    return app_cell(op, term_from_json(th, th.symbol(op).arity, target, args))
 
 
 def term_from_json(th: TheoryPresentation, source: Tree, target: Tree, data) -> Term:
-    cells = tuple(cell_from_json(th, target, c) for c in data["cells"])
+    cells = tuple(cell_from_json(th, target, c) for c in json_field(data, "cells", list))
     t = Term(source, target, cells)
     th.validate_term(t)
     return t
 
 
-def batch_from_json(th: TheoryPresentation, item: dict) -> dict:
-    name, k = item["name"], item["k"]
+def batch_from_json(th: TheoryPresentation, item) -> dict:
+    name, k = json_field(item, "name"), json_field(item, "k")
     if type(name) is not str or type(k) is not int or not 1 <= k <= th.n + 1:
         raise DomainError(f"operation {name!r}: the name must be a string and k an "
                           f"integer from 1 to {th.n + 1}, got {k!r}")
-    arity = parse_tree(item["arity"])
+    arity = parse_tree(json_field(item, "arity", str))
     return {
         "name": name,
         "arity": arity,
         "k": k,
-        "src": term_from_json(th, globe(k - 1), arity, item["src"]),
-        "tgt": term_from_json(th, globe(k - 1), arity, item["tgt"]),
+        "src": term_from_json(th, globe(k - 1), arity, json_field(item, "src")),
+        "tgt": term_from_json(th, globe(k - 1), arity, json_field(item, "tgt")),
     }

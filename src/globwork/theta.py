@@ -187,6 +187,26 @@ def face_reader(f: ThetaMap, k: int):
     return is_face
 
 
+def map_face(f: ThetaMap, side: str) -> ThetaMap:
+    """The face compose(face_theta(k - 1, side), f) of a map f out of D_k,
+    built directly, the builder twin of ``_face_of``: it keeps phi and takes
+    the face of each component, and the face of a map out of D_1 is the
+    point phi[0] (sigma) or phi[-1] (tau).  Like ``compose``, it refuses an
+    f not out of D_k."""
+    k = tree_dim(f.source)
+    globe(k - 1)  # face_theta's refusal of k < 1
+    if f.source is not globe(k):
+        raise TypingError("composition mismatch")
+    return _face(f, side)
+
+
+def _face(f: ThetaMap, side: str) -> ThetaMap:
+    below = f.source.children[0]
+    if below.is_leaf:
+        return _make(LEAF, f.target, (f.phi[0] if side == "s" else f.phi[-1],), ())
+    return _make(below, f.target, f.phi, (tuple(_face(c, side) for c in f.components[0]),))
+
+
 def _face_of(h: ThetaMap, f: ThetaMap, side: str) -> bool:
     if not h.components:  # h is out of the point
         return h.phi == (f.phi[0] if side == "s" else f.phi[-1],)
@@ -377,7 +397,7 @@ def address_inclusion(t: Tree, leaf: int, chain: str) -> ThetaMap:
     the top dimension down: the cell addressed by (leaf, chain)."""
     f = leaf_inclusion(t, leaf)
     for side in chain:
-        f = compose(face_theta(tree_dim(f.source) - 1, side), f)
+        f = map_face(f, side)
     return f
 
 
@@ -517,10 +537,7 @@ def are_parallel(f: ThetaMap, g: ThetaMap) -> bool:
     k = tree_dim(f.source)
     if k == 0:
         return True
-    return all(
-        compose(face_theta(k - 1, side), f) == compose(face_theta(k - 1, side), g)
-        for side in "st"
-    )
+    return all(map_face(f, side) == map_face(g, side) for side in "st")
 
 
 def is_admissible_groupoidal(f: ThetaMap, g: ThetaMap) -> bool:
@@ -637,7 +654,7 @@ def _glue(source: Tree, target: Tree, leaf_maps) -> ThetaMap:
     groups = []
     idx = 0
     for child in source.children:
-        take = child.n_leaves() if not child.is_leaf else 1
+        take = len(leaf_paths(child))
         groups.append(leaf_maps[idx: idx + take])
         idx += take
     phi = []

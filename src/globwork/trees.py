@@ -58,32 +58,43 @@ class Frozen:
 _set = object.__setattr__
 
 
-class Tree(Frozen):
+class Hashed(Frozen):
+    """Base of the hash-consed value classes: ``__new__`` hands out the one
+    object that holds its fields, made and checked on the first call and
+    kept in the class's table, so equality is identity.  The hash, stored
+    when the object is made, is that of the tuple of its fields, the value
+    a hash recomputed from the fields gives, so sets and dicts of these
+    values keep their order."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return self._h
+
+
+_new = object.__new__
+# every Tree made, keyed by the tuple of its fields
+_trees: dict = {}
+
+
+class Tree(Hashed):
     # _height is the dimension, stored so that dim() does not walk the tree
     __slots__ = ("children", "_h", "_height")
     _fields = ("children",)
 
-    def __init__(self, children: tuple["Tree", ...] = ()):
-        height = 1 + max(c._height for c in children) if children else 0
-        if height > MAX_PARSE_DEPTH:
-            raise _too_deep()
-        _set(self, "children", children)
-        _set(self, "_h", None)
-        _set(self, "_height", height)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.children,) == (other.children,)
-        return NotImplemented
-
-    def __hash__(self):
-        # the hash of the compared fields, memoised: unmemoised, every call
-        # walks the whole tree
-        h = self._h
-        if h is None:
-            h = hash((self.children,))
-            _set(self, "_h", h)
-        return h
+    def __new__(cls, children: tuple["Tree", ...] = ()):
+        key = (children,)
+        t = _trees.get(key)
+        if t is None:
+            height = 1 + max(c._height for c in children) if children else 0
+            if height > MAX_PARSE_DEPTH:
+                raise _too_deep()
+            t = _new(cls)
+            _set(t, "children", children)
+            _set(t, "_h", hash(key))
+            _set(t, "_height", height)
+            _trees[key] = t
+        return t
 
     def __str__(self):
         return "[" + "".join(str(c) for c in self.children) + "]"

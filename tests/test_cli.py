@@ -322,7 +322,7 @@ def test_theory_file_adjoins_an_operation_cell(tmp_path, capsys):
     "cell, message",
     [
         (dict(C1_CELL, op="nope"), "unknown operation symbol 'nope'"),
-        ({"op": "c1"}, "malformed --file: KeyError: 'args'"),
+        ({"op": "c1"}, "malformed --file: batch 0, item 0: missing key 'args'"),
         (dict(C1_CELL, args={"cells": [{"leaf": 0}]}), "term needs one entry per source leaf"),
     ],
     ids=["unknown-op", "no-args", "one-argument"],
@@ -640,6 +640,17 @@ FILE_TEXTS = [
     _batch_file({key: value for key, value in EXTRA_OP.items() if key != "tgt"}),
     _batch_file(dict(EXTRA_OP, src={"cells": [{"op": "c1"}]})),
 ]
+
+
+@pytest.mark.parametrize("text", FILE_TEXTS, ids=range(len(FILE_TEXTS)))
+def test_file_errors_name_the_field_not_the_exception(tmp_path, capsys, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    for action in ("build", "audit"):
+        code = main(["theory", action, "--file", str(spec)])
+        err = capsys.readouterr().err
+        assert code == 0 or err.count("\n") == 1, err
+        assert not any(name in err for name in ("KeyError", "TypeError", "AttributeError")), err
 
 
 @st.composite

@@ -1,10 +1,20 @@
 """The memoised hashes of the value classes equal the hashes of the tuples
 of their compared fields, so sets and dicts keep the iteration order they
-had when the hash was recomputed on every call."""
+had when the hash was recomputed on every call; trees and terms are
+hash-consed, one object per value."""
 
-from globwork.theta import ThetaMap, hom
+import copy
+import pickle
+
+import pytest
+
+from globwork import theory, trees
+from globwork.errors import SizeGuardError, TypingError
+from globwork.theta import ThetaMap, hom, map_from_json
 from globwork.theory import Term, TermCell, groupoidalize, standard_library
-from globwork.trees import Tree, all_trees, globe, parse_tree
+from globwork.trees import (
+    LEAF, MAX_PARSE_DEPTH, Tree, all_trees, globe, parse_tree, table_to_tree, tree_to_table,
+)
 
 # the fields each value class compares, written out here rather than read
 # off the class, so that the oracle does not trust the code it checks
@@ -64,8 +74,42 @@ def test_term_hashes():
         assert_memo_matches(terms + [c for t in terms for c in t.cells])
 
 
-def test_equal_values_share_the_hash():
+def test_equal_values_are_one_object():
+    # rebuilding a value by any route hands back the object already made
+    def assert_copies_are_itself(v):
+        assert pickle.loads(pickle.dumps(v)) is v and copy.copy(v) is v
+
     for t in all_trees(5):
-        fresh = parse_tree(str(t))
-        assert fresh is not t and fresh._h is None
-        assert hash(fresh) == hash(t) and fresh == t
+        assert parse_tree(str(t)) is t
+        assert table_to_tree(tree_to_table(t)) is t
+        assert_copies_are_itself(t)
+    th = standard_library(3)
+    for tower in (th, groupoidalize(th)):
+        terms = [t for s in tower.symbols.values() for t in (s.src, s.tgt)]
+        for t in terms:
+            assert Term(t.source, t.target, t.cells) is t
+            assert_copies_are_itself(t)
+            for c in t.cells:
+                assert TermCell(c.glob, c.op, c.args) is c
+                assert_copies_are_itself(c)
+    # a cell over a map equal to its own, but another object, is that cell
+    cell = next(c for t in terms for c in t.cells if c.is_glob)
+    f = cell.glob
+    g = map_from_json(f.source, f.target, f.to_json())
+    assert g is not f and g == f
+    assert TermCell(glob=g) is cell and cell.glob is f
+
+
+def test_refused_values_are_not_recorded():
+    top, f = globe(MAX_PARSE_DEPTH), hom(LEAF, LEAF)[0]
+    before = dict(trees._trees), dict(theory._cells)
+    # refused on every call, and never entered in the tables
+    for _ in range(2):
+        with pytest.raises(SizeGuardError):
+            Tree((top,))
+        for kwargs in ({}, {"glob": f, "op": "c1"}):
+            with pytest.raises(TypingError, match="either globular"):
+                TermCell(**kwargs)
+    assert ((top,),) not in trees._trees
+    assert (None, None, None) not in theory._cells and (f, "c1", None) not in theory._cells
+    assert (dict(trees._trees), dict(theory._cells)) == before

@@ -1,14 +1,18 @@
 """Laws checked on shrinking examples: trees, small finite globular sets
 presented as computads, the hom sets between small trees and the maps in
-them."""
+them, and the terms of the shipped n = 3 tower."""
 
-from hypothesis import given, strategies as st
+import functools
+
+from hypothesis import assume, given, strategies as st
 
 from test_computads import assert_searches_agree, relabelled
 from test_globsets import as_computad
+from test_theory import TWO, random_term
 from globwork.globsets import FinGlobSet
+from globwork.theory import standard_library
 from globwork.theta import HomSet, compose, hg_factorize, hom, hom_count, identity, is_globular, is_homogeneous
-from globwork.trees import LEAF, Tree, boundary, boundary_table_oracle, parse_tree
+from globwork.trees import LEAF, Tree, boundary, boundary_table_oracle, globe, parse_tree
 
 
 def trees(max_leaves=8):
@@ -96,3 +100,33 @@ def test_factorisation_recomposes(f):
     assert compose(fact.homogeneous, fact.globular) == f
     assert is_homogeneous(fact.homogeneous) and is_globular(fact.globular)
     assert is_homogeneous(f) == (fact.globular == identity(f.target))
+
+
+@functools.lru_cache(maxsize=None)
+def tower():
+    return standard_library(3)
+
+
+# the sources of u and v are kept small: random_term's cost grows fast with
+# the leaves of its source.  It calls the generator some 700 times a triple,
+# which a Random drawing every value from hypothesis (use_true_random=False)
+# answers at about 25 us a call, so the generator is a seeded one: 100
+# triples take about 1 s rather than 6 s
+TERM_SOURCES = (globe(1), globe(2), TWO, Tree((globe(1), LEAF)))
+TERM_TARGETS = TERM_SOURCES + (parse_tree("[[[][]][]]"),)
+
+
+@given(st.lists(st.sampled_from(TERM_SOURCES), min_size=3, max_size=3), st.sampled_from(TERM_TARGETS),
+       st.randoms(use_true_random=True))
+def test_substitution_is_associative_and_evaluation_functorial(sources, D, rng):
+    th = tower()
+    A, B, C = sources
+    t, u, v = random_term(rng, th, A, B), random_term(rng, th, B, C), random_term(rng, th, C, D)
+    assume(None not in (t, u, v))
+    tu = th.substitute(t, u)
+    # terms are hash-consed, so the two bracketings are one object
+    assert th.substitute(tu, v) is th.substitute(t, th.substitute(u, v))
+    for x, y in ((t, u), (tu, v)):
+        xy = th.substitute(x, y)
+        th.validate_term(xy)
+        assert th.eval_term(xy) == compose(th.eval_term(x), th.eval_term(y))

@@ -214,6 +214,17 @@ def test_systems_boundary_laws():
             assert tgt.op == f"c{k - 1}"
 
 
+def test_glob_boundary_refuses_a_map_not_out_of_a_globe():
+    # compose(face_theta(k - 1, side), f) refuses such an f, and so does
+    # the face cell_boundary builds in its place
+    th = base_theory(3)
+    for A in (TWO, parse_tree("[[[]][]]")):
+        cell = glob_cell(identity(A))
+        for side in "st":
+            with pytest.raises(TypingError, match="composition mismatch"):
+                th.cell_boundary(cell, side)
+
+
 def test_systems_fillers_verified():
     th = standard_systems(base_theory(3))
     assert th.audit() == []

@@ -33,6 +33,7 @@ from globwork.theta import (
     is_homogeneous,
     leaf_inclusion,
     leaf_paths,
+    map_face,
     map_from_json,
     sigma_theta,
     tau_theta,
@@ -856,6 +857,20 @@ def test_face_read_matches_composition():
     assert checked == 2 * sum(hom_count(globe(k), T) for T in all_trees(6) for k in range(1, 4))
 
 
+def test_face_built_matches_composition():
+    # the face cell_boundary builds, held to the composite it stands for
+    checked, typed = 0, {}
+    for T in all_trees(7):
+        for k in range(1, 4):
+            for f in hom(globe(k), T):
+                for side in "st":
+                    h = map_face(f, side)
+                    assert h == compose(face_theta(k - 1, side), f)
+                    assert_well_typed(h, typed)
+                    checked += 1
+    assert checked == 2 * sum(hom_count(globe(k), T) for T in all_trees(7) for k in range(1, 4))
+
+
 def test_boundary_read_matches_splits_off():
     # the d_sigma / d_tau test of is_admissible_categorical, read without
     # the boundary inclusions, against splits_off on the built ones
@@ -885,6 +900,17 @@ def test_face_read_refuses_as_composition_does():
             with pytest.raises(error) as read:
                 face_reader(f, k)
             assert str(read.value) == str(composed.value)
+
+
+def test_face_built_refuses_as_composition_does():
+    # a map not out of a globe, or out of the point, has no face
+    for g, error in ((identity(NINE_TREE), TypingError), (identity(LEAF), DomainError)):
+        for side in "st":
+            with pytest.raises(error) as composed:
+                compose(face_theta(dim(g.source) - 1, side), g)
+            with pytest.raises(error) as built:
+                map_face(g, side)
+            assert str(built.value) == str(composed.value)
 
 
 def junction_height(p, q):
