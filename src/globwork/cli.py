@@ -16,7 +16,7 @@ import os
 import random
 import sys
 
-from .errors import DomainError, GlobworkError, MalformedError, SizeGuardError
+from .errors import DomainError, GlobworkError, MalformedError, SizeGuardError, json_field
 from . import globsets as gs
 from . import steiner
 from . import theta as th_mod
@@ -190,7 +190,7 @@ def _tower_text(n, groupoidal, as_json):
 
 def _read_batches(path):
     with open(path) as fh:
-        batches = theory_mod.json_field(json.load(fh), "batches", list)
+        batches = json_field(json.load(fh), "batches", list)
     for b, batch in enumerate(batches):
         if type(batch) is not list:
             raise MalformedError(f"batch {b} must be a list of items")

@@ -18,7 +18,7 @@ of the suspended whiskering family.
 from __future__ import annotations
 
 from collections import namedtuple
-from .errors import AdmissibilityError, DomainError, MalformedError, SizeGuardError, TypingError
+from .errors import AdmissibilityError, DomainError, SizeGuardError, TypingError, json_field
 from .trees import (
     LEAF, Hashed, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, parse_tree, suspend, tree_to_table,
 )
@@ -45,32 +45,21 @@ CATEGORICAL = "categorical"
 GROUPOIDAL = "groupoidal"
 
 
-_set = object.__setattr__
-_new = object.__new__
-# every TermCell and Term made, keyed by the tuple of its fields
-_cells: dict = {}
-_terms: dict = {}
-
-
 class TermCell(Hashed):
     """A single morphism D_k -> B: a globular map or an applied symbol."""
 
     __slots__ = ("glob", "op", "args", "_h")
     _fields = __slots__[:3]
+    _table: dict = {}
 
     def __new__(cls, glob: ThetaMap | None = None, op: str | None = None, args: "Term | None" = None):
         key = (glob, op, args)
-        c = _cells.get(key)
-        if c is None:
-            if (glob is None) == (op is None):
-                raise TypingError("a term cell is either globular or a symbol application")
-            c = _new(cls)
-            _set(c, "glob", glob)
-            _set(c, "op", op)
-            _set(c, "args", args)
-            _set(c, "_h", hash(key))
-            _cells[key] = c
-        return c
+        c = cls._table.get(key)
+        return cls._intern(key) if c is None else c
+
+    def _check(self):
+        if (self.glob is None) == (self.op is None):
+            raise TypingError("a term cell is either globular or a symbol application")
 
     @property
     def is_glob(self):
@@ -87,18 +76,12 @@ class Term(Hashed):
 
     __slots__ = ("source", "target", "cells", "_h")
     _fields = __slots__[:3]
+    _table: dict = {}
 
     def __new__(cls, source: Tree, target: Tree, cells: tuple[TermCell, ...]):
         key = (source, target, cells)
-        t = _terms.get(key)
-        if t is None:
-            t = _new(cls)
-            _set(t, "source", source)
-            _set(t, "target", target)
-            _set(t, "cells", cells)
-            _set(t, "_h", hash(key))
-            _terms[key] = t
-        return t
+        t = cls._table.get(key)
+        return cls._intern(key) if t is None else t
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.cells) + ")"
@@ -614,26 +597,6 @@ def generating_cofibrations(n: int):
 
 # ---------------------------------------------------------------------------
 # JSON codecs for terms and batches
-
-_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
-
-
-def _kind(value) -> str:
-    return _JSON_KINDS.get(type(value), type(value).__name__)
-
-
-def json_field(data, key: str, kind=None):
-    """data[key], refused unless data is a JSON object holding key, with a
-    value of type kind when kind is given."""
-    if type(data) is not dict:
-        raise MalformedError(f"expected an object, got {_kind(data)}")
-    if key not in data:
-        raise MalformedError(f"missing key {key!r}")
-    value = data[key]
-    if kind is not None and type(value) is not kind:
-        raise MalformedError(f"{key!r} must be {_JSON_KINDS[kind]}, got {_kind(value)}")
-    return value
-
 
 def cell_from_json(th: TheoryPresentation, target: Tree, data) -> TermCell:
     if type(data) is dict and "leaf" in data:

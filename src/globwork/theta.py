@@ -23,7 +23,7 @@ import operator
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from .errors import DomainError, SizeGuardError, TypingError
+from .errors import DomainError, MalformedError, SizeGuardError, TypingError, json_field
 from .trees import LEAF, Frozen, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, tree_to_table
 
 DEFAULT_HOM_BOUND = 10**6
@@ -33,14 +33,11 @@ class ThetaMap(Frozen):
     __slots__ = ("source", "target", "phi", "components", "_h")
     _fields = __slots__[:4]
 
-    def __init__(self, source: Tree, target: Tree, phi: tuple[int, ...],
-                 components: tuple[tuple["ThetaMap", ...], ...]):
-        _set_source(self, source)
-        _set_target(self, target)
-        _set_phi(self, phi)
-        _set_components(self, components)
-        _set_h(self, None)
-        check_map(self)
+    def __new__(cls, source: Tree, target: Tree, phi: tuple[int, ...],
+                components: tuple[tuple["ThetaMap", ...], ...]):
+        f = _make(source, target, phi, components)
+        check_map(f)
+        return f
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -49,7 +46,8 @@ class ThetaMap(Frozen):
         return NotImplemented
 
     def __hash__(self):
-        # memoised like Tree.__hash__
+        # a map is not interned, so its hash is computed on the first call,
+        # not when the map is made, and kept
         h = self._h
         if h is None:
             h = hash((self.source, self.target, self.phi, self.components))
@@ -119,14 +117,33 @@ def render(f: ThetaMap) -> str:
 
 
 def map_from_json(source: Tree, target: Tree, data) -> ThetaMap:
+    """The map that ``to_json`` wrote as data.  Data of the wrong JSON shape
+    is refused with a MalformedError that names the field; wreath data of
+    the right shape goes through ``check_map``, like any map built from
+    outside."""
+    phi = json_field(data, "phi", list)
+    blocks = json_field(data, "components", list)
+    if any(type(v) is not int for v in phi):
+        raise MalformedError("'phi' must be a list of integers")
+    if any(type(block) is not list for block in blocks):
+        raise MalformedError("'components' must be a list of lists")
+
+    def component(i, off, c):
+        # a component with no place in source and target is left unread:
+        # check_map then refuses the map before it reaches the component
+        if i >= min(len(phi), source.arity) or not 0 <= phi[i] + off < target.arity:
+            return None
+        j = phi[i] + off
+        try:
+            return map_from_json(source.children[i], target.children[j], c)
+        except MalformedError as e:
+            raise MalformedError(f"component ({i},{j}): {e}") from None
+
     comps = tuple(
-        tuple(
-            map_from_json(source.children[i], target.children[data["phi"][i] + off], c)
-            for off, c in enumerate(block)
-        )
-        for i, block in enumerate(data["components"])
+        tuple(component(i, off, c) for off, c in enumerate(block))
+        for i, block in enumerate(blocks)
     )
-    return ThetaMap(source, target, tuple(data["phi"]), comps)
+    return ThetaMap(source, target, tuple(phi), comps)
 
 
 @functools.lru_cache(maxsize=None)

@@ -55,46 +55,58 @@ class Frozen:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
+_new = object.__new__
 _set = object.__setattr__
 
 
 class Hashed(Frozen):
-    """Base of the hash-consed value classes: ``__new__`` hands out the one
-    object that holds its fields, made and checked on the first call and
-    kept in the class's table, so equality is identity.  The hash, stored
-    when the object is made, is that of the tuple of its fields, the value
-    a hash recomputed from the fields gives, so sets and dicts of these
-    values keep their order."""
+    """Base of the hash-consed value classes: one object per value, so
+    equality is identity.  A subclass keeps its values in its own
+    ``_table``, keyed by the tuple of their fields; its ``__new__`` looks
+    the key up and calls ``_intern`` only on a miss.  The hash, stored when
+    the object is made, is that of the tuple of its fields, the value a
+    hash recomputed from the fields gives, so sets and dicts of these values
+    keep their order."""
 
     __slots__ = ()
 
     def __hash__(self):
         return self._h
 
+    def _check(self):
+        """Refuse a value before it is recorded; a subclass may also set
+        the slots it derives from the fields here."""
 
-_new = object.__new__
-# every Tree made, keyed by the tuple of its fields
-_trees: dict = {}
+    @classmethod
+    def _intern(cls, fields):
+        """Make the value holding ``fields``, check it, and record it in
+        the class's table: a refused value is never recorded."""
+        v = _new(cls)
+        for name, value in zip(cls._fields, fields):
+            _set(v, name, value)
+        _set(v, "_h", hash(fields))
+        v._check()
+        cls._table[fields] = v
+        return v
 
 
 class Tree(Hashed):
     # _height is the dimension, stored so that dim() does not walk the tree
     __slots__ = ("children", "_h", "_height")
     _fields = ("children",)
+    _table: dict = {}
 
     def __new__(cls, children: tuple["Tree", ...] = ()):
         key = (children,)
-        t = _trees.get(key)
-        if t is None:
-            height = 1 + max(c._height for c in children) if children else 0
-            if height > MAX_PARSE_DEPTH:
-                raise _too_deep()
-            t = _new(cls)
-            _set(t, "children", children)
-            _set(t, "_h", hash(key))
-            _set(t, "_height", height)
-            _trees[key] = t
-        return t
+        t = cls._table.get(key)
+        return cls._intern(key) if t is None else t
+
+    def _check(self):
+        children = self.children
+        height = 1 + max(c._height for c in children) if children else 0
+        if height > MAX_PARSE_DEPTH:
+            raise _too_deep()
+        _set(self, "_height", height)
 
     def __str__(self):
         return "[" + "".join(str(c) for c in self.children) + "]"
@@ -178,13 +190,20 @@ def parse_tree(text: str) -> Tree:
     return t
 
 
-class DimensionTable(Frozen):
+class DimensionTable(Hashed):
     """Tops i_1..i_m and joins i'_1..i'_{m-1} with i'_k < i_k, i'_k < i_{k+1}."""
 
-    __slots__ = ("tops", "joins")
-    _fields = __slots__
+    __slots__ = ("tops", "joins", "_h")
+    _fields = __slots__[:2]
+    _table: dict = {}
 
-    def __init__(self, tops: tuple[int, ...], joins: tuple[int, ...]):
+    def __new__(cls, tops: tuple[int, ...], joins: tuple[int, ...]):
+        key = (tops, joins)
+        tbl = cls._table.get(key)
+        return cls._intern(key) if tbl is None else tbl
+
+    def _check(self):
+        tops, joins = self.tops, self.joins
         if len(tops) != len(joins) + 1:
             raise InvalidTableError("need exactly m tops and m-1 joins")
         if any(i < 0 for i in tops) or any(j < 0 for j in joins):
@@ -194,16 +213,6 @@ class DimensionTable(Frozen):
                 raise InvalidTableError(
                     f"join {j} at position {k} is not below both neighbours"
                 )
-        _set(self, "tops", tops)
-        _set(self, "joins", joins)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.tops, self.joins) == (other.tops, other.joins)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.tops, self.joins))
 
     def __str__(self):
         tops = ",".join(str(i) for i in self.tops)

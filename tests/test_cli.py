@@ -653,6 +653,51 @@ def test_file_errors_name_the_field_not_the_exception(tmp_path, capsys, text):
         assert not any(name in err for name in ("KeyError", "TypeError", "AttributeError")), err
 
 
+# Malformed ``--map`` values for ``theta factor D1 D1``: FUZZ_MAPS without
+# its one well-formed map, and values of the wrong JSON type at each level.
+MALFORMED_MAPS = [m for m in FUZZ_MAPS if m != '{"phi": [0, 0], "components": [[]]}'] + [
+    '{"phi": 1, "components": []}',
+    '{"phi": [0, 1], "components": 3}',
+    '{"phi": ["a", 1], "components": [[]]}',
+    '{"phi": [0, 1.5], "components": [[]]}',
+    '{"phi": [0, 1], "components": [3]}',
+    '{"phi": [0, 5], "components": [[{}]]}',
+    '{"phi": [-1, 0], "components": [[{"phi": [0], "components": []}]]}',
+    '{"phi": [0, 1], "components": [[{"phi": [0], "components": [3]}]]}',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_MAPS, ids=range(len(MALFORMED_MAPS)))
+def test_map_errors_name_the_field_not_the_exception(capsys, text):
+    assert main(["theta", "factor", "D1", "D1", "--map", text]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert not any(name in err for name in ("KeyError", "TypeError", "AttributeError", "IndexError")), err
+
+
+def test_map_shape_errors_name_their_field(capsys):
+    for text, message in [
+        ("[]", "expected an object, got a list"),
+        ("{}", "missing key 'phi'"),
+        ('{"phi": [0, 1], "components": [[{}]]}', "component (0,0): missing key 'phi'"),
+        ('{"phi": 1, "components": []}', "'phi' must be a list, got an integer"),
+        ('{"phi": [0, 1], "components": 3}', "'components' must be a list, got an integer"),
+        ('{"phi": ["a", 1], "components": [[]]}', "'phi' must be a list of integers"),
+        ('{"phi": [0, 1], "components": [3]}', "'components' must be a list of lists"),
+    ]:
+        assert main(["theta", "factor", "D1", "D1", "--map", text]) == 1
+        assert capsys.readouterr().err == f"error: malformed --map: {message}\n"
+    # well-shaped wreath data that does not type a map keeps check_map's message
+    for text, message in [
+        ('{"phi": [0, 1], "components": [[]]}', "block 0 has the wrong component count"),
+        ('{"phi": [1, 0], "components": [[]]}', "phi must be monotone"),
+        ('{"phi": [-1, 0], "components": [[{"phi": [0], "components": []}]]}', "phi out of range"),
+        ('{"phi": [0, 1], "components": [[], []]}', "wreath data has the wrong shape"),
+    ]:
+        assert main(["theta", "factor", "D1", "D1", "--map", text]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @st.composite
 def cli_argv(draw):
     """A command line drawn from build_parser()'s own subcommands, options

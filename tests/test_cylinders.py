@@ -1,7 +1,9 @@
+import collections
+
 import pytest
 
 from globwork.errors import DomainError, TypingError
-from globwork import cylinders as cyl
+from globwork import cylinders as cyl, steiner
 from globwork.computads import fcomp, find_computad_iso, fwhisker, rename
 from globwork.theory import (
     Term,
@@ -280,6 +282,59 @@ def test_section_chain_is_the_inclusions_on_the_theta_faces():
             for side, section in (("s", chain[i]), ("t", chain[i + 1])):
                 for x, (copy, depth) in zip(cells, section, strict=True):
                     assert lax_by_definition(S, copy, x, depth) == section_by_faces(incl, side, x), (A, i, side, x)
+
+
+def abelianise(cell):
+    """The chain of a formal cell over the generator names: a generator is
+    itself, a composite the sum of its parts, a whiskering the chain of its
+    higher argument and a unit 0."""
+    if cell.kind == "var":
+        return collections.Counter({cell.name: 1})
+    if cell.kind == "comp":
+        return sum((abelianise(a) for a in cell.args), collections.Counter())
+    if cell.is_unit:
+        return collections.Counter()
+    assert cell.name in ("wl", "wr"), cell
+    (higher,) = [a for a in cell.args if a.dim == cell.dim]
+    return abelianise(higher)
+
+
+def chain(terms):
+    """The chain sum of (generator name, coefficient) pairs, zeros dropped."""
+    out = collections.Counter()
+    for name, c in terms:
+        out[name] += c
+    return {name: c for name, c in out.items() if c}
+
+
+def test_sum_cylinder_is_the_gray_tensor_with_the_interval():
+    # the generators of cyl(A) are the basis u(x), v(x), c(x) of I (x) lambda(A),
+    # with I the interval c : u -> v and lambda(A) the Steiner complex of A,
+    # and [tgt g] - [src g] is the tensor differential of g
+    trees = [A for A in all_trees(9) if dim(A) <= 2]
+    assert len(trees) == 256
+    generators = 0
+    for A in trees:
+        S = cyl.cyl_glob_sum(A, TH)
+        d = steiner.pasting_complex(A).d
+        gens = S.presentation.gens
+        assert len(S.atoms) == len(gens) == 3 * len(tree_mod.cells(A))
+        name = {atom: g.name for atom, g in S.atoms.items()}
+        for (side, x), g in S.atoms.items():
+            sx, tx = d.get(x, (None, None))
+            if side == "c":
+                # d(c (x) x) = dc (x) x - c (x) dx, with dc = v - u
+                want = [(name["v", x], 1), (name["u", x], -1)]
+                want += [(name["c", sx], 1), (name["c", tx], -1)] if tx else []
+            else:
+                want = [(name[side, tx], 1), (name[side, sx], -1)] if tx else []
+            assert g is gens[g.name] and g.dim == len(x[0]) + (side == "c")
+            if g.dim:
+                got = abelianise(g.tgt)
+                got.subtract(abelianise(g.src))
+                assert chain(got.items()) == chain(want), (A, side, x)
+            generators += 1
+    assert generators == 11526
 
 
 def test_verify_inclusion_needs_every_cell():

@@ -1,19 +1,19 @@
 """The memoised hashes of the value classes equal the hashes of the tuples
 of their compared fields, so sets and dicts keep the iteration order they
-had when the hash was recomputed on every call; trees and terms are
-hash-consed, one object per value."""
+had when the hash was recomputed on every call; trees, tables and terms
+are hash-consed, one object per value."""
 
 import copy
 import pickle
 
 import pytest
 
-from globwork import theory, trees
-from globwork.errors import SizeGuardError, TypingError
+from globwork.errors import InvalidTableError, SizeGuardError, TypingError
 from globwork.theta import ThetaMap, hom, map_from_json
 from globwork.theory import Term, TermCell, groupoidalize, standard_library
 from globwork.trees import (
-    LEAF, MAX_PARSE_DEPTH, Tree, all_trees, globe, parse_tree, table_to_tree, tree_to_table,
+    LEAF, MAX_PARSE_DEPTH, DimensionTable, Tree, all_trees, globe, parse_tree, table_to_tree,
+    tree_to_table,
 )
 
 # the fields each value class compares, written out here rather than read
@@ -83,6 +83,9 @@ def test_equal_values_are_one_object():
         assert parse_tree(str(t)) is t
         assert table_to_tree(tree_to_table(t)) is t
         assert_copies_are_itself(t)
+        tbl = tree_to_table(t)
+        assert DimensionTable(tbl.tops, tbl.joins) is tbl and hash(tbl) == hash((tbl.tops, tbl.joins))
+        assert_copies_are_itself(tbl)
     th = standard_library(3)
     for tower in (th, groupoidalize(th)):
         terms = [t for s in tower.symbols.values() for t in (s.src, s.tgt)]
@@ -102,7 +105,7 @@ def test_equal_values_are_one_object():
 
 def test_refused_values_are_not_recorded():
     top, f = globe(MAX_PARSE_DEPTH), hom(LEAF, LEAF)[0]
-    before = dict(trees._trees), dict(theory._cells)
+    before = dict(Tree._table), dict(TermCell._table), dict(DimensionTable._table)
     # refused on every call, and never entered in the tables
     for _ in range(2):
         with pytest.raises(SizeGuardError):
@@ -110,6 +113,9 @@ def test_refused_values_are_not_recorded():
         for kwargs in ({}, {"glob": f, "op": "c1"}):
             with pytest.raises(TypingError, match="either globular"):
                 TermCell(**kwargs)
-    assert ((top,),) not in trees._trees
-    assert (None, None, None) not in theory._cells and (f, "c1", None) not in theory._cells
-    assert (dict(trees._trees), dict(theory._cells)) == before
+        with pytest.raises(InvalidTableError, match="not below both neighbours"):
+            DimensionTable((1, 1), (1,))
+    assert ((top,),) not in Tree._table
+    assert (None, None, None) not in TermCell._table and (f, "c1", None) not in TermCell._table
+    assert ((1, 1), (1,)) not in DimensionTable._table
+    assert (dict(Tree._table), dict(TermCell._table), dict(DimensionTable._table)) == before

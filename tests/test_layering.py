@@ -1,8 +1,11 @@
 """The README's layering claims, and that no import goes unused, read off
-the import statements of the package sources."""
+the import statements of the package sources; and that interning lives in
+one place, ``trees.Hashed``."""
 
 import ast
 import pathlib
+
+from globwork import theory, trees
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "globwork"
 
@@ -127,3 +130,22 @@ def uncalled_public_definitions():
 def test_every_public_function_has_a_caller():
     # the exceptions must still be uncalled, so the list cannot go stale
     assert uncalled_public_definitions() == sorted(TEST_ONLY)
+
+
+def test_interning_lives_in_trees():
+    # every interned class keeps its own table and is made by one step,
+    # trees.Hashed._intern: no class fills or compares its fields itself
+    def subclasses(cls):
+        return {cls} | set().union(*(subclasses(sub) for sub in cls.__subclasses__()))
+
+    hashed = subclasses(trees.Hashed) - {trees.Hashed}
+    assert hashed == {trees.Tree, trees.DimensionTable, theory.TermCell, theory.Term}
+    for cls in hashed:
+        assert "_table" in cls.__dict__ and type(cls._table) is dict, cls
+        assert not {"__init__", "__eq__", "__hash__"} & cls.__dict__.keys(), cls
+    setters = {
+        path.stem for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    }
+    assert setters == {"trees"}
