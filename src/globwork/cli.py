@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import random
+import re
 import sys
 
 from .errors import DomainError, GlobworkError, MalformedError, SizeGuardError, json_field
@@ -23,6 +25,7 @@ from . import theta as th_mod
 from . import theory as theory_mod
 from . import cylinders as cyl_mod
 from .trees import (
+    MAX_PARSE_DEPTH,
     all_trees,
     boundary,
     boundary_table_oracle,
@@ -98,12 +101,32 @@ def cmd_lins(args):
     return 0
 
 
+# A --map between two trees at the parser's depth bound nests three levels
+# of JSON per tree level, plus the innermost phi; deeper JSON is refused
+# before the decoder recurses into it.
+MAX_JSON_DEPTH = 3 * MAX_PARSE_DEPTH + 2
+
+# what a JSON text keeps once its strings and everything but its brackets are cut
+_NOT_A_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"|[^][{}]')
+
+
+def _json(what, text):
+    """The JSON value of ``text``, refused with SizeGuardError when it nests
+    deeper than MAX_JSON_DEPTH."""
+    brackets = _NOT_A_BRACKET.sub("", text)
+    if max(itertools.accumulate(1 if b in "[{" else -1 for b in brackets), default=0) > MAX_JSON_DEPTH:
+        raise SizeGuardError(f"{what} nests deeper than the bound {MAX_JSON_DEPTH}")
+    return json.loads(text)
+
+
 def _decode(what, build):
     """build() on JSON given on the command line; malformed input is a domain error."""
     try:
         return build()
     except MalformedError as e:
         raise GlobworkError(f"malformed {what}: {e}") from None
+    except json.JSONDecodeError as e:
+        raise GlobworkError(f"malformed {what}: not JSON at line {e.lineno}, column {e.colno}") from None
     except GlobworkError:
         raise
     except OSError as e:
@@ -114,7 +137,7 @@ def _decode(what, build):
 
 def _map_from_args(args, source, target):
     if args.map is not None:
-        return _decode("--map", lambda: th_mod.map_from_json(source, target, json.loads(args.map)))
+        return _decode("--map", lambda: th_mod.map_from_json(source, target, _json("--map", args.map)))
     if args.index is None:
         raise GlobworkError("need --index or --map")
     return _pick(hom(source, target), args.index, "--index")
@@ -190,7 +213,7 @@ def _tower_text(n, groupoidal, as_json):
 
 def _read_batches(path):
     with open(path) as fh:
-        batches = json_field(json.load(fh), "batches", list)
+        batches = json_field(_json("--file", fh.read()), "batches", list)
     for b, batch in enumerate(batches):
         if type(batch) is not list:
             raise MalformedError(f"batch {b} must be a list of items")

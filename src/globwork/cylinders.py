@@ -18,7 +18,9 @@ the tree give one chain of sections s_ε(i) = incl_{B_i} ∘ δ_ε from the u
 copies to the v copies, with s_τ(i) = s_σ(i+1).  Both every structural
 inclusion and, for a homogeneous operation, every square of the stack are
 read off that chain; the stack composes vertically from the whiskered top
-to the whiskered bottom.
+to the whiskered bottom.  The sum cylinder checks the chain when it is
+built, walking one list of images slice by slice, and builds each
+inclusion only when it is read, so its cost is linear in the tree.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import itertools
 import json
 import operator
 from collections import namedtuple
+from collections.abc import Sequence
 from .errors import DomainError, SizeGuardError, TypingError
 from .trees import (
     ExtendedTree,
@@ -211,17 +214,20 @@ def degenerate_cyl(k: int, p, q, th: TheoryPresentation) -> Computad:
 # ---------------------------------------------------------------------------
 # cylinders on globular sums, with the structural inclusions
 
-# Every one-vertex extension maps every cell of its scheme, so the sum
-# cylinder costs time and memory quadratic in the tree: `globwork cyl sum`
-# in a fresh process on a 2-core Xeon VM takes 0.8-0.9 s and 110 MB for a
-# root with 400 leaves, 3.1-4.5 s and 414 MB for one with 800 leaves.
-# Trees with more nodes than the first are refused.
-MAX_SUM_NODES = 401
+# The sum cylinder keeps one image per cell of the tree and walks its
+# section chain in slices, so its time and memory are linear in the tree:
+# `globwork cyl sum` in a fresh process on a 2-core Xeon VM takes 0.07-0.09 s
+# and 16-18 MB for a root with 400 leaves (401 nodes), 0.25-0.30 s and
+# 31 MB for one with 4000 leaves (4001 nodes).  Trees with more nodes than
+# the second are refused.
+MAX_SUM_NODES = 4001
 
 
 class SumCylinder(namedtuple("SumCylinder", "tree presentation atoms inclusions")):
     # atoms: (side, cell of the tree) -> generator, side "u", "v" or "c";
-    # inclusions: one per linearization element, a dict cell -> FCell
+    # inclusions: an `Inclusions`, one per linearization element, each a
+    # dict cell -> FCell built and verified when read; the chain of
+    # sections they are read off is checked when the cylinder is built
     __slots__ = ()
 
 
@@ -243,7 +249,8 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
     Each cell x of A has a top copy u(x), a bottom copy v(x) and a
     connecting cell c(x) : lax(u, x) => lax(v, x).  Generators come for the
     root's points, then for each root branch; within a group the u copies,
-    the v copies, then the c's, each in dimension order.
+    the v copies, then the c's, each in dimension order.  The chain of
+    sections is checked here; the inclusions are built off it when read.
     """
     if tree_dim(A) > 2:
         raise DomainError("sum cylinders are implemented through dimension 2")
@@ -278,14 +285,46 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
                 else:
                     bd = tuple(atoms[(side, face(x, n - 1, w))] for w in "st") if n else ()
                 atoms[(side, x)] = P.add(_gen_name(A, side, x), n + (side == "c"), *bd)
-    exts = linearization(A)
-    span = _spans(A)
-    images = ([lax(side, x, d) for (side, d), x in zip(s, cells)] for s in _section_chain(exts, span))
-    inclusions = [
-        _structural_inclusion(ext, span, before, after, atoms[("c", (ext.sector.path, ext.sector.gap))])
-        for ext, (before, after) in zip(exts, itertools.pairwise(images))
-    ]
-    return SumCylinder(A, P, atoms, inclusions)
+    exts, span = linearization(A), _spans(A)
+    _check_chain(cells, exts, span, lax)
+    return SumCylinder(A, P, atoms, Inclusions(cells, exts, span, lax))
+
+
+class Inclusions(Sequence):
+    """The structural inclusions of a sum cylinder, one per extension in
+    order, read off the chain of sections that ``_image_chain`` walks from
+    the cells, extensions, spans and cell reader given.  Inclusion i is
+    built when read: the chain is walked to s_σ(i) and s_τ(i), and
+    ``_structural_inclusion`` splices them and verifies the result.  An
+    iteration walks the chain once."""
+
+    __slots__ = ("_cells", "_exts", "_span", "_read")
+
+    def __init__(self, cells, exts, span, read):
+        self._cells, self._exts, self._span, self._read = cells, exts, span, read
+
+    def _chain(self):
+        return _image_chain(self._cells, self._exts, self._span, self._read)
+
+    def __len__(self):
+        return len(self._exts)
+
+    def __getitem__(self, i):
+        i = range(len(self))[operator.index(i)]
+        chain = self._chain()
+        before = list(next(itertools.islice(chain, i, None)))
+        return self._splice(self._exts[i], before, next(chain))
+
+    def __iter__(self):
+        chain = self._chain()
+        before = list(next(chain))
+        for ext, after in zip(self._exts, chain):
+            yield self._splice(ext, before, after)
+            before = list(after)
+
+    def _splice(self, ext, before, after):
+        new = self._read("c", tuple(ext.sector), 0)
+        return _structural_inclusion(ext, self._span, before, after, new)
 
 
 def _spans(t: Tree, path=(), start=0, span=None) -> dict:
@@ -299,25 +338,102 @@ def _spans(t: Tree, path=(), start=0, span=None) -> dict:
     return span
 
 
+def _moves(exts, span):
+    """Per extension in order, the three slices of the preorder cells that
+    it moves along the chain of sections, each with the pair it moves them
+    to.  At gap g of a node p of height h they are the subtree of child g-1,
+    to ("u", h+1), that of child g, to ("v", h), and the gap itself, also to
+    ("v", h)."""
+    for ext in exts:
+        path, gap = ext.sector
+        h = len(path)
+        a, b = span.get(path + (gap - 1,), (0, 0))
+        c, d = span.get(path + (gap,), (0, 0))
+        at = span[path][0] + gap
+        yield (a, b, ("u", h + 1)), (c, d, ("v", h)), (at, at + 1, ("v", h))
+
+
 def _section_chain(exts, span):
     """The sections s_σ(0), s_τ(0) = s_σ(1), ..., s_τ(last) of the ordered
     extensions, s_ε(i) = incl_{B_i} ∘ δ_ε for the Θ-faces δ_ε : A -> B_i.
     A section holds one pair (side, depth), standing for lax(side, x,
     depth), per cell x of A in preorder.  It starts at the u copies, and
-    extension i, at gap g of a node p of height h, moves that gap to
-    ("v", h), the subtree of child g-1 to ("u", h+1) and that of child g to
-    ("v", h)."""
+    each extension makes its ``_moves``."""
     section = [("u", 0)] * span[()][1]
     yield tuple(section)
-    for ext in exts:
-        path, gap = ext.sector.path, ext.sector.gap
-        h = len(path)
-        a, b = span.get(path + (gap - 1,), (0, 0))
-        section[a:b] = [("u", h + 1)] * (b - a)
-        a, b = span.get(path + (gap,), (0, 0))
-        section[a:b] = [("v", h)] * (b - a)
-        section[span[path][0] + gap] = ("v", h)
+    for (a, b, left), (c, d, right), (at, _, gap) in _moves(exts, span):
+        section[a:b] = [left] * (b - a)
+        section[c:d] = [right] * (d - c)
+        section[at] = gap
         yield tuple(section)
+
+
+def _image_chain(cells, exts, span, read):
+    """The chain of sections as formal cells: one list holds the image of
+    each cell x of A in preorder, with ``read(side, x, depth)`` the formal
+    cell lax(side, x, depth) a pair stands for.  It starts at s_σ(0), each
+    extension's ``_moves`` update it in place, and it is yielded at each
+    section, s_σ(0), s_τ(0), ..., s_τ(last)."""
+    images = [read("u", x, 0) for x in cells]
+    yield images
+    for step in _moves(exts, span):
+        for a, b, (side, d) in step:
+            images[a:b] = [read(side, x, d) for x in cells[a:b]]
+        yield images
+
+
+def _check_chain(cells, exts, span, read):
+    """Check the chain of sections that ``_image_chain`` walks with the cell
+    reader ``read`` where it changes; ``read("c", x, 0)`` is c(x).
+
+    The walk checks s_σ(0) whole, then at each extension the moved slices
+    and the new vertex: c over the sector's cell must run from the sector
+    gap's image before the moves to its image after.  This makes every
+    structural inclusion preserve boundaries.  A cell's faces are gaps of
+    its proper ancestors (``trees.face``), so the only cells whose faces an
+    extension at gap g of node p moves are those of child g-1's and child
+    g's subtrees, which it moves too: each section preserves boundaries.
+    The inclusion of the extension's scheme B is its two sections spliced
+    at the sector (``_structural_inclusion``).  Every cell outside the
+    moved slices keeps its image, and every other cell of B reads its faces
+    off its own section (p's gaps up to g and its children before g off
+    s_σ, the rest off s_τ), except the new vertex: the only cell of B whose
+    two faces read different sections, gap g of each.
+    """
+    # the index of each cell's source face in preorder; its target face is next
+    faces = [span[path[:-1]][0] + path[-1] if path else None for path, _ in cells]
+    chain = _image_chain(cells, exts, span, read)
+    images = next(chain)
+    _check_section(cells, faces, images, 0, len(cells))
+    for step in _moves(exts, span):
+        at = step[-1][0]
+        src = images[at]
+        next(chain)
+        # the sector's cell (p, g), and the new vertex over it as a cell of B
+        path, gap = x = cells[at]
+        new, tgt = read("c", x, 0), images[at]
+        if new.src is not src or new.tgt is not tgt:
+            _check_faces("section chain", (path + (gap,), 0), new, src, tgt)
+        for a, b, _ in step:
+            _check_section(cells, faces, images, a, b)
+
+
+def _check_section(cells, faces, images, a, b):
+    """Check that the images of the cells a..b-1 (in preorder) preserve
+    boundaries, their faces read off the same images."""
+    for i in range(a, b):
+        s = faces[i]
+        if s is not None:
+            cell, src, tgt = images[i], images[s], images[s + 1]
+            if cell.src is not src or cell.tgt is not tgt:
+                _check_faces("section chain", cells[i], cell, src, tgt)
+
+
+def _check_faces(what, x, cell, src, tgt):
+    # the lax cells are shared, so the callers pass over an identical
+    # boundary, the usual case, without this call
+    if not (cell.src is src or cell.src == src) or not (cell.tgt is tgt or cell.tgt == tgt):
+        raise TypingError(f"{what} breaks at {x}: {cell.src} vs {src} / {cell.tgt} vs {tgt}")
 
 
 def _structural_inclusion(ext: ExtendedTree, span, before, after, new) -> dict:
@@ -346,17 +462,13 @@ def _verify_inclusion(incl, cells):
     if mapping.keys() != set(cells):
         raise TypingError(f"structural inclusion is not defined on exactly the cells of {incl['scheme']}")
     for x, cell in mapping.items():
-        n = len(x[0])
-        if n == 0:
-            continue
-        src_cell = mapping[face(x, n - 1, "s")]
-        tgt_cell = mapping[face(x, n - 1, "t")]
-        # the lax cells are shared, so an identical boundary is the usual case
-        if not (cell.src is src_cell or cell.src == src_cell) or not (cell.tgt is tgt_cell or cell.tgt == tgt_cell):
-            raise TypingError(
-                f"structural inclusion breaks at {x}: "
-                f"{cell.src} vs {src_cell} / {cell.tgt} vs {tgt_cell}"
-            )
+        path = x[0]
+        if path:
+            # the faces of x, trees.face(x, dim x - 1, "s") and "t"
+            node, i = path[:-1], path[-1]
+            src, tgt = mapping[(node, i)], mapping[(node, i + 1)]
+            if cell.src is not src or cell.tgt is not tgt:
+                _check_faces("structural inclusion", x, cell, src, tgt)
 
 
 # ---------------------------------------------------------------------------

@@ -642,6 +642,10 @@ FILE_TEXTS = [
 ]
 
 
+# Python exception names that no error message may carry
+EXCEPTION_NAMES = ("KeyError", "TypeError", "AttributeError", "IndexError", "JSONDecodeError", "RecursionError")
+
+
 @pytest.mark.parametrize("text", FILE_TEXTS, ids=range(len(FILE_TEXTS)))
 def test_file_errors_name_the_field_not_the_exception(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
@@ -650,7 +654,7 @@ def test_file_errors_name_the_field_not_the_exception(tmp_path, capsys, text):
         code = main(["theory", action, "--file", str(spec)])
         err = capsys.readouterr().err
         assert code == 0 or err.count("\n") == 1, err
-        assert not any(name in err for name in ("KeyError", "TypeError", "AttributeError")), err
+        assert not any(name in err for name in EXCEPTION_NAMES), err
 
 
 # Malformed ``--map`` values for ``theta factor D1 D1``: FUZZ_MAPS without
@@ -672,7 +676,28 @@ def test_map_errors_name_the_field_not_the_exception(capsys, text):
     assert main(["theta", "factor", "D1", "D1", "--map", text]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
-    assert not any(name in err for name in ("KeyError", "TypeError", "AttributeError", "IndexError")), err
+    assert not any(name in err for name in EXCEPTION_NAMES), err
+
+
+def test_json_errors_give_the_position_and_the_depth_bound(tmp_path, capsys):
+    for text, message in [
+        ("{", "malformed --map: not JSON at line 1, column 2"),
+        ('{"phi": [0, 1],\n "components": [[]] x}', "malformed --map: not JSON at line 2, column 21"),
+        ("[" * 5000, f"--map nests deeper than the bound {cli.MAX_JSON_DEPTH}"),
+    ]:
+        assert main(["theta", "factor", "D1", "D1", "--map", text]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # brackets inside strings do not nest, and the bound itself is accepted
+    spec = tmp_path / "spec.json"
+    for text, message in [
+        ("[\n", "malformed --file: not JSON at line 2, column 1"),
+        ("[" * cli.MAX_JSON_DEPTH + "]" * cli.MAX_JSON_DEPTH, "malformed --file: expected an object, got a list"),
+        ('["' + "[" * 5000 + '"]', "malformed --file: expected an object, got a list"),
+        ("[" * (cli.MAX_JSON_DEPTH + 1), f"--file nests deeper than the bound {cli.MAX_JSON_DEPTH}"),
+    ]:
+        spec.write_text(text)
+        assert main(["theory", "build", "--file", str(spec)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_map_shape_errors_name_their_field(capsys):

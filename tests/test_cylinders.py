@@ -1,4 +1,6 @@
 import collections
+import re
+import time
 
 import pytest
 
@@ -307,10 +309,23 @@ def chain(terms):
     return {name: c for name, c in out.items() if c}
 
 
+def tensor_differential(S, d, side, x):
+    """The differential of the basis element (side, x) of I (x) lambda(A) as
+    (generator name, coefficient) pairs, with I the interval c : u -> v and
+    d the differential of lambda(A): d(c (x) x) = dc (x) x - c (x) dx, with
+    dc = v - u, and d(e (x) x) = e (x) dx for e = u, v."""
+    name = {atom: g.name for atom, g in S.atoms.items()}
+    sx, tx = d.get(x, (None, None))
+    if side == "c":
+        want = [(name["v", x], 1), (name["u", x], -1)]
+        return want + ([(name["c", sx], 1), (name["c", tx], -1)] if tx else [])
+    return [(name[side, tx], 1), (name[side, sx], -1)] if tx else []
+
+
 def test_sum_cylinder_is_the_gray_tensor_with_the_interval():
     # the generators of cyl(A) are the basis u(x), v(x), c(x) of I (x) lambda(A),
-    # with I the interval c : u -> v and lambda(A) the Steiner complex of A,
-    # and [tgt g] - [src g] is the tensor differential of g
+    # with lambda(A) the Steiner complex of A, and [tgt g] - [src g] is the
+    # tensor differential of g
     trees = [A for A in all_trees(9) if dim(A) <= 2]
     assert len(trees) == 256
     generators = 0
@@ -319,22 +334,123 @@ def test_sum_cylinder_is_the_gray_tensor_with_the_interval():
         d = steiner.pasting_complex(A).d
         gens = S.presentation.gens
         assert len(S.atoms) == len(gens) == 3 * len(tree_mod.cells(A))
-        name = {atom: g.name for atom, g in S.atoms.items()}
         for (side, x), g in S.atoms.items():
-            sx, tx = d.get(x, (None, None))
-            if side == "c":
-                # d(c (x) x) = dc (x) x - c (x) dx, with dc = v - u
-                want = [(name["v", x], 1), (name["u", x], -1)]
-                want += [(name["c", sx], 1), (name["c", tx], -1)] if tx else []
-            else:
-                want = [(name[side, tx], 1), (name[side, sx], -1)] if tx else []
             assert g is gens[g.name] and g.dim == len(x[0]) + (side == "c")
             if g.dim:
                 got = abelianise(g.tgt)
                 got.subtract(abelianise(g.src))
-                assert chain(got.items()) == chain(want), (A, side, x)
+                assert chain(got.items()) == chain(tensor_differential(S, d, side, x)), (A, side, x)
             generators += 1
     assert generators == 11526
+
+
+def test_structural_inclusions_are_chain_maps():
+    # each structural inclusion B -> cyl(A), abelianised, is a map of
+    # augmented directed complexes lambda(B) -> I (x) lambda(A): it keeps
+    # degrees, sends each atom to a sum of atoms with positive coefficients
+    # and each point to one point, and commutes with the differentials
+    trees = [A for A in all_trees(9) if dim(A) <= 2]
+    assert len(trees) == 256
+    cells = 0
+    for A in trees:
+        S = cyl.cyl_glob_sum(A, TH)
+        d = steiner.pasting_complex(A).d
+        gens = S.presentation.gens
+        basis = {g.name: atom for atom, g in S.atoms.items()}
+        differential = {name: tensor_differential(S, d, *atom) for name, atom in basis.items()}
+        for incl in S.inclusions:
+            dB = steiner.pasting_complex(incl["scheme"]).d
+            image = {y: abelianise(cell) for y, cell in incl["mapping"].items()}
+            for y, f in image.items():
+                n = len(y[0])
+                assert f and all(c > 0 and gens[name].dim == n for name, c in f.items()), (A, y, f)
+                if not n:
+                    assert list(f.values()) == [1], (A, y, f)
+                    continue
+                sy, ty = dB[y]
+                got = chain((g, c * e) for name, c in f.items() for g, e in differential[name])
+                want = chain([*image[ty].items(), *((name, -c) for name, c in image[sy].items())])
+                assert got == want, (A, incl["extension"].sector, y)
+            cells += len(image)
+    assert cells == 67324
+
+
+def walk_with(monkeypatch, wrong, walk=cyl._check_chain):
+    """Make the sum cylinder check its chain of sections with the cell
+    reader ``wrong(read)`` in place of its own reader ``read``."""
+    monkeypatch.setattr(cyl, "_check_chain", lambda cells, exts, span, read: walk(cells, exts, span, wrong(read)))
+
+
+SMALL_SUMS = [A for A in all_trees(5) if 1 <= dim(A) <= 2]
+
+
+def test_the_chain_check_catches_a_swapped_image(monkeypatch):
+    # each lax cell that a section reads, swapped for each other lax cell of
+    # its cell of A, breaks the chain while the sum is built
+    swaps = 0
+    for A in SMALL_SUMS:
+        cells = tree_mod.cells(A)
+        read = {
+            (side, x, d)
+            for section in cyl._section_chain(linearization(A), cyl._spans(A))
+            for x, (side, d) in zip(cells, section)
+        }
+        for side, x, d in sorted(read):
+            for wrong in [(s, x, e) for s in "uv" for e in range(len(x[0]) + 1) if (s, e) != (side, d)]:
+                walk_with(monkeypatch, lambda lax: lambda *key: lax(*(wrong if key == (side, x, d) else key)))
+                with pytest.raises(TypingError, match="section chain breaks"):
+                    cyl.cyl_glob_sum(A, TH)
+                swaps += 1
+    assert swaps == 1192
+
+
+def test_the_chain_check_catches_a_new_vertex_off_by_one_gap(monkeypatch):
+    # c over the next gap (the previous one at the last gap) as the new
+    # vertex of any one extension breaks the chain while the sum is built
+    extensions = 0
+    for A in SMALL_SUMS:
+        for ext in linearization(A):
+            path, g = ext.sector
+            arity = A.subtree(path).arity
+            if not arity:
+                continue
+            x, off = (path, g), (path, g + 1 if g < arity else g - 1)
+            walk_with(monkeypatch, lambda lax: lambda side, y, d: lax(side, off if (side, y) == ("c", x) else y, d))
+            with pytest.raises(TypingError, match=re.escape(f"section chain breaks at {(path + (g,), 0)}:")):
+                cyl.cyl_glob_sum(A, TH)
+            extensions += 1
+    assert extensions == 76
+
+
+def test_inclusions_are_read_on_demand(monkeypatch):
+    # each inclusion read, by iteration or by index, is verified as it is built
+    verified = []
+    verify = cyl._verify_inclusion
+    monkeypatch.setattr(cyl, "_verify_inclusion", lambda incl, cells: verified.append(incl) or verify(incl, cells))
+    S = cyl.cyl_glob_sum(NINE_TREE, TH)
+    assert verified == []
+    inclusions = list(S.inclusions)
+    assert len(S.inclusions) == len(inclusions) == 9
+    assert [S.inclusions[i] for i in range(-9, 9)] == inclusions * 2
+    assert verified == inclusions * 3
+    assert [incl["extension"] for incl in inclusions] == linearization(NINE_TREE)
+    for i in (9, -10):
+        with pytest.raises(IndexError):
+            S.inclusions[i]
+
+
+def test_sum_cylinders_scale_linearly():
+    # the chain of sections is walked in slices and an inclusion is built
+    # only when read: 0.2-0.3 s and about 0.003 s on a 2-core Xeon VM
+    start = time.perf_counter()
+    S = cyl.cyl_glob_sum(Tree((LEAF,) * 4000), TH)
+    assert time.perf_counter() - start < 3.0
+    assert len(S.inclusions) == 8001
+    S = cyl.cyl_glob_sum(Tree((LEAF,) * 400), TH)
+    start = time.perf_counter()
+    incl = S.inclusions[400]
+    assert time.perf_counter() - start < 0.25
+    assert len(incl["mapping"]) == len(tree_mod.cells(incl["scheme"])) == 803
 
 
 def test_verify_inclusion_needs_every_cell():
