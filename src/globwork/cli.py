@@ -106,8 +106,9 @@ def cmd_lins(args):
 # before the decoder recurses into it.
 MAX_JSON_DEPTH = 3 * MAX_PARSE_DEPTH + 2
 
-# what a JSON text keeps once its strings and everything but its brackets are cut
-_NOT_A_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"|[^][{}]')
+# what a JSON text keeps once its strings and everything but its brackets are
+# cut; a string left open runs to the end of the text, which is then not JSON
+_NOT_A_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"|"[\s\S]*|[^][{}]')
 
 
 def _json(what, text):

@@ -251,6 +251,9 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
     root's points, then for each root branch; within a group the u copies,
     the v copies, then the c's, each in dimension order.  The chain of
     sections is checked here; the inclusions are built off it when read.
+    Both read the lax cells through ``_lax``, whose one memo, keyed by
+    (side, x, depth), makes each whiskering once, so that they compare lax
+    cells by identity; the memo lives as long as the cylinder's inclusions.
     """
     if tree_dim(A) > 2:
         raise DomainError("sum cylinders are implemented through dimension 2")
@@ -259,18 +262,7 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
     _require_systems(th, max(tree_dim(A), 1))
     P = Computad(f"cyl({A})")
     atoms = {}
-
-    @functools.cache
-    def lax(side, x, d):
-        """The copy of x on side u (v) whiskered on the right (left) by the
-        c's over its target (source) faces of dimension below d; at d = 0 the
-        generator over x on any side.  At d = dim x it is the lax cell: the
-        last whiskering composes with c(t x) (c(s x))."""
-        if d == 0:
-            return atoms[(side, x)]
-        which, hand = ("t", "r") if side == "u" else ("s", "l")
-        return fwhisker(lax(side, x, d - 1), atoms[("c", face(x, d - 1, which))], hand)
-
+    lax = functools.partial(_lax, atoms, {})
     cells = tree_cells(A)
     groups = {}
     for x in cells:
@@ -288,6 +280,24 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
     exts, span = linearization(A), _spans(A)
     _check_chain(cells, exts, span, lax)
     return SumCylinder(A, P, atoms, Inclusions(cells, exts, span, lax))
+
+
+def _lax(atoms: dict, memo: dict, side: str, x, d: int) -> FCell:
+    """The copy of x on side u (v) whiskered on the right (left) by the c's
+    over its target (source) faces of dimension below d; at d = 0 the
+    generator over x on any side.  At d = dim x it is the lax cell: the last
+    whiskering composes with c(t x) (c(s x)).  Each whiskering is made once,
+    from the one before it, and kept in ``memo`` under (side, x, depth), so
+    that every read of a lax cell gives the same object."""
+    cell = atoms[(side, x)]
+    which, hand = ("t", "r") if side == "u" else ("s", "l")
+    for e in range(d):
+        key = (side, x, e + 1)
+        whiskered = memo.get(key)
+        if whiskered is None:
+            whiskered = memo[key] = fwhisker(cell, atoms[("c", face(x, e, which))], hand)
+        cell = whiskered
+    return cell
 
 
 class Inclusions(Sequence):

@@ -312,27 +312,32 @@ def check_orthogonal(i: GlobMap, p: GlobMap, top: GlobMap, bottom: GlobMap) -> G
                 if s in forced[k - 1] and t in forced[k - 1]:
                     clash = clash or (bottom.maps[k][b], forced[k - 1][s], forced[k - 1][t]) not in buckets[k]
 
-    def lifts(k, layers):
-        if k > B.n:
-            yield GlobMap(B, X, layers)
-            return
-        options = []
-        for b in B.cells[k]:
-            ends = (layers[k - 1][B.src[k][b]], layers[k - 1][B.tgt[k][b]]) if k else ()
-            if b in forced[k]:  # b = i(a): top(a), if its faces fit
-                x = forced[k][b]
-                options.append([x] if not k or (X.src[k][x], X.tgt[k][x]) == ends else [])
-            else:
-                options.append(buckets[k].get((bottom.maps[k][b], *ends), []))
-        for choice in itertools.product(*options):
-            yield from lifts(k + 1, layers + [dict(zip(B.cells[k], choice))])
-
-    found = [] if clash else list(itertools.islice(lifts(0, []), 2))
+    found = [] if clash else list(itertools.islice(_lifts(B, X, forced, buckets, bottom, []), 2))
     if not found:
         raise DomainError("no filler: orthogonality violated")
     if len(found) > 1:
         raise DomainError("filler is not unique: orthogonality violated")
     return found[0]
+
+
+def _lifts(B: FinGlobSet, X: FinGlobSet, forced, buckets, bottom: GlobMap, layers):
+    """The diagonals B -> X of ``check_orthogonal`` whose levels below
+    len(layers) are ``layers``, in order: a forced cell goes to its image,
+    if its faces fit, and a free one to the bucket over its faces."""
+    k = len(layers)
+    if k > B.n:
+        yield GlobMap(B, X, layers)
+        return
+    options = []
+    for b in B.cells[k]:
+        ends = (layers[k - 1][B.src[k][b]], layers[k - 1][B.tgt[k][b]]) if k else ()
+        if b in forced[k]:  # b = i(a): top(a), if its faces fit
+            x = forced[k][b]
+            options.append([x] if not k or (X.src[k][x], X.tgt[k][x]) == ends else [])
+        else:
+            options.append(buckets[k].get((bottom.maps[k][b], *ends), []))
+    for choice in itertools.product(*options):
+        yield from _lifts(B, X, forced, buckets, bottom, layers + [dict(zip(B.cells[k], choice))])
 
 
 # ---------------------------------------------------------------------------

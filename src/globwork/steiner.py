@@ -154,18 +154,6 @@ def enumerate_cells(t: Tree, k: int, bound=2):
     K = pasting_complex(t)
     zeros = K.atoms[0]
     cells = []
-
-    def extend(level, levels):
-        prev_m, prev_p = levels[-1]
-        found = K._solutions(level, chain_sub(dict(prev_p), prev_m), bound)
-        if level == k:
-            for x in found:
-                cells.append(tuple(levels) + ((x, x),))
-            return
-        for xm in found:
-            for xp in found:
-                extend(level + 1, levels + [(xm, xp)])
-
     for x0m in zeros:
         for x0p in zeros:
             base = [(_freeze({x0m: 1}), _freeze({x0p: 1}))]
@@ -173,8 +161,23 @@ def enumerate_cells(t: Tree, k: int, bound=2):
                 if x0m == x0p:
                     cells.append(tuple(base))
                 continue
-            extend(1, base)
+            _extend(K, k, bound, base, cells)
     return cells
+
+
+def _extend(K: PastingComplex, k: int, bound, levels: list, cells: list):
+    """Append to ``cells`` every k-cell of K whose table starts with the
+    chain pairs ``levels``, in lexicographic order of the later pairs."""
+    level = len(levels)
+    prev_m, prev_p = levels[-1]
+    found = K._solutions(level, chain_sub(dict(prev_p), prev_m), bound)
+    if level == k:
+        for x in found:
+            cells.append(tuple(levels) + ((x, x),))
+        return
+    for xm in found:
+        for xp in found:
+            _extend(K, k, bound, levels + [(xm, xp)], cells)
 
 
 def count_cells(t: Tree, k: int, bound=2) -> int:

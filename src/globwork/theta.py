@@ -392,16 +392,16 @@ def hom(S: Tree, T: Tree) -> HomSet:
 
 def leaf_inclusion(t: Tree, leaf_index: int) -> ThetaMap:
     """The colimit inclusion of the leaf's globe into the sum."""
-    path = leaf_paths(t)[leaf_index]
+    return _globe_into(t, leaf_paths(t)[leaf_index])
 
-    def build(node, rest):
-        if not rest:
-            return _make(LEAF, LEAF, (0,), ())
-        i = rest[0]
-        comp = build(node.children[i], rest[1:])
-        return _make(globe(len(rest)), node, (i, i + 1), ((comp,),))
 
-    return build(t, path)
+def _globe_into(node: Tree, rest) -> ThetaMap:
+    """The inclusion of the globe of the leaf at path ``rest`` below ``node``."""
+    if not rest:
+        return _make(LEAF, LEAF, (0,), ())
+    i = rest[0]
+    comp = _globe_into(node.children[i], rest[1:])
+    return _make(globe(len(rest)), node, (i, i + 1), ((comp,),))
 
 
 def cell_inclusion(t: Tree, cell) -> ThetaMap:
@@ -574,15 +574,17 @@ def boundary_maps(t: Tree):
     d = tree_dim(t)
     if d == 0:
         raise DomainError("the point has no boundary")
+    return _boundary_map(t, d - 1, "s"), _boundary_map(t, d - 1, "t")
 
-    def build(node, height, side):
-        if height == d - 1:
-            return _make(LEAF, node, (0 if side == "s" else node.arity,), ())
-        kids = tuple(build(c, height + 1, side) for c in node.children)
-        source = Tree(tuple(k.source for k in kids))
-        return _make(source, node, tuple(range(node.arity + 1)), tuple((k,) for k in kids))
 
-    return build(t, 0, "s"), build(t, 0, "t")
+def _boundary_map(node: Tree, room: int, side: str) -> ThetaMap:
+    """The inclusion into ``node`` that ``boundary_maps`` builds, for a node
+    ``room`` levels below height dim t - 1."""
+    if room == 0:
+        return _make(LEAF, node, (0 if side == "s" else node.arity,), ())
+    kids = tuple(_boundary_map(c, room - 1, side) for c in node.children)
+    source = Tree(tuple(k.source for k in kids))
+    return _make(source, node, tuple(range(node.arity + 1)), tuple((k,) for k in kids))
 
 
 def is_admissible_categorical(f: ThetaMap, g: ThetaMap) -> bool:
@@ -708,23 +710,19 @@ def to_steiner_cell(f: ThetaMap):
 
     A component reached through the children j_1, ..., j_r of the target
     puts its end gaps a, b into level r as the atoms ((j_1, ..., j_r), a)
-    and ((j_1, ..., j_r), b), each with coefficient 1. The prefixes of one
-    level are distinct and met in ascending order, so each chain comes out
-    canonical, in atom order, with nothing to merge or sort.
+    and ((j_1, ..., j_r), b), each with coefficient 1. The components are
+    read level by level, each level's from the last's in order, so the
+    prefixes of one level are distinct and come in ascending order: each
+    chain comes out canonical, in atom order, with nothing to merge or sort.
     """
     k = tree_dim(f.source)
     if f.source != globe(k):
         raise DomainError("only globe-sourced maps are cells")
-    levels = [([], []) for _ in range(k + 1)]
-
-    def walk(g: ThetaMap, level, prefix):
-        a, b = g.phi[0], g.phi[-1]
-        minus, plus = levels[level]
-        minus.append(((prefix, a), 1))
-        plus.append(((prefix, b), 1))
-        if level < k:
-            for j, comp in enumerate(g.components[0], a):
-                walk(comp, level + 1, prefix + (j,))
-
-    walk(f, 0, ())
-    return tuple((tuple(minus), tuple(plus)) for minus, plus in levels)
+    cell = []
+    level = [(f, ())]  # the components of one level with their prefixes
+    while True:
+        cell.append((tuple(((prefix, g.phi[0]), 1) for g, prefix in level),
+                     tuple(((prefix, g.phi[-1]), 1) for g, prefix in level)))
+        if len(cell) > k:
+            return tuple(cell)
+        level = [(c, prefix + (j,)) for g, prefix in level for j, c in enumerate(g.components[0], g.phi[0])]

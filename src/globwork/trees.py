@@ -166,28 +166,28 @@ def parse_tree(text: str) -> Tree:
     s = text.strip()
     if s and s[0] in "Dd" and s[1:].isdigit():
         return globe(int(s[1:]))
-    pos = 0
-
-    def parse_node(depth):
-        nonlocal pos
-        if pos >= len(s) or s[pos] != "[":
-            raise ParseError("expected '['", pos)
-        if depth > MAX_PARSE_DEPTH:
-            raise _too_deep()
-        pos += 1
-        kids = []
-        while True:
-            if pos >= len(s):
-                raise ParseError("unbalanced brackets", pos)
-            if s[pos] == "]":
-                pos += 1
-                return Tree(tuple(kids))
-            kids.append(parse_node(depth + 1))
-
-    t = parse_node(0)
+    t, pos = _parse_node(s, 0, 0)
     if pos != len(s):
         raise ParseError("stray characters after tree", pos)
     return t
+
+
+def _parse_node(s: str, pos: int, depth: int):
+    """The tree whose bracket opens at ``s[pos]``, at ``depth`` brackets
+    inside the root's, and the position after its closing bracket."""
+    if pos >= len(s) or s[pos] != "[":
+        raise ParseError("expected '['", pos)
+    if depth > MAX_PARSE_DEPTH:
+        raise _too_deep()
+    pos += 1
+    kids = []
+    while True:
+        if pos >= len(s):
+            raise ParseError("unbalanced brackets", pos)
+        if s[pos] == "]":
+            return Tree(tuple(kids)), pos + 1
+        kid, pos = _parse_node(s, pos, depth + 1)
+        kids.append(kid)
 
 
 class DimensionTable(Hashed):
@@ -241,19 +241,21 @@ def tree_to_table(t: Tree) -> DimensionTable:
     built once per tree."""
     tops = []
     joins = []
-
-    def walk(node, height):
-        if node.is_leaf:
-            tops.append(height)
-            return
-        for i, c in enumerate(node.children):
-            if i > 0:
-                # junction between the leaves flanking this gap sits here
-                joins.append(height)
-            walk(c, height + 1)
-
-    walk(t, 0)
+    _read_table(t, 0, tops, joins)
     return DimensionTable(tuple(tops), tuple(joins))
+
+
+def _read_table(node: Tree, height: int, tops: list, joins: list):
+    """Append the leaf heights and the junction heights below ``node``,
+    which sits at ``height``, to ``tops`` and ``joins``."""
+    if node.is_leaf:
+        tops.append(height)
+        return
+    for i, c in enumerate(node.children):
+        if i > 0:
+            # junction between the leaves flanking this gap sits here
+            joins.append(height)
+        _read_table(c, height + 1, tops, joins)
 
 
 def table_to_tree(tbl: DimensionTable) -> Tree:
@@ -281,13 +283,12 @@ def boundary(t: Tree) -> Tree:
     d = dim(t)
     if d == 0:
         raise DomainError("the point has no boundary")
+    return _strip(t, d - 1)
 
-    def strip(node, height):
-        kids = tuple(strip(c, height + 1) for c in node.children if height + 1 < d
-                     or not c.is_leaf)
-        return Tree(kids)
 
-    return strip(t, 0)
+def _strip(node: Tree, room: int) -> Tree:
+    """``node`` without its vertices more than ``room`` levels above it."""
+    return Tree(tuple(_strip(c, room - 1) for c in node.children if room > 0 or not c.is_leaf))
 
 
 def boundary_table_oracle(t: Tree) -> Tree:
@@ -388,20 +389,20 @@ class ExtendedTree(namedtuple("ExtendedTree", "base sector klass")):
 
 
 def insert_at(t: Tree, sector: Sector) -> Tree:
-    def ins(node, path):
-        if not path:
-            kids = list(node.children)
-            kids.insert(sector.gap, LEAF)
-            return Tree(tuple(kids))
-        i = path[0]
-        kids = list(node.children)
-        kids[i] = ins(kids[i], path[1:])
-        return Tree(tuple(kids))
-
     parent = t.subtree(sector.path)
     if sector.gap < 0 or sector.gap > parent.arity:
         raise DomainError(f"gap {sector.gap} out of range at {sector.path}")
-    return ins(t, sector.path)
+    return _insert(t, sector.path, sector.gap)
+
+
+def _insert(node: Tree, path, gap: int) -> Tree:
+    """``node`` with a new leaf in gap ``gap`` of its descendant at ``path``."""
+    kids = list(node.children)
+    if not path:
+        kids.insert(gap, LEAF)
+    else:
+        kids[path[0]] = _insert(kids[path[0]], path[1:], gap)
+    return Tree(tuple(kids))
 
 
 def _klass(height: int, gap: int, r: int) -> str:
@@ -427,22 +428,21 @@ def linearization(t: Tree) -> list[ExtendedTree]:
     order, starting at the bottom-right corner and walking the outline of
     the tree counterclockwise, each tagged where the walk passes it."""
     out = []
-
-    def visit(path, gap, r):
-        out.append(ExtendedTree(t, Sector(path, gap), _klass(len(path) + 1, gap, r)))
-
-    def walk(node, path):
-        r = node.arity
-        visit(path, r, r)
-        for i in range(r - 1, -1, -1):
-            if node.children[i].is_leaf:
-                visit(path + (i,), 0, 0)
-            else:
-                walk(node.children[i], path + (i,))
-            visit(path, i, r)
-
-    walk(t, ())
+    _contour(t, t, (), out)
     return out
+
+
+def _contour(t: Tree, node: Tree, path, out: list):
+    """Append the sectors of the subtree of ``t`` at ``path``, which is
+    ``node``, to ``out`` in contour order, each tagged as an extension."""
+    r = node.arity
+    out.append(ExtendedTree(t, Sector(path, r), _klass(len(path) + 1, r, r)))
+    for i in range(r - 1, -1, -1):
+        if node.children[i].is_leaf:
+            out.append(ExtendedTree(t, Sector(path + (i,), 0), _klass(len(path) + 2, 0, 0)))
+        else:
+            _contour(t, node.children[i], path + (i,), out)
+        out.append(ExtendedTree(t, Sector(path, i), _klass(len(path) + 1, i, r)))
 
 
 def tree_to_dot(t: Tree, highlight_path=None) -> str:
@@ -473,18 +473,19 @@ def extension_to_dot(ext: ExtendedTree) -> str:
 
 def all_trees(max_nodes: int):
     """All planar rooted trees with at most ``max_nodes`` nodes."""
-
-    def with_nodes(n):
-        # weakly-ordered compositions: root uses 1 node, children use n-1
-        if n == 1:
-            yield LEAF
-            return
-        for parts in _compositions(n - 1):
-            for kids in itertools.product(*(with_nodes(p) for p in parts)):
-                yield Tree(kids)
-
     for n in range(1, max_nodes + 1):
-        yield from with_nodes(n)
+        yield from _trees_with_nodes(n)
+
+
+def _trees_with_nodes(n: int):
+    """The planar rooted trees with exactly ``n`` nodes."""
+    # weakly-ordered compositions: root uses 1 node, children use n-1
+    if n == 1:
+        yield LEAF
+        return
+    for parts in _compositions(n - 1):
+        for kids in itertools.product(*(_trees_with_nodes(p) for p in parts)):
+            yield Tree(kids)
 
 
 def _compositions(n):

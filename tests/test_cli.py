@@ -684,6 +684,9 @@ def test_json_errors_give_the_position_and_the_depth_bound(tmp_path, capsys):
         ("{", "malformed --map: not JSON at line 1, column 2"),
         ('{"phi": [0, 1],\n "components": [[]] x}', "malformed --map: not JSON at line 2, column 21"),
         ("[" * 5000, f"--map nests deeper than the bound {cli.MAX_JSON_DEPTH}"),
+        # the brackets after a string left open are not counted
+        ('"' + "[" * 400, "malformed --map: not JSON at line 1, column 1"),
+        ('"' + "[" * 10, "malformed --map: not JSON at line 1, column 1"),
     ]:
         assert main(["theta", "factor", "D1", "D1", "--map", text]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

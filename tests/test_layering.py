@@ -1,11 +1,14 @@
 """The README's layering claims, and that no import goes unused, read off
-the import statements of the package sources; and that interning lives in
-one place, ``trees.Hashed``."""
+the import statements of the package sources; that interning lives in one
+place, ``trees.Hashed``; and that no package call leaves a reference cycle
+behind, so its garbage is freed by reference counting alone."""
 
 import ast
+import gc
 import pathlib
 
-from globwork import theory, trees
+from globwork import cylinders, globsets as gs, steiner, theory, theta, trees
+from globwork.errors import DomainError, ParseError
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "globwork"
 
@@ -149,3 +152,123 @@ def test_interning_lives_in_trees():
         and isinstance(node.value, ast.Name) and node.value.id == "object"
     }
     assert setters == {"trees"}
+
+
+def self_referencing_closures(source):
+    """The nested functions of a source text that name themselves in their
+    body, or that ``functools.cache`` or ``lru_cache`` decorates.  Each call
+    of the enclosing function makes such a function anew, and it refers to
+    itself through its closure or its cache: a reference cycle that holds
+    everything the closure and the cache hold until the cyclic collector
+    runs."""
+    found = []
+
+    def visit(node, nested):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if nested and child.name in {n.id for stmt in child.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}:
+                    found.append(f"{child.name} (line {child.lineno}) names itself")
+                for d in child.decorator_list if nested else ():
+                    d = d.func if isinstance(d, ast.Call) else d
+                    if (d.attr if isinstance(d, ast.Attribute) else getattr(d, "id", None)) in ("cache", "lru_cache"):
+                        found.append(f"{child.name} (line {child.lineno}) is cached")
+                visit(child, True)
+            else:
+                visit(child, nested)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_no_nested_function_refers_to_itself():
+    sample = """
+import functools
+from functools import lru_cache
+def top(n):
+    return top(n - 1) if n else 0
+class C:
+    def method(self, n):
+        def walk(m):
+            return walk(m - 1) if m else 0
+        return walk(n)
+def outer():
+    @functools.cache
+    def memo(x):
+        return x
+    @lru_cache(maxsize=None)
+    def memo2(x):
+        return x
+    def helper():
+        return top(1)
+    return memo, memo2, helper
+"""
+    assert self_referencing_closures(sample) == [
+        "walk (line 8) names itself", "memo (line 13) is cached", "memo2 (line 16) is cached",
+    ]
+    found = {path.stem: self_referencing_closures(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {stem: names for stem, names in found.items() if names} == {}
+
+
+def package_queries(th):
+    """One pass of small queries in the shapes the benchmark issues, through
+    every function that once used a self-referencing closure."""
+    for t in trees.all_trees(5):
+        trees.parse_tree(str(t))
+        for k in range(4):
+            cells = steiner.enumerate_cells(t, k)
+            assert {theta.to_steiner_cell(f) for f in theta.hom(trees.globe(k), t)} == set(cells)
+        for i in range(t.n_leaves()):
+            theta.leaf_inclusion(t, i)
+        if t.children:
+            assert trees.boundary(t) is trees.boundary_table_oracle(t)
+            theta.boundary_maps(t)
+    try:
+        trees.parse_tree("[[[]][]")
+    except ParseError:
+        pass
+    for k in range(1, 4):
+        for m in range(k + 1):
+            h, g = gs.factor_bij_ff(gs.boundary_inclusion(k), m)
+            assert gs.check_orthogonal(h, g, h, g) == gs.identity_map(h.cod)
+    # a free loop over a loop, against an edge x -> y: the search finds no
+    # diagonal; two free points over a point against two: it finds two
+    Y = gs.FinGlobSet(1, [["pt"], ["loop"]], [{}, {"loop": "pt"}], [{}, {"loop": "pt"}])
+    B = gs.FinGlobSet(1, [["b"], ["l"]], [{}, {"l": "b"}], [{}, {"l": "b"}])
+    X = gs.FinGlobSet(1, [["x", "y"], ["e"]], [{}, {"e": "x"}], [{}, {"e": "y"}])
+    squares = [(B, X, Y, [{"x": "pt", "y": "pt"}, {"e": "loop"}], [{"b": "pt"}, {"l": "loop"}], "no filler")]
+    P0 = gs.FinGlobSet(0, [["x", "y"]], [{}], [{}])
+    D0 = gs.globe_set(0)
+    pt = D0.cells[0][0]
+    squares.append((P0, P0, D0, [dict.fromkeys("xy", pt)], [dict.fromkeys("xy", pt)], "filler is not unique"))
+    for B, X, Y, p, bottom, message in squares:
+        try:
+            gs.check_orthogonal(gs.GlobMap(gs.EMPTY, B, []), gs.GlobMap(X, Y, p), gs.GlobMap(gs.EMPTY, X, []),
+                                gs.GlobMap(B, Y, bottom))
+        except DomainError as e:
+            assert str(e).startswith(message)
+        else:
+            raise AssertionError(f"no error {message!r}")
+    for text in ("[]", "[[]]", "[[][]]", "[[[]]]", "[[[][]][]]", "[[[]][][[][]]]"):
+        A = trees.parse_tree(text)
+        S = cylinders.cyl_glob_sum(A, th)
+        assert len(list(S.inclusions)) == len(S.inclusions) and S.inclusions[-1] is not None
+        for k in range(1, trees.dim(A) + 1):
+            for f in theta.hom(trees.globe(k), A):
+                if theta.is_homogeneous(f):
+                    cylinders.vcompose_meta(cylinders.stack(f, th))
+
+
+def test_package_calls_leave_no_cyclic_garbage():
+    th = theory.groupoidalize(theory.standard_library(3))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        # twice: once with the package's caches as the tests before left
+        # them, once with them warm
+        for _ in range(2):
+            package_queries(th)
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,15 +1,17 @@
 """Laws checked on shrinking examples: trees, small finite globular sets
 presented as computads, the hom sets between small trees and the maps in
-them, and the terms of the shipped n = 3 tower."""
+them, the terms of the shipped n = 3 tower, and the lifting squares of
+small finite globular sets."""
 
 import functools
+import itertools
 
 from hypothesis import assume, given, strategies as st
 
 from test_computads import assert_searches_agree, relabelled
-from test_globsets import as_computad
+from test_globsets import as_computad, lift_outcome, orthogonal_by_search
 from test_theory import TWO, random_term
-from globwork.globsets import FinGlobSet
+from globwork.globsets import EMPTY, FinGlobSet, GlobMap, check_orthogonal, factor_bij_ff, random_finglobset, random_globmap
 from globwork.theory import standard_library
 from globwork.theta import HomSet, compose, hg_factorize, hom, hom_count, identity, is_globular, is_homogeneous
 from globwork.trees import LEAF, Tree, boundary, boundary_table_oracle, globe, parse_tree
@@ -100,6 +102,32 @@ def test_factorisation_recomposes(f):
     assert compose(fact.homogeneous, fact.globular) == f
     assert is_homogeneous(fact.homogeneous) and is_globular(fact.globular)
     assert is_homogeneous(f) == (fact.globular == identity(f.target))
+
+
+@given(st.sampled_from((2, 3)), st.integers(0, 3), st.randoms(use_true_random=True))
+def test_check_orthogonal_matches_the_search(n, m, rng):
+    # the square induced by a map w : B -> X, for i from the empty set or a
+    # random A, and the same top against a random bottom; then the
+    # (bij_m, ff_m) factorisations h, g of the maps drawn, each against
+    # itself and against the others through a random map cod h -> dom g
+    A, B, X, Y = (random_finglobset(rng, n=n, max_cells=3) for _ in range(4))
+    i = GlobMap(EMPTY, B, []) if rng.random() < 0.3 else random_globmap(rng, A, B)
+    p, w = random_globmap(rng, X, Y), random_globmap(rng, B, X)
+    squares = []
+    if None not in (i, p, w):
+        squares.append((i, p, i.then(w), w.then(p)))
+        bottom = random_globmap(rng, B, Y)
+        if bottom is not None:
+            squares.append((i, p, i.then(w), bottom))
+    factors = [factor_bij_ff(f, m) for f in (i, p, w) if f is not None]
+    squares += [(h, g, h, g) for h, g in factors]
+    for (h, _), (_, g) in itertools.permutations(factors, 2):
+        d = random_globmap(rng, h.cod, g.dom)
+        if d is not None:
+            squares.append((h, g, h.then(d), d.then(g)))
+    assume(squares)
+    for square in squares:
+        assert lift_outcome(check_orthogonal, square) == lift_outcome(orthogonal_by_search, square)
 
 
 @functools.lru_cache(maxsize=None)

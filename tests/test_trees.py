@@ -38,13 +38,10 @@ def test_parse_globe_shorthand():
 
 
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError) as e:
-        parse_tree("[[]")
-    assert e.value.position == 3
-    with pytest.raises(ParseError):
-        parse_tree("[]x")
-    with pytest.raises(ParseError):
-        parse_tree("x")
+    for text, position in (("[[]", 3), ("[]x", 2), ("x", 0), ("[[]x]", 3), ("", 0)):
+        with pytest.raises(ParseError) as e:
+            parse_tree(text)
+        assert e.value.position == position, text
 
 
 def test_parse_depth_bound():
@@ -90,6 +87,34 @@ def test_stored_height_and_constructor_bound():
         Tree((globe(k),))
     with pytest.raises(SizeGuardError):
         Tree(children=(globe(k),))
+
+
+def test_deep_and_wide_trees():
+    # a chain at the depth bound and a corolla of 3000 leaves go through
+    # every walk of the package, each checked against an answer built
+    # without it
+    k = trees.MAX_PARSE_DEPTH
+    chain, corolla = globe(k), Tree((trees.LEAF,) * 3000)
+    for t in (chain, corolla):
+        assert parse_tree(str(t)) is t
+        assert table_to_tree(tree_to_table(t)) is t
+        assert boundary(t) is boundary_table_oracle(t)
+        assert len(linearization(t)) == sum(t.subtree(path).arity + 1 for path in t.nodes())
+    assert insert_at(chain, trees.Sector((0,) * (k - 1), 0)) is table_to_tree(DimensionTable((k, k), (k - 1,)))
+    assert insert_at(corolla, trees.Sector((), 3000)) is Tree((trees.LEAF,) * 3001)
+    assert theta.leaf_inclusion(chain, 0) == theta.identity(chain)
+    assert theta.boundary_maps(chain) == (theta.face_theta(k - 1, "s"), theta.face_theta(k - 1, "t"))
+    assert theta.to_steiner_cell(theta.identity(chain)) == tuple(
+        (((((0,) * r, 0), 1),), ((((0,) * r, int(r < k)), 1),)) for r in range(k + 1)
+    )
+    last = theta.leaf_inclusion(corolla, 2999)
+    assert last == theta.ThetaMap(globe(1), corolla, (2999, 3000), ((theta.identity(trees.LEAF),),))
+    assert theta.to_steiner_cell(last) == (
+        (((((), 2999), 1),), ((((), 3000), 1),)), (((((2999,), 0), 1),), ((((2999,), 0), 1),))
+    )
+    assert theta.boundary_maps(corolla) == tuple(
+        theta.ThetaMap(trees.LEAF, corolla, (gap,), ()) for gap in (0, 3000)
+    )
 
 
 def test_pretty_print_round_trip():
