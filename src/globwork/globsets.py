@@ -323,18 +323,19 @@ def check_orthogonal(i: GlobMap, p: GlobMap, top: GlobMap, bottom: GlobMap) -> G
 def _lifts(B: FinGlobSet, X: FinGlobSet, forced, buckets, bottom: GlobMap, layers):
     """The diagonals B -> X of ``check_orthogonal`` whose levels below
     len(layers) are ``layers``, in order: a forced cell goes to its image,
-    if its faces fit, and a free one to the bucket over its faces."""
+    and a free one to the bucket over its faces.  A forced image needs no
+    face test once ``check_orthogonal`` has found no clash: the faces of
+    b = i(a) are forced to top of a's faces, the faces of top(a)."""
     k = len(layers)
     if k > B.n:
         yield GlobMap(B, X, layers)
         return
     options = []
     for b in B.cells[k]:
-        ends = (layers[k - 1][B.src[k][b]], layers[k - 1][B.tgt[k][b]]) if k else ()
-        if b in forced[k]:  # b = i(a): top(a), if its faces fit
-            x = forced[k][b]
-            options.append([x] if not k or (X.src[k][x], X.tgt[k][x]) == ends else [])
+        if b in forced[k]:  # b = i(a): top(a)
+            options.append([forced[k][b]])
         else:
+            ends = (layers[k - 1][B.src[k][b]], layers[k - 1][B.tgt[k][b]]) if k else ()
             options.append(buckets[k].get((bottom.maps[k][b], *ends), []))
     for choice in itertools.product(*options):
         yield from _lifts(B, X, forced, buckets, bottom, layers + [dict(zip(B.cells[k], choice))])

@@ -20,15 +20,15 @@ from __future__ import annotations
 from collections import namedtuple
 from .errors import AdmissibilityError, DomainError, SizeGuardError, TypingError, json_field
 from .trees import (
-    LEAF, Hashed, Tree, dim as tree_dim, globe, leaf_address, leaf_paths, parse_tree, suspend, tree_to_table,
+    LEAF, Hashed, Tree, dim as tree_dim, face, globe, leaf_address, leaf_paths, parse_tree, suspend, tree_to_table,
 )
 from . import globsets as gs
 from . import theta as th_ops
 from .computads import Computad, fop, funit
 from .theta import (
     ThetaMap,
-    address_inclusion,
     assemble,
+    cell_inclusion,
     compose,
     face_reader,
     face_theta,
@@ -480,9 +480,9 @@ def groupoidalize(th: TheoryPresentation) -> TheoryPresentation:
         inv_r = app_cell(f"inv_r_{k - 1}", out.identity_term(A))
         # left inverse witness: 1_{source} => (f then f^l);
         # right inverse witness: 1_{target} => (f^r then f)
-        for side, face, tgt in (("l", "s", _vcomp(k - 1, ident, inv_l, A)),
-                                ("r", "t", _vcomp(k - 1, inv_r, ident, A))):
-            out._adjoin(f"k_{side}_{k}", A, k, single(k - 1, A, _face_unit(A, face)),
+        for side, end, tgt in (("l", "s", _vcomp(k - 1, ident, inv_l, A)),
+                               ("r", "t", _vcomp(k - 1, inv_r, ident, A))):
+            out._adjoin(f"k_{side}_{k}", A, k, single(k - 1, A, _face_unit(A, end)),
                         single(k - 1, A, tgt))
     return out
 
@@ -522,7 +522,7 @@ def standard_library(n: int = 3) -> TheoryPresentation:
     hh = Tree((globe(1), globe(1)))
     alpha, beta = _pick(hh, 0), _pick(hh, 1)
     f_edge, g_edge, h_edge, k_edge = (
-        glob_cell(address_inclusion(hh, j, side)) for j in (0, 1) for side in "st"
+        glob_cell(cell_inclusion(hh, ((j,), gap))) for j in (0, 1) for gap in (0, 1)
     )
     lhs = _vcomp(2, whisker(th, "r", alpha, h_edge, hh), whisker(th, "l", beta, g_edge, hh), hh)
     rhs = _vcomp(2, whisker(th, "l", beta, f_edge, hh), whisker(th, "r", alpha, k_edge, hh), hh)
@@ -607,7 +607,9 @@ def cell_from_json(th: TheoryPresentation, target: Tree, data) -> TermCell:
         height = len(paths[leaf])
         if type(chain) is not str or not set(chain) <= {"s", "t"} or len(chain) > height:
             raise DomainError(f"cell {data}: the chain must be at most {height} of 's', 't'")
-        return glob_cell(address_inclusion(target, leaf, chain))
+        # by globularity the chain's last step alone decides the cell
+        cell = face((paths[leaf], 0), height - len(chain), chain[-1]) if chain else (paths[leaf], 0)
+        return glob_cell(cell_inclusion(target, cell))
     op = json_field(data, "op", str)
     args = json_field(data, "args")
     return app_cell(op, term_from_json(th, th.symbol(op).arity, target, args))

@@ -219,16 +219,6 @@ class DimensionTable(Hashed):
         joins = ",".join(str(j) for j in self.joins)
         return f"({tops};{joins})"
 
-    @staticmethod
-    def parse(text: str) -> "DimensionTable":
-        s = text.strip()
-        if not (s.startswith("(") and s.endswith(")")) or ";" not in s:
-            raise InvalidTableError(f"bad table literal: {text!r}")
-        tops_s, joins_s = s[1:-1].split(";", 1)
-        tops = tuple(int(x) for x in tops_s.split(",") if x.strip() != "")
-        joins = tuple(int(x) for x in joins_s.split(",") if x.strip() != "")
-        return DimensionTable(tops, joins)
-
 
 def dim(t: Tree) -> int:
     """Dimension of the globular sum: the maximal leaf height."""

@@ -108,23 +108,52 @@ def names_read(node):
     return read
 
 
+def parts(body):
+    """A module body cut where a definition may sit: each top-level
+    statement, but a class cut into its header and each statement of its
+    body.  Each part is (statement, member or None, the names it reads)."""
+    for stmt in body:
+        if isinstance(stmt, ast.ClassDef):
+            header = stmt.bases + stmt.keywords + stmt.decorator_list
+            yield stmt, None, set().union(*(names_read(node) for node in header))
+            for member in stmt.body:
+                yield stmt, member, names_read(member)
+        else:
+            yield stmt, None, names_read(stmt)
+
+
+def public_definitions(body):
+    """(statement, member or None): the public top-level functions and
+    classes of a module body, and the public methods of its public classes,
+    dunders skipped."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            yield stmt, None
+            if isinstance(stmt, ast.ClassDef):
+                for member in stmt.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield stmt, member
+
+
 def uncalled_public_definitions():
-    """The public top-level functions and classes of the package that no
-    other package module, no part of their own module outside their own
-    body and no benchmark module reads."""
-    modules = {path: ast.parse(path.read_text()).body for path in sorted(SRC.glob("*.py"))}
-    # the names each top-level statement reads
-    reads = {path: [names_read(stmt) for stmt in body] for path, body in modules.items()}
+    """The public top-level functions and classes of the package, and the
+    public methods of its public classes, that no other package module, no
+    part of their own module outside their own body and no benchmark module
+    reads."""
+    bodies = {path: ast.parse(path.read_text()).body for path in sorted(SRC.glob("*.py"))}
+    modules = {path: list(parts(body)) for path, body in bodies.items()}
     bench = set()
     for path in sorted((SRC.parents[1] / "globbench").glob("*.py")):
         bench |= names_read(ast.parse(path.read_text()))
     uncalled = []
-    for path, body in modules.items():
-        elsewhere = bench.union(*(r for other, rs in reads.items() if other != path for r in rs))
-        for i, node in enumerate(body):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            own = set().union(*(r for j, r in enumerate(reads[path]) if j != i))
+    for path, module in modules.items():
+        elsewhere = bench.union(*(r for other, ps in modules.items() if other != path for _, _, r in ps))
+        for stmt, member in public_definitions(bodies[path]):
+            node = member or stmt
+            # the module outside the definition's own body
+            own = set().union(*(
+                r for s, m, r in module if s is not stmt or (member is not None and m is not member)
+            ))
             if node.name not in elsewhere | own:
                 uncalled.append(node.name)
     return sorted(uncalled)

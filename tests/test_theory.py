@@ -10,16 +10,16 @@ from globwork import theory as T
 from globwork.computads import Computad, fcomp, fop, funit, fvar, fwhisker, typecheck as ftypecheck
 from globwork.theta import (
     ThetaMap,
-    address_inclusion,
     cell_inclusion,
     compose,
     face_theta,
     identity,
     leaf_inclusion,
+    map_face,
     sigma_theta,
     tau_theta,
 )
-from globwork.trees import LEAF, Tree, all_trees, cells, globe, leaf_paths, parse_tree
+from globwork.trees import LEAF, Tree, all_trees, cells, globe, leaf_address, leaf_paths, parse_tree
 from globwork.theory import (
     GROUPOIDAL,
     Term,
@@ -653,9 +653,28 @@ def inclusion_by_descent(t, cell):
     return compose(face_theta(len(path), "t" if last else "s"), deeper)
 
 
+def globe_into(node, rest):
+    """The inclusion of the globe of the leaf at path ``rest`` below
+    ``node``, one node at a time."""
+    if not rest:
+        return ThetaMap(LEAF, LEAF, (0,), ())
+    i = rest[0]
+    return ThetaMap(globe(len(rest)), node, (i, i + 1), ((globe_into(node.children[i], rest[1:]),),))
+
+
+def address_inclusion(t, leaf, chain):
+    """The cell addressed by (leaf, chain), by the route the package once
+    took: the leaf's globe inclusion, then ``map_face`` along the chain from
+    the top dimension down."""
+    f = globe_into(t, leaf_paths(t)[leaf])
+    for side in chain:
+        f = map_face(f, side)
+    return f
+
+
 def test_cells_by_leaf_address_match_the_descent():
     # the identity term's entry over each cell, and the cell's inclusion,
-    # both read off the cell's leaf address
+    # against the descent and against the leaf address route
     th = base_theory(3)
     seen = 0
     for B in all_trees(8):
@@ -663,6 +682,7 @@ def test_cells_by_leaf_address_match_the_descent():
         for c in cells(B):
             expected = glob_cell(inclusion_by_descent(B, c))
             assert glob_cell(cell_inclusion(B, c)) == expected
+            assert cell_inclusion(B, c) == address_inclusion(B, *leaf_address(B, c))
             assert th.term_cell_at(ident, c) == expected
             seen += 1
     assert seen == 8788

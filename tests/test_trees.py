@@ -145,14 +145,6 @@ def test_table_round_trip_both_ways():
         assert tree_to_table(table_to_tree(tbl)) == tbl
 
 
-def test_table_literal_round_trip():
-    tbl = tree_to_table(parse_tree(NINE_TREE))
-    assert DimensionTable.parse(str(tbl)) == tbl
-    assert DimensionTable.parse("(0;)") == DimensionTable((0,), ())
-    with pytest.raises(InvalidTableError):
-        DimensionTable.parse("2,2;1")
-
-
 def test_invalid_tables_rejected():
     with pytest.raises(InvalidTableError):
         DimensionTable((1, 1), (1,))

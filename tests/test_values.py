@@ -111,7 +111,6 @@ def test_bad_table_is_refused_by_every_constructor():
     for build in (
         lambda: DimensionTable(*bad),
         lambda: DimensionTable(tops=bad[0], joins=bad[1]),
-        lambda: DimensionTable.parse("(1,1;1)"),
     ):
         with pytest.raises(InvalidTableError, match="not below both neighbours"):
             build()
