@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from globwork import cli, steiner
 from globwork.cli import build_parser, main
-from globwork.cylinders import MAX_SUM_NODES
+from globwork.cylinders import MAX_STACK_NODES, MAX_SUM_NODES
 from globwork.theory import groupoidalize, single, standard_library, zero_cell_pick
 from globwork.theta import compose, hg_factorize, hom, map_from_json, sigma_theta, tau_theta
 from globwork.trees import all_trees, globe, parse_tree
@@ -424,6 +424,20 @@ def test_cyl_sum_size_is_guarded(capsys):
     code, out = run(capsys, "cyl", "sum", "--tree", "[" + "[]" * (MAX_SUM_NODES - 1) + "]", "--json")
     assert code == 0
     assert json.loads(out)["inclusions"] == 2 * MAX_SUM_NODES - 1
+
+
+def test_cyl_stack_size_is_guarded(capsys):
+    # a root with n leaves has n + 1 nodes, and a [[][]] branch three
+    for k, tree in ((1, "[" + "[]" * MAX_STACK_NODES + "]"), (2, "[" + "[[][]]" * (MAX_STACK_NODES // 3 + 1) + "]")):
+        n = parse_tree(tree).n_nodes()
+        assert n > MAX_STACK_NODES
+        assert main(["cyl", "stack", "--k", str(k), "--tree", tree]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tree has {n} nodes, above the bound {MAX_STACK_NODES} for stacks\n"
+    code, out = run(capsys, "cyl", "stack", "--k", "1", "--tree", "[" + "[]" * (MAX_STACK_NODES - 1) + "]", "--json")
+    assert code == 0
+    assert len(json.loads(out)) == 2 * MAX_STACK_NODES - 1  # one square per extension
 
 
 def test_check_size_bounds_are_accepted():
