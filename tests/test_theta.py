@@ -1002,6 +1002,19 @@ def test_homogeneous_op_matches_scan():
         homogeneous_op(-1, LEAF)
 
 
+def test_homogeneous_maps_out_of_a_globe_land_in_low_dimension():
+    # the claim is_homogeneous rests on instead of a check: a homogeneous
+    # map D_k -> A has dim A <= k
+    found = 0
+    for A in all_trees(8):
+        for k in range(4):
+            for f in hom(globe(k), A):
+                if is_homogeneous(f):
+                    assert dim(A) <= k, (k, A)
+                    found += 1
+    assert found == 515
+
+
 def test_filler_wide_target():
     # hom(D2, T) has 1234567 maps here, above the default hom bound
     edges = hom(globe(1), WIDE_TARGET)
