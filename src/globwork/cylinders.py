@@ -600,13 +600,10 @@ def _rho_star(rho_eps: str, plus_tree: str, side: str, A: Tree, j: int) -> dict:
 
 
 # A stack keeps one tuple of the whole tree per section, so its memory grows
-# with the square of the tree: `globwork cyl stack` in a fresh process on a
-# 2-core Xeon VM takes 0.26 s and 48 MB at --k 1 on a root with 1000 leaves,
-# and at --k 2 0.46 s and 70 MB on 333 [[][]] branches and a leaf, 0.59 s
-# and 82 MB on 500 [[]] branches (1001 nodes each).  At twice the nodes it
-# took 0.73 s and 141 MB (2000 leaves), 1.92 s and 229 MB (666 [[][]]
-# branches and a leaf) and 2.15 s and 276 MB (1000 [[]] branches).  Trees
-# with more nodes than the first are refused.
+# with the square of the tree.  `globwork cyl stack` in a fresh process on a
+# 2-core Xeon VM, at 1001 nodes: 0.26 s and 48 MB (--k 1, 1000 leaves) and
+# 0.46-0.59 s and 70-82 MB (--k 2, [[][]] or [[]] branches); at 2000-2001:
+# 0.73 s and 141 MB (--k 1) and 1.92-2.15 s and 229-276 MB (--k 2).
 MAX_STACK_NODES = 1001
 
 

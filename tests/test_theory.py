@@ -663,9 +663,9 @@ def globe_into(node, rest):
 
 
 def address_inclusion(t, leaf, chain):
-    """The cell addressed by (leaf, chain), by the route the package once
-    took: the leaf's globe inclusion, then ``map_face`` along the chain from
-    the top dimension down."""
+    """The cell addressed by (leaf, chain), the oracle of cell_inclusion:
+    the leaf's globe inclusion, then ``map_face`` along the chain from the
+    top dimension down."""
     f = globe_into(t, leaf_paths(t)[leaf])
     for side in chain:
         f = map_face(f, side)
