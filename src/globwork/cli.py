@@ -133,7 +133,7 @@ def _decode(what, build):
     except OSError as e:
         raise GlobworkError(f"cannot read {what}: {e.strerror}") from None
     except (ValueError, LookupError, TypeError, AttributeError, RecursionError) as e:
-        raise GlobworkError(f"malformed {what}: {type(e).__name__}: {e}") from None
+        raise GlobworkError(f"malformed {what}: {e}") from None
 
 
 def _map_from_args(args, source, target):

@@ -25,6 +25,7 @@ inclusion only when it is read, so its cost is linear in the tree.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -527,15 +528,25 @@ def _corner(state, side: str):
     return state
 
 
-def _render(state, A: Tree, side: str = "") -> str:
-    """An edge state, or with side "s"/"t" a corner state, as a restriction
-    of rho."""
+# The texts of the states, one table for the process: every stack reads its
+# edge and corner texts from it, so the readings `_readings` keeps share
+# their strings.  A stack needs at most three texts per section: the 140
+# stacks of the criterion-9 family need 176 together, one stack of 1001
+# nodes at most 6006 (1000 leaves, --k 2).  Under tracemalloc a text with
+# its key takes about 200 bytes, so the table keeps the last 8192 used,
+# about 1.6 MB.
+MAX_RENDERED = 8192
+
+
+@functools.lru_cache(maxsize=MAX_RENDERED)
+def _render(state, p: int, side: str) -> str:
+    """An edge state (side "") or a corner state (side "s"/"t") of a tree
+    of root arity p, as a restriction of rho."""
     d = f"d{side}" if side else ""
     if state[0] == "pre":
         return f"C_t*rho{side}({d}U)"
     if state[0] == "post":
         return f"rho{side}({d}V)*C_s"
-    p = A.arity
     kind, j = state[:2]
     if kind == "btau":
         seam = f"{_side_name(j, p)}*{d}U_{j}"
@@ -580,23 +591,26 @@ def _state(section, A: Tree, span) -> tuple:
     return ("mid", m, [side for side, _ in leaves].count("u"))
 
 
-def _rho_star(rho_eps: str, plus_tree: str, side: str, A: Tree, j: int) -> dict:
+# the keys of a side's record, by its kind; a reading keeps only the values
+_RECORD_KEYS = {
+    "coh": ("kind", "src", "tgt"),
+    "rho_star": ("kind", "eps", "args", "plus_tree", "rho_eps", "boundary"),
+}
+_RHO_BOUNDARY = {side: f"(d_sigma . rho_{side}, d_tau . rho_{side})" for side in "st"}
+
+
+def _rho_star(rho_eps: str, plus_tree: str, side: str, A: Tree, j: int) -> tuple:
     """A side of a square in root branch j that restricts ρ along d_ε, with
     ρ_ε rendered and ∂A with the sector re-applied; it passes the branch's
-    cell F_j when the branch is a leaf, else its first (σ) or last (τ) cell."""
+    cell F_j when the branch is a leaf, else its first (σ) or last (τ) cell.
+    The record's values, in the order of its keys."""
     if A.children[j - 1].is_leaf:
         args = f"(d{side}U_<{j}, d{side}V_>{j}, F_{j})"
     else:
         gap = 0 if side == "s" else A.children[j - 1].arity
         args = f"(d{side}U_<{j}, a_{j}.{gap}, d{side}V_>{j})"
-    return {
-        "kind": "rho_star",
-        "eps": "sigma" if side == "s" else "tau",
-        "args": args,
-        "plus_tree": plus_tree,
-        "rho_eps": rho_eps,
-        "boundary": f"(d_sigma . rho_{side}, d_tau . rho_{side})",
-    }
+    eps = "sigma" if side == "s" else "tau"
+    return ("rho_star", eps, args, plus_tree, rho_eps, _RHO_BOUNDARY[side])
 
 
 # A stack keeps one tuple of the whole tree per section, so its memory grows
@@ -605,6 +619,37 @@ def _rho_star(rho_eps: str, plus_tree: str, side: str, A: Tree, j: int) -> dict:
 # 0.46-0.59 s and 70-82 MB (--k 2, [[][]] or [[]] branches); at 2000-2001:
 # 0.73 s and 141 MB (--k 1) and 1.92-2.15 s and 229-276 MB (--k 2).
 MAX_STACK_NODES = 1001
+
+
+class _Readings:
+    """The stacks' readings by (k, A), least recently used first, evicted
+    while the node total of their trees is above ``bound``."""
+
+    def __init__(self, bound: int):
+        self.bound, self.nodes, self.entries = bound, 0, collections.OrderedDict()
+
+    def get(self, key):
+        reading = self.entries.get(key)
+        if reading is not None:
+            self.entries.move_to_end(key)
+        return reading
+
+    def put(self, key, reading):
+        self.entries[key] = reading
+        self.nodes += key[1].n_nodes()
+        while self.nodes > self.bound:
+            (_, A), _ = self.entries.popitem(last=False)
+            self.nodes -= A.n_nodes()
+
+
+# The readings memo keeps trees of at most this many nodes together.  Under
+# tracemalloc a reading, its texts apart, holds 2.7 KB at 8 nodes, 21-33 KB
+# at 64 and 0.4-1.1 MB at 1001 (the plus trees of its records are as long as
+# the tree), so a count of entries would not bound it.  The 140 stacks of the
+# criterion-9 family, 996 nodes together, hold 414 KB; a full memo holds at
+# most about 2.3 MB.
+MAX_READING_NODES = 2048
+_readings = _Readings(MAX_READING_NODES)
 
 
 def stack(ρ: ThetaMap, th: TheoryPresentation):
@@ -622,6 +667,14 @@ def stack(ρ: ThetaMap, th: TheoryPresentation):
     dim A < k, so ρ_ε is a homogeneous (k-1)-operation into ∂A (or A).  A
     homogeneous operation is determined by its target, so ρ_ε is the same
     on both sides and is built once per stack with ``homogeneous_op``.
+
+    So ρ is the only homogeneous map D_k -> A (it is the one the scan
+    finds in tests/test_theta.py::test_homogeneous_op_matches_scan), and
+    all but the sections depends on (k, A) alone: each call checks ρ, then
+    takes the extensions, the edge texts and each side's flag or record
+    from the memo ``_readings``, which reads a key once while it keeps it.
+    A call walks the chain of sections and builds fresh squares and
+    records.
     """
     k = tree_dim(ρ.source)
     if k not in (1, 2):
@@ -634,43 +687,68 @@ def stack(ρ: ThetaMap, th: TheoryPresentation):
     if A.n_nodes() > MAX_STACK_NODES:
         raise SizeGuardError(f"tree has {A.n_nodes()} nodes, above the bound {MAX_STACK_NODES} for stacks")
     _require_systems(th, k)
+    reading = _readings.get((k, A))
+    if reading is None:
+        exts, span = linearization(A), _spans(A)
+        chain = list(_section_chain(exts, span))
+        reading = _read(k, A, exts, span, chain)
+        _readings.put((k, A), reading)
+    else:
+        chain = _section_chain(*reading[:2])
+    exts, _, texts, sides = reading
+    sections = iter(chain)
+    top = next(sections)
+    squares = []
+    for idx, (ext, bottom) in enumerate(zip(exts, sections)):
+        squares.append(StackSquare(idx, ext, ext.klass, top, bottom, *texts[idx : idx + 2]))
+        top = bottom
+    for (index, flag, record), values in zip(_SIDE_FIELDS.values(), sides):
+        for sq, value in zip(squares, values):
+            if value is None:
+                setattr(sq, flag, True)
+                setattr(sq, index, 0)
+            else:
+                setattr(sq, record, dict(zip(_RECORD_KEYS[value[0]], value)))
+    return squares
+
+
+def _read(k: int, A: Tree, exts, span, chain) -> tuple:
+    """What the stack of (k, A) reads off its chain of sections: the
+    extensions, the spans, the edge text of each section, and per side
+    ("s", then "t"; none at k = 1) one value per square, None when that
+    side is degenerate and else its record's values.  It checks that each
+    side's corners agree with its degenerate flag."""
+    p = A.arity
+    states = [_state(s, A, span) for s in chain]
+    texts = tuple(_render(state, p, "") for state in states)
     bt = tree_boundary(A) if tree_dim(A) else A
     rho_eps = render(homogeneous_op(k - 1, bt if tree_dim(A) == k else A))
-    exts = linearization(A)
-    span = _spans(A)
-    chain = list(_section_chain(exts, span))
-    states = [_state(s, A, span) for s in chain]
-    texts = [_render(state, A) for state in states]
-    squares = [
-        StackSquare(idx, ext, ext.klass, *chain[idx : idx + 2], *texts[idx : idx + 2])
-        for idx, ext in enumerate(exts)
-    ]
     plus_trees = {}
+    sides = []
     for side in ("s", "t") if k >= 2 else ():
-        index, flag, record = _SIDE_FIELDS[side]
         on_boundary = operator.itemgetter(
-            *range(A.arity + 1), *(span[(i,)][0] + (side == "t") * b.arity for i, b in enumerate(A.children))
+            *range(p + 1), *(span[(i,)][0] + (side == "t") * b.arity for i, b in enumerate(A.children))
         )
         bound = [on_boundary(s) for s in chain]
         corner = [_corner(state, side) for state in states]
-        for i, sq in enumerate(squares):
+        values = []
+        for i, ext in enumerate(exts):
             degenerate = bound[i] == bound[i + 1]
             if (corner[i] == corner[i + 1]) != degenerate:
                 what = "source" if side == "s" else "target"
                 raise TypingError(f"{what} corner mismatch at square {i}")
-            sector = sq.element.sector
+            sector = ext.sector
             if degenerate:
-                setattr(sq, flag, True)
-                setattr(sq, index, 0)
+                values.append(None)
             elif not sector.path:
-                src, tgt = (_render(c, A, side) for c in corner[i : i + 2])
-                setattr(sq, record, {"kind": "coh", "src": src, "tgt": tgt})
+                values.append(("coh", *(_render(c, p, side) for c in corner[i : i + 2])))
             else:
                 plus = _reapplied(bt, sector)
                 if plus not in plus_trees:
                     plus_trees[plus] = str(insert_at(bt, plus))
-                setattr(sq, record, _rho_star(rho_eps, plus_trees[plus], side, A, sector.path[0] + 1))
-    return squares
+                values.append(_rho_star(rho_eps, plus_trees[plus], side, A, sector.path[0] + 1))
+        sides.append(tuple(values))
+    return tuple(exts), span, texts, tuple(sides)
 
 
 def vcompose_meta(squares) -> dict:

@@ -553,6 +553,9 @@ def is_admissible_groupoidal(f: ThetaMap, g: ThetaMap) -> bool:
     k = tree_dim(f.source)
     if k != tree_dim(g.source):
         raise TypingError("admissible pairs need equidimensional sources")
+    for h in (f, g):
+        if h.source != globe(k):
+            raise DomainError(f"groupoidal admissible pairs need maps out of the globe D{k}, not out of {h.source}")
     return are_parallel(f, g) and tree_dim(f.target) <= k + 1
 
 

@@ -657,7 +657,9 @@ FILE_TEXTS = [
 
 
 # Python exception names that no error message may carry
-EXCEPTION_NAMES = ("KeyError", "TypeError", "AttributeError", "IndexError", "JSONDecodeError", "RecursionError")
+EXCEPTION_NAMES = (
+    "KeyError", "TypeError", "AttributeError", "IndexError", "JSONDecodeError", "RecursionError", "ValueError"
+)
 
 
 @pytest.mark.parametrize("text", FILE_TEXTS, ids=range(len(FILE_TEXTS)))
@@ -682,6 +684,8 @@ MALFORMED_MAPS = [m for m in FUZZ_MAPS if m != '{"phi": [0, 0], "components": [[
     '{"phi": [0, 5], "components": [[{}]]}',
     '{"phi": [-1, 0], "components": [[{"phi": [0], "components": []}]]}',
     '{"phi": [0, 1], "components": [[{"phi": [0], "components": [3]}]]}',
+    # an integer past Python's conversion limit: json.loads refuses it with a bare ValueError
+    '{"phi": [' + "1" * 5000 + '], "components": []}',
 ]
 
 

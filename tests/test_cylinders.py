@@ -4,13 +4,14 @@ import time
 
 import pytest
 
-from globwork.errors import DomainError, TypingError
+from globwork.errors import DomainError, SizeGuardError, TypingError
 from globwork import cylinders as cyl, steiner
 from globwork.computads import fcomp, find_computad_iso, fwhisker, rename
 from globwork.theory import (
     Term,
     TheoryPresentation,
     app_cell,
+    base_theory,
     glob_cell,
     groupoidalize,
     single,
@@ -23,6 +24,7 @@ from globwork.theta import (
     hg_factorize,
     hom,
     homogeneous_op,
+    identity,
     is_homogeneous,
     leaf_inclusion,
     render,
@@ -522,7 +524,7 @@ def stack_by_class(rho):
                 gap = 0 if side == "s" else A.children[j - 1].arity
                 sides[side] = ("rho_star", f"(d{side}U_<{j}, a_{j}.{gap}, d{side}V_>{j})")
             else:
-                src, tgt = (cyl._render(cyl._corner(state, side), A, side) for state in (top, bottom))
+                src, tgt = (cyl._render(cyl._corner(state, side), A.arity, side) for state in (top, bottom))
                 sides[side] = ("coh", src, tgt)
         squares.append((top, bottom, degenerate["s"], degenerate["t"], sides["s"], sides["t"]))
     return squares
@@ -648,10 +650,93 @@ def test_stack_point():
 
 
 def test_stack_corner_mismatch_is_a_typing_error(monkeypatch):
-    # states that ignore the sections disagree with the degenerate flags
+    # states that ignore the sections disagree with the degenerate flags; the
+    # check runs when a reading is made, so the stack is read cold
+    monkeypatch.setattr(cyl, "_readings", cyl._Readings(cyl.MAX_READING_NODES))
     monkeypatch.setattr(cyl, "_state", lambda section, A, span: ("pre",))
     with pytest.raises(TypingError):
         cyl.stack(homogeneous_ops(NINE_TREE, 2)[0], TH)
+    assert not cyl._readings.entries
+
+
+def mutable_parts(squares):
+    """The ids of the mutable objects a stack hands out: its squares, their
+    attribute dicts and their side records."""
+    return {id(x) for sq in squares for x in (sq, vars(sq), sq.left, sq.right) if x is not None}
+
+
+def test_stack_memo_hands_out_fresh_squares(monkeypatch):
+    monkeypatch.setattr(cyl, "_readings", cyl._Readings(cyl.MAX_READING_NODES))
+    rho = homogeneous_op(2, NINE_TREE)
+    first = cyl.stack(rho, TH)
+    want = cyl.stack_to_json(first)
+    second = cyl.stack(rho, TH)
+    assert list(cyl._readings.entries) == [(2, NINE_TREE)]
+    assert [vars(sq) for sq in second] == [vars(sq) for sq in first]
+    assert not mutable_parts(first) & mutable_parts(second)
+    # a caller that edits its records leaves the next call's alone
+    for sq in second:
+        for record in (sq.left, sq.right):
+            if record is not None:
+                record["kind"] = "edited"
+        sq.source_degenerate = None
+    assert cyl.stack_to_json(cyl.stack(rho, TH)) == want
+
+
+def test_stack_renders_the_same_cold_warm_and_after_eviction(monkeypatch):
+    for k, A, other in ((1, parse_tree("[[][]]"), parse_tree("[[][][]]")), (2, NINE_TREE, parse_tree("[[][[]]]"))):
+        rho = homogeneous_op(k, A)
+        # a memo with room for A only: reading another tree evicts it
+        monkeypatch.setattr(cyl, "_readings", cyl._Readings(A.n_nodes()))
+        cold = cyl.stack(rho, TH)
+        renders = {(cyl.stack_to_json(cold), cyl.stack_to_dot(cold))}
+        warm = cyl.stack(rho, TH)
+        renders.add((cyl.stack_to_json(warm), cyl.stack_to_dot(warm)))
+        cyl.stack(homogeneous_op(k, other), TH)
+        assert (k, A) not in cyl._readings.entries
+        again = cyl.stack(rho, TH)
+        renders.add((cyl.stack_to_json(again), cyl.stack_to_dot(again)))
+        assert len(renders) == 1
+
+
+def test_stack_refuses_before_the_memo(monkeypatch):
+    A = NINE_TREE
+    cyl.stack(homogeneous_op(2, A), TH)
+    assert (2, A) in cyl._readings.entries
+    flat = next(f for f in hom(globe(2), A) if not is_homogeneous(f))
+    for call, error, message in [
+        (lambda: cyl.stack(flat, TH), DomainError, "stacks interpret homogeneous operations only"),
+        (lambda: cyl.stack(homogeneous_op(3, A), TH), DomainError,
+         "stacks are built for operations of dimension 1 and 2"),
+        (lambda: cyl.stack(identity(A), TH), DomainError,
+         "stacks interpret globe-sourced operations"),
+        (lambda: cyl.stack(homogeneous_op(2, A), base_theory(3)), DomainError,
+         "cylinder presentations need the composition systems"),
+    ]:
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            call()
+    monkeypatch.setattr(cyl, "MAX_STACK_NODES", A.n_nodes() - 1)
+    with pytest.raises(SizeGuardError, match="above the bound"):
+        cyl.stack(homogeneous_op(2, A), TH)
+
+
+def test_stack_memo_keeps_its_node_bound(monkeypatch):
+    memo = cyl._Readings(20)
+    monkeypatch.setattr(cyl, "_readings", memo)
+    evicted = 0
+    for A in all_trees(8):
+        for k in (1, 2):
+            rho = homogeneous_op(k, A)
+            if rho is None or dim(A) > 2:
+                continue
+            before = len(memo.entries)
+            cyl.stack(rho, TH)
+            evicted += before + 1 - len(memo.entries)
+            assert memo.nodes == sum(B.n_nodes() for _, B in memo.entries) <= memo.bound
+    assert evicted > 0
+    # a tree above the bound is read but not kept
+    cyl.stack(homogeneous_op(1, parse_tree("[" + "[]" * 20 + "]")), TH)
+    assert memo.nodes == 0 and not memo.entries
 
 
 def test_stack_rejects_non_homogeneous():

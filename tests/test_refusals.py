@@ -94,6 +94,8 @@ REFUSALS = [
      TypingError, "admissible pairs need a common target"),
     ("groupoidal-sources", lambda: is_admissible_groupoidal(face_theta(1, "s"), identity(globe(2))),
      TypingError, "admissible pairs need equidimensional sources"),
+    ("groupoidal-globe", lambda: is_admissible_groupoidal(leaf_inclusion(TWO, 0), identity(TWO)),
+     DomainError, "groupoidal admissible pairs need maps out of the globe D1, not out of [[][]]"),
     ("categorical-target", lambda: is_admissible_categorical(identity(globe(1)), leaf_inclusion(TWO, 0)),
      TypingError, "admissible pairs need a common target"),
     ("filler", lambda: filler(identity(globe(1)), face_theta(1, "s")), TypingError, "filler needs a parallel pair"),
