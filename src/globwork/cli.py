@@ -113,11 +113,19 @@ _NOT_A_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"|"[\s\S]*|[^][{}]')
 
 def _json(what, text):
     """The JSON value of ``text``, refused with SizeGuardError when it nests
-    deeper than MAX_JSON_DEPTH."""
+    deeper than MAX_JSON_DEPTH or holds an integer longer than int() reads."""
     brackets = _NOT_A_BRACKET.sub("", text)
     if max(itertools.accumulate(1 if b in "[{" else -1 for b in brackets), default=0) > MAX_JSON_DEPTH:
         raise SizeGuardError(f"{what} nests deeper than the bound {MAX_JSON_DEPTH}")
-    return json.loads(text)
+
+    def parse_int(digits):
+        try:
+            return int(digits)
+        except ValueError:  # on json's -?(0|[1-9][0-9]*), only past int()'s limit on digits
+            raise SizeGuardError(f"{what} holds an integer of {len(digits.lstrip('-'))} digits, "
+                                 f"above the bound {sys.get_int_max_str_digits()}") from None
+
+    return json.loads(text, parse_int=parse_int)
 
 
 def _decode(what, build):
@@ -190,10 +198,11 @@ def cmd_theta(args):
         return 0
 
 
-# The shipped tower for (n, groupoidal), built once per process; callers
-# take a copy, so the memo never gains a symbol or a cache entry.  The
-# groupoidal tower is the categorical one with inverses adjoined to a copy,
-# so building a groupoidal key also puts its categorical key in the memo.
+# The shipped tower for (n, groupoidal), built once per process; callers that
+# extend, audit or evaluate take a copy (the cylinders read only its symbols),
+# so the memo never gains a symbol or a cache entry.  The groupoidal tower is
+# the categorical one with inverses adjoined to a copy, so building a
+# groupoidal key also puts its categorical key in the memo.
 # Under tracemalloc the two keys of n = 4 hold 0.2 MB and those of n = 32
 # hold 9.4 MB, and the eight keys of n = 29..32 held 33 MB together, so the
 # memo keeps the eight last used.
@@ -285,7 +294,7 @@ def render_tower(payload):
 def cmd_cyl(args):
     if args.dot and args.action != "stack":
         raise GlobworkError("--dot draws stacks only")
-    th = _tower(3, True).copy()
+    th = _tower(3, True)
     if args.action == "present":
         P = cyl_mod.cyl_presentation(args.k, th)
         _emit(args, P.to_json(), f"counts {P.counts()}")
@@ -395,7 +404,7 @@ def cmd_check(args):
         th = _tower(3, True).copy()
         note("standard tower audit", th.audit() == [])
     if suite in ("stack", "all"):
-        th = _tower(3, True).copy()
+        th = _tower(3, True)
         ok = True
         for A in all_trees(args.max_nodes):
             if dim(A) > 2 or A.n_leaves() > 5:

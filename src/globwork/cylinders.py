@@ -485,14 +485,22 @@ def _verify_inclusion(incl, cells):
 # ---------------------------------------------------------------------------
 # the stack of squares over the ordered tree extensions
 
-class StackSquare:
-    def __init__(self, index: int, element: ExtendedTree, case: str, top_section: tuple,
-                 bottom_section: tuple, top: str, bottom: str):
-        self.index, self.element, self.case = index, element, case
-        self.top_section, self.bottom_section, self.top, self.bottom = top_section, bottom_section, top, bottom
-        # filled in per side by stack()
-        self.left = self.right = self.p = self.q = None
-        self.source_degenerate = self.target_degenerate = False
+class StackSquare(namedtuple("StackSquare", "index element top bottom left right source_degenerate target_degenerate")):
+    # a side is degenerate (flag set, no record) or has a record, at k = 1 neither;
+    # p (q) is the dimension at which the source (target) side collapses, or None
+    __slots__ = ()
+
+    @property
+    def case(self):
+        return self.element.klass
+
+    @property
+    def p(self):
+        return 0 if self.source_degenerate else None
+
+    @property
+    def q(self):
+        return 0 if self.target_degenerate else None
 
     def to_json(self):
         return {
@@ -501,15 +509,15 @@ class StackSquare:
             "sector": {"path": list(self.element.sector.path), "gap": self.element.sector.gap},
             "top": self.top,
             "bottom": self.bottom,
-            "left": self.left,
-            "right": self.right,
+            "left": None if self.left is None else self.left._asdict(),
+            "right": None if self.right is None else self.right._asdict(),
             "degenerate": [self.source_degenerate, self.target_degenerate],
         }
 
 
-# per side of a square: its StackSquare fields for the degenerate index, the
-# degenerate flag and the side's record
-_SIDE_FIELDS = {"s": ("p", "source_degenerate", "left"), "t": ("q", "target_degenerate", "right")}
+# a side's record: a coherence cell between two corner texts, or rho restricted along d_eps
+CohRecord = namedtuple("CohRecord", "kind src tgt")
+RhoStarRecord = namedtuple("RhoStarRecord", "kind eps args plus_tree rho_eps boundary")
 
 
 def _side_name(q: int, p: int) -> str:
@@ -529,7 +537,7 @@ def _corner(state, side: str):
 
 
 # The texts of the states, one table for the process: every stack reads its
-# edge and corner texts from it, so the readings `_readings` keeps share
+# edge and corner texts from it, so the stacks `_readings` keeps share
 # their strings.  A stack needs at most three texts per section: the 140
 # stacks of the criterion-9 family need 176 together, one stack of 1001
 # nodes at most 6006 (1000 leaves, --k 2).  Under tracemalloc a text with
@@ -591,63 +599,58 @@ def _state(section, A: Tree, span) -> tuple:
     return ("mid", m, [side for side, _ in leaves].count("u"))
 
 
-# the keys of a side's record, by its kind; a reading keeps only the values
-_RECORD_KEYS = {
-    "coh": ("kind", "src", "tgt"),
-    "rho_star": ("kind", "eps", "args", "plus_tree", "rho_eps", "boundary"),
-}
 _RHO_BOUNDARY = {side: f"(d_sigma . rho_{side}, d_tau . rho_{side})" for side in "st"}
 
 
-def _rho_star(rho_eps: str, plus_tree: str, side: str, A: Tree, j: int) -> tuple:
+def _rho_star(rho_eps: str, plus_tree: str, side: str, A: Tree, j: int) -> RhoStarRecord:
     """A side of a square in root branch j that restricts ρ along d_ε, with
     ρ_ε rendered and ∂A with the sector re-applied; it passes the branch's
-    cell F_j when the branch is a leaf, else its first (σ) or last (τ) cell.
-    The record's values, in the order of its keys."""
+    cell F_j when the branch is a leaf, else its first (σ) or last (τ) cell."""
     if A.children[j - 1].is_leaf:
         args = f"(d{side}U_<{j}, d{side}V_>{j}, F_{j})"
     else:
         gap = 0 if side == "s" else A.children[j - 1].arity
         args = f"(d{side}U_<{j}, a_{j}.{gap}, d{side}V_>{j})"
     eps = "sigma" if side == "s" else "tau"
-    return ("rho_star", eps, args, plus_tree, rho_eps, _RHO_BOUNDARY[side])
+    return RhoStarRecord("rho_star", eps, args, plus_tree, rho_eps, _RHO_BOUNDARY[side])
 
 
-# A stack keeps one tuple of the whole tree per section, so its memory grows
-# with the square of the tree.  `globwork cyl stack` in a fresh process on a
-# 2-core Xeon VM, at 1001 nodes: 0.26 s and 48 MB (--k 1, 1000 leaves) and
-# 0.46-0.59 s and 70-82 MB (--k 2, [[][]] or [[]] branches); at 2000-2001:
-# 0.73 s and 141 MB (--k 1) and 1.92-2.15 s and 229-276 MB (--k 2).
+# Reading a stack holds its whole chain of sections at once, one tuple of the
+# whole tree per section (the stack it returns holds none), so its memory
+# grows with the square of the tree.  `globwork cyl stack` in a fresh process
+# on a 2-core Xeon VM, at 1001 nodes: 0.22-0.25 s and 48 MB (--k 1, 1000
+# leaves) and 0.38-0.56 s and 70-82 MB (--k 2, [[][]] or [[]] branches); at
+# 2001: 0.64 s and 142 MB (--k 1) and 1.12-1.76 s and 229-277 MB (--k 2).
 MAX_STACK_NODES = 1001
 
 
 class _Readings:
-    """The stacks' readings by (k, A), least recently used first, evicted
-    while the node total of their trees is above ``bound``."""
+    """The stacks by (k, A), each a tuple of squares, least recently used
+    first, evicted while the node total of their trees is above ``bound``."""
 
     def __init__(self, bound: int):
         self.bound, self.nodes, self.entries = bound, 0, collections.OrderedDict()
 
     def get(self, key):
-        reading = self.entries.get(key)
-        if reading is not None:
+        squares = self.entries.get(key)
+        if squares is not None:
             self.entries.move_to_end(key)
-        return reading
+        return squares
 
-    def put(self, key, reading):
-        self.entries[key] = reading
+    def put(self, key, squares):
+        self.entries[key] = squares
         self.nodes += key[1].n_nodes()
         while self.nodes > self.bound:
             (_, A), _ = self.entries.popitem(last=False)
             self.nodes -= A.n_nodes()
 
 
-# The readings memo keeps trees of at most this many nodes together.  Under
-# tracemalloc a reading, its texts apart, holds 2.7 KB at 8 nodes, 21-33 KB
-# at 64 and 0.4-1.1 MB at 1001 (the plus trees of its records are as long as
+# The stacks memo keeps trees of at most this many nodes together.  Under
+# tracemalloc a stack, its texts apart, holds 4.5-8.0 KB at 8 nodes, 35-65 KB
+# at 64 and 0.6-1.3 MB at 1001 (the plus trees of its records are as long as
 # the tree), so a count of entries would not bound it.  The 140 stacks of the
-# criterion-9 family, 996 nodes together, hold 414 KB; a full memo holds at
-# most about 2.3 MB.
+# criterion-9 family, 996 nodes together, hold 0.8 MB; a full memo holds at
+# most about 2.7 MB.
 MAX_READING_NODES = 2048
 _readings = _Readings(MAX_READING_NODES)
 
@@ -670,11 +673,10 @@ def stack(ρ: ThetaMap, th: TheoryPresentation):
 
     So ρ is the only homogeneous map D_k -> A (it is the one the scan
     finds in tests/test_theta.py::test_homogeneous_op_matches_scan), and
-    all but the sections depends on (k, A) alone: each call checks ρ, then
-    takes the extensions, the edge texts and each side's flag or record
-    from the memo ``_readings``, which reads a key once while it keeps it.
-    A call walks the chain of sections and builds fresh squares and
-    records.
+    the stack depends on (k, A) alone: each call checks ρ, then returns a
+    new list of the squares that the memo ``_readings`` keeps, read once
+    per key while it keeps it.  Squares and their records are immutable,
+    so every call hands out the same ones.
     """
     k = tree_dim(ρ.source)
     if k not in (1, 2):
@@ -687,51 +689,33 @@ def stack(ρ: ThetaMap, th: TheoryPresentation):
     if A.n_nodes() > MAX_STACK_NODES:
         raise SizeGuardError(f"tree has {A.n_nodes()} nodes, above the bound {MAX_STACK_NODES} for stacks")
     _require_systems(th, k)
-    reading = _readings.get((k, A))
-    if reading is None:
-        exts, span = linearization(A), _spans(A)
-        chain = list(_section_chain(exts, span))
-        reading = _read(k, A, exts, span, chain)
-        _readings.put((k, A), reading)
-    else:
-        chain = _section_chain(*reading[:2])
-    exts, _, texts, sides = reading
-    sections = iter(chain)
-    top = next(sections)
-    squares = []
-    for idx, (ext, bottom) in enumerate(zip(exts, sections)):
-        squares.append(StackSquare(idx, ext, ext.klass, top, bottom, *texts[idx : idx + 2]))
-        top = bottom
-    for (index, flag, record), values in zip(_SIDE_FIELDS.values(), sides):
-        for sq, value in zip(squares, values):
-            if value is None:
-                setattr(sq, flag, True)
-                setattr(sq, index, 0)
-            else:
-                setattr(sq, record, dict(zip(_RECORD_KEYS[value[0]], value)))
-    return squares
+    squares = _readings.get((k, A))
+    if squares is None:
+        squares = _read(k, A)
+        _readings.put((k, A), squares)
+    return list(squares)
 
 
-def _read(k: int, A: Tree, exts, span, chain) -> tuple:
-    """What the stack of (k, A) reads off its chain of sections: the
-    extensions, the spans, the edge text of each section, and per side
-    ("s", then "t"; none at k = 1) one value per square, None when that
-    side is degenerate and else its record's values.  It checks that each
+def _read(k: int, A: Tree) -> tuple:
+    """The squares of the stack of (k, A), read off its chain of sections:
+    the edge texts of their two sections, and per side ("s", then "t";
+    none at k = 1) its record and its degenerate flag.  It checks that each
     side's corners agree with its degenerate flag."""
+    exts, span = linearization(A), _spans(A)
+    chain = list(_section_chain(exts, span))
     p = A.arity
     states = [_state(s, A, span) for s in chain]
-    texts = tuple(_render(state, p, "") for state in states)
+    texts = [_render(state, p, "") for state in states]
     bt = tree_boundary(A) if tree_dim(A) else A
     rho_eps = render(homogeneous_op(k - 1, bt if tree_dim(A) == k else A))
     plus_trees = {}
-    sides = []
-    for side in ("s", "t") if k >= 2 else ():
+    sides = [[(None, False)] * len(exts) for _ in range(2)]
+    for side, values in zip(("s", "t") if k >= 2 else (), sides):
         on_boundary = operator.itemgetter(
             *range(p + 1), *(span[(i,)][0] + (side == "t") * b.arity for i, b in enumerate(A.children))
         )
         bound = [on_boundary(s) for s in chain]
         corner = [_corner(state, side) for state in states]
-        values = []
         for i, ext in enumerate(exts):
             degenerate = bound[i] == bound[i + 1]
             if (corner[i] == corner[i + 1]) != degenerate:
@@ -739,36 +723,41 @@ def _read(k: int, A: Tree, exts, span, chain) -> tuple:
                 raise TypingError(f"{what} corner mismatch at square {i}")
             sector = ext.sector
             if degenerate:
-                values.append(None)
+                values[i] = (None, True)
             elif not sector.path:
-                values.append(("coh", *(_render(c, p, side) for c in corner[i : i + 2])))
+                values[i] = (CohRecord("coh", *(_render(c, p, side) for c in corner[i : i + 2])), False)
             else:
                 plus = _reapplied(bt, sector)
                 if plus not in plus_trees:
                     plus_trees[plus] = str(insert_at(bt, plus))
-                values.append(_rho_star(rho_eps, plus_trees[plus], side, A, sector.path[0] + 1))
-        sides.append(tuple(values))
-    return tuple(exts), span, texts, tuple(sides)
+                values[i] = (_rho_star(rho_eps, plus_trees[plus], side, A, sector.path[0] + 1), False)
+    return tuple(
+        StackSquare(i, ext, texts[i], texts[i + 1], left, right, source_degenerate, target_degenerate)
+        for i, (ext, (left, source_degenerate), (right, target_degenerate)) in enumerate(zip(exts, *sides))
+    )
+
+
+def _side_kind(degenerate: bool, record) -> str:
+    return "degenerate" if degenerate else "coh" if record is None else record.kind
 
 
 def vcompose_meta(squares) -> dict:
-    """Bookkeeping for the vertical composite of a compatible stack."""
+    """Bookkeeping for the vertical composite of a compatible stack, whose
+    squares follow each other in one stack: the sections of a chain are
+    pairwise distinct, so these are the squares whose sections meet."""
     if not squares:
         raise DomainError("empty stacks have no composite")
     for a, b in zip(squares, squares[1:]):
-        if a.bottom_section != b.top_section:
+        if b.element.base is not a.element.base or b.index != a.index + 1:
             raise DomainError(f"stack is not composable between squares {a.index} and {b.index}")
-    meta = {"top": squares[0].top, "bottom": squares[-1].bottom}
-    for side, key in (("s", "source_record"), ("t", "target_record")):
-        index, flag, record = _SIDE_FIELDS[side]
-        meta[index] = min(
-            (getattr(sq, index) for sq in squares if getattr(sq, index) is not None), default=None
-        )
-        meta[key] = tuple(
-            "degenerate" if getattr(sq, flag) else (getattr(sq, record) or {}).get("kind", "coh")
-            for sq in squares
-        )
-    return meta
+    return {
+        "top": squares[0].top,
+        "bottom": squares[-1].bottom,
+        "p": min((sq.p for sq in squares if sq.p is not None), default=None),
+        "q": min((sq.q for sq in squares if sq.q is not None), default=None),
+        "source_record": tuple(_side_kind(sq.source_degenerate, sq.left) for sq in squares),
+        "target_record": tuple(_side_kind(sq.target_degenerate, sq.right) for sq in squares),
+    }
 
 
 def stack_to_dot(squares) -> str:

@@ -91,8 +91,8 @@ class Hashed(Frozen):
 
 
 class Tree(Hashed):
-    # _height is the dimension, stored so that dim() does not walk the tree
-    __slots__ = ("children", "_h", "_height")
+    # the dimension and the node count, stored so that dim() and n_nodes() do not walk the tree
+    __slots__ = ("children", "_h", "_height", "_nodes")
     _fields = ("children",)
     _table: dict = {}
 
@@ -107,6 +107,7 @@ class Tree(Hashed):
         if height > MAX_PARSE_DEPTH:
             raise _too_deep()
         _set(self, "_height", height)
+        _set(self, "_nodes", 1 + sum(c._nodes for c in children))
 
     def __str__(self):
         return "[" + "".join(str(c) for c in self.children) + "]"
@@ -120,7 +121,7 @@ class Tree(Hashed):
         return not self.children
 
     def n_nodes(self):
-        return 1 + sum(c.n_nodes() for c in self.children)
+        return self._nodes
 
     def n_leaves(self):
         if self.is_leaf:

@@ -244,6 +244,25 @@ def test_an_adjoin_on_a_tower_copy_stays_in_that_copy(capsys):
     assert "extra_op" not in out
 
 
+def test_cylinders_leave_the_memoised_tower_as_it_was(capsys):
+    # cyl and check stack take the memo's tower itself, not a copy
+    th = cli._tower(3, True)
+    caches = (th.symbols, th._boundary_cache, th._eval_cache)
+    before = [dict(c) for c in caches]
+    stages = {k: list(v) for k, v in th.stages.items()}
+    codes = collections.Counter()
+    for action in ("present", "boundary", "sum", "stack", "modification"):
+        for k in range(4):
+            for form in ((), ("--json",), ("--dot",)):
+                codes[main(["cyl", action, "--k", str(k), "--tree", "[[][[]]]", *form])] += 1
+    codes[main(["check", "stack", "--max-nodes", "5"])] += 1
+    capsys.readouterr()
+    assert codes == {0: 32, 1: 29}
+    assert cli._tower(3, True) is th
+    assert [dict(c) for c in caches] == before
+    assert {k: list(v) for k, v in th.stages.items()} == stages
+
+
 @pytest.mark.parametrize("groupoidal", [False, True])
 @pytest.mark.parametrize("n", range(1, 6))
 def test_memoised_tower_reports_as_a_fresh_build(n, groupoidal, capsys):
@@ -673,6 +692,9 @@ def test_file_errors_name_the_field_not_the_exception(tmp_path, capsys, text):
         assert not any(name in err for name in EXCEPTION_NAMES), err
 
 
+# an integer past int()'s default limit on the digits it converts
+HUGE_INTEGER_MAP = '{"phi": [' + "1" * 5000 + '], "components": []}'
+
 # Malformed ``--map`` values for ``theta factor D1 D1``: FUZZ_MAPS without
 # its one well-formed map, and values of the wrong JSON type at each level.
 MALFORMED_MAPS = [m for m in FUZZ_MAPS if m != '{"phi": [0, 0], "components": [[]]}'] + [
@@ -684,17 +706,37 @@ MALFORMED_MAPS = [m for m in FUZZ_MAPS if m != '{"phi": [0, 0], "components": [[
     '{"phi": [0, 5], "components": [[{}]]}',
     '{"phi": [-1, 0], "components": [[{"phi": [0], "components": []}]]}',
     '{"phi": [0, 1], "components": [[{"phi": [0], "components": [3]}]]}',
-    # an integer past Python's conversion limit: json.loads refuses it with a bare ValueError
-    '{"phi": [' + "1" * 5000 + '], "components": []}',
+    HUGE_INTEGER_MAP,
 ]
 
 
+@pytest.fixture
+def int_digit_limit():
+    """int()'s limit on the digits it converts, set to its default of 4300
+    for the test and restored after it: the interpreter may run with the
+    limit off (PYTHONINTMAXSTRDIGITS=0).  None on a Python without one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 @pytest.mark.parametrize("text", MALFORMED_MAPS, ids=range(len(MALFORMED_MAPS)))
-def test_map_errors_name_the_field_not_the_exception(capsys, text):
+def test_map_errors_name_the_field_not_the_exception(capsys, int_digit_limit, text):
     assert main(["theta", "factor", "D1", "D1", "--map", text]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
     assert not any(name in err for name in EXCEPTION_NAMES), err
+    if text == HUGE_INTEGER_MAP:
+        # past the limit int() refuses the integer; with no limit it is read,
+        # and the map refuses its shape
+        want = "--map holds an integer of 5000 digits, above the bound 4300"
+        assert err == f"error: {want if int_digit_limit else 'wreath data has the wrong shape'}\n"
 
 
 def test_json_errors_give_the_position_and_the_depth_bound(tmp_path, capsys):

@@ -533,9 +533,9 @@ def stack_by_class(rho):
 def side_summary(record):
     if record is None:
         return None
-    if record["kind"] == "coh":
-        return ("coh", record["src"], record["tgt"])
-    return ("rho_star", record["args"])
+    if record.kind == "coh":
+        return ("coh", record.src, record.tgt)
+    return ("rho_star", record.args)
 
 
 def test_stack_matches_the_class_table():
@@ -548,10 +548,11 @@ def test_stack_matches_the_class_table():
             if rho is None:
                 continue
             span = cyl._spans(A)
+            chain = list(cyl._section_chain(linearization(A), span))
             got = [
                 (
-                    cyl._state(sq.top_section, A, span),
-                    cyl._state(sq.bottom_section, A, span),
+                    cyl._state(chain[sq.index], A, span),
+                    cyl._state(chain[sq.index + 1], A, span),
                     sq.source_degenerate,
                     sq.target_degenerate,
                     side_summary(sq.left),
@@ -604,14 +605,14 @@ def test_stack_sides():
     for sq in squares:
         by_case.setdefault(sq.case, sq)
     over = by_case["H2-OverEdge"]
-    assert over.left["kind"] == "rho_star" and over.left["eps"] == "sigma"
-    assert over.right["kind"] == "rho_star" and over.right["eps"] == "tau"
-    assert by_case["H2-Max"].right["kind"] == "rho_star"
+    assert over.left.kind == "rho_star" and over.left.eps == "sigma"
+    assert over.right.kind == "rho_star" and over.right.eps == "tau"
+    assert by_case["H2-Max"].right.kind == "rho_star"
     assert by_case["H2-Max"].left is None
-    assert by_case["H2-Min"].left["kind"] == "rho_star"
-    assert by_case["H1-Mid"].left["kind"] == "coh"
+    assert by_case["H2-Min"].left.kind == "rho_star"
+    assert by_case["H1-Mid"].left.kind == "coh"
     # the plus-tree of the over-edge square repeats the sector on the boundary
-    assert over.left["plus_tree"] == "[[][[]]]"
+    assert over.left.plus_tree == "[[][[]]]"
 
 
 def test_stack_composable_and_endpoints_all_small():
@@ -659,27 +660,25 @@ def test_stack_corner_mismatch_is_a_typing_error(monkeypatch):
     assert not cyl._readings.entries
 
 
-def mutable_parts(squares):
-    """The ids of the mutable objects a stack hands out: its squares, their
-    attribute dicts and their side records."""
-    return {id(x) for sq in squares for x in (sq, vars(sq), sq.left, sq.right) if x is not None}
-
-
-def test_stack_memo_hands_out_fresh_squares(monkeypatch):
+def test_stack_is_immutable(monkeypatch):
     monkeypatch.setattr(cyl, "_readings", cyl._Readings(cyl.MAX_READING_NODES))
     rho = homogeneous_op(2, NINE_TREE)
     first = cyl.stack(rho, TH)
     want = cyl.stack_to_json(first)
     second = cyl.stack(rho, TH)
     assert list(cyl._readings.entries) == [(2, NINE_TREE)]
-    assert [vars(sq) for sq in second] == [vars(sq) for sq in first]
-    assert not mutable_parts(first) & mutable_parts(second)
-    # a caller that edits its records leaves the next call's alone
-    for sq in second:
-        for record in (sq.left, sq.right):
-            if record is not None:
-                record["kind"] = "edited"
-        sq.source_degenerate = None
+    assert second == first and second is not first
+    # neither a square nor a record takes an assignment, to a field or not
+    records = {rec.kind: rec for sq in first for rec in (sq.left, sq.right) if rec is not None}
+    assert sorted(records) == ["coh", "rho_star"]
+    for value, name in [(first[0], "top"), (first[0], "case"), (first[0], "top_section"),
+                        (records["coh"], "src"), (records["rho_star"], "kind")]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, "edited")
+    # a caller that edits its list leaves the next call's alone
+    second[0] = second[-1]
+    second.reverse()
+    del second[1:]
     assert cyl.stack_to_json(cyl.stack(rho, TH)) == want
 
 
@@ -782,10 +781,10 @@ def test_stack_rho_star_records_match_factorisation():
                 continue
             for sq in cyl.stack(rho, TH):
                 for side, rec in (("s", sq.left), ("t", sq.right)):
-                    if rec is None or rec["kind"] != "rho_star":
+                    if rec is None or rec.kind != "rho_star":
                         continue
-                    assert rec["rho_eps"] == rho_eps_by_factorisation(rho, side)
-                    assert rec["plus_tree"] == str(boundary_plus(A, sq.element.sector))
+                    assert rec.rho_eps == rho_eps_by_factorisation(rho, side)
+                    assert rec.plus_tree == str(boundary_plus(A, sq.element.sector))
                     records += 1
     assert records == 2048
 
@@ -808,7 +807,7 @@ def test_vcompose_epsilon_distribution():
     squares = cyl.stack(rho, TH)
     meta = cyl.vcompose_meta(squares)
     assert meta["source_record"] == tuple(
-        "degenerate" if sq.source_degenerate else (sq.left or {}).get("kind", "coh")
+        "degenerate" if sq.source_degenerate else "coh" if sq.left is None else sq.left.kind
         for sq in squares
     )
     assert len(meta["target_record"]) == len(squares)
@@ -819,6 +818,49 @@ def test_vcompose_rejects_shuffled():
     squares = cyl.stack(rho, TH)
     with pytest.raises(DomainError):
         cyl.vcompose_meta([squares[0], squares[2]])
+    # consecutive indices in the stacks of two trees
+    other = cyl.stack(homogeneous_op(2, parse_tree("[[][[]]]")), TH)
+    with pytest.raises(DomainError):
+        cyl.vcompose_meta([squares[0], other[1]])
+
+
+def test_sections_of_a_chain_are_pairwise_distinct():
+    # so two squares of one stack share a section exactly when they are
+    # adjacent, which is what vcompose_meta reads
+    chains = 0
+    for A in all_trees(9):
+        if dim(A) <= 2:
+            chain = list(cyl._section_chain(linearization(A), cyl._spans(A)))
+            assert len(set(chain)) == len(chain) == 2 * A.n_nodes(), A
+            chains += 1
+    assert chains == 256
+
+
+def test_vcompose_accepts_the_pairs_whose_sections_meet():
+    # the composability test that compared the bottom section of a square
+    # with the top section of the next, rebuilt from the chain
+    pairs = accepted = 0
+    for A in all_trees(9):
+        if dim(A) > 2:
+            continue
+        chain = list(cyl._section_chain(linearization(A), cyl._spans(A)))
+        for k in (1, 2):
+            rho = homogeneous_op(k, A)
+            if rho is None:
+                continue
+            squares = cyl.stack(rho, TH)
+            for a in squares:
+                for b in squares:
+                    meets = chain[a.index + 1] == chain[b.index]
+                    try:
+                        cyl.vcompose_meta([a, b])
+                    except DomainError:
+                        assert not meets, (k, A, a.index, b.index)
+                    else:
+                        assert meets, (k, A, a.index, b.index)
+                        accepted += 1
+                    pairs += 1
+    assert (pairs, accepted) == (60609, 3658)
 
 
 def test_stack_exports():

@@ -72,9 +72,11 @@ def test_library_depth_bound():
 
 
 def test_stored_height_and_constructor_bound():
-    # the height each tree stores is the largest top of its table
+    # the height each tree stores is the largest top of its table, and the
+    # node count the number of its node paths
     for t in all_trees(7):
         assert dim(t) == max(tree_to_table(t).tops)
+        assert t.n_nodes() == len(list(t.nodes()))
     # no tree above the bound is built, whichever way it is constructed;
     # before heights were stored these reached RecursionError
     k = trees.MAX_PARSE_DEPTH
