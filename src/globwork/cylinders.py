@@ -15,12 +15,13 @@ whiskered by the c's over its target faces, to lax(v, x), v(x) whiskered by
 the c's over its source faces.  The c's over points, 1-cells and 2-cells
 are the sides, seams and fillers.  The ordered one-vertex extensions of
 the tree give one chain of sections s_ε(i) = incl_{B_i} ∘ δ_ε from the u
-copies to the v copies, with s_τ(i) = s_σ(i+1).  Both every structural
-inclusion and, for a homogeneous operation, every square of the stack are
-read off that chain; the stack composes vertically from the whiskered top
-to the whiskered bottom.  The sum cylinder checks the chain when it is
-built, walking one list of images slice by slice, and builds each
-inclusion only when it is read, so its cost is linear in the tree.
+copies to the v copies, with s_τ(i) = s_σ(i+1), and every structural
+inclusion is read off that chain.  The sum cylinder checks the chain when
+it is built, walking one list of images slice by slice, and builds each
+inclusion only when it is read, so its cost is linear in the tree.  The
+stack of a homogeneous operation has one square per extension, composed
+vertically from the whiskered top to the whiskered bottom; the sector and
+class of the extension fix the square's states and degenerate sides.
 """
 
 from __future__ import annotations
@@ -364,27 +365,13 @@ def _moves(exts, span):
         yield (a, b, ("u", h + 1)), (c, d, ("v", h)), (at, at + 1, ("v", h))
 
 
-def _section_chain(exts, span):
+def _image_chain(cells, exts, span, read):
     """The sections s_σ(0), s_τ(0) = s_σ(1), ..., s_τ(last) of the ordered
     extensions, s_ε(i) = incl_{B_i} ∘ δ_ε for the Θ-faces δ_ε : A -> B_i.
-    A section holds one pair (side, depth), standing for lax(side, x,
-    depth), per cell x of A in preorder.  It starts at the u copies, and
-    each extension makes its ``_moves``."""
-    section = [("u", 0)] * span[()][1]
-    yield tuple(section)
-    for (a, b, left), (c, d, right), (at, _, gap) in _moves(exts, span):
-        section[a:b] = [left] * (b - a)
-        section[c:d] = [right] * (d - c)
-        section[at] = gap
-        yield tuple(section)
-
-
-def _image_chain(cells, exts, span, read):
-    """The chain of sections as formal cells: one list holds the image of
-    each cell x of A in preorder, with ``read(side, x, depth)`` the formal
-    cell lax(side, x, depth) a pair stands for.  It starts at s_σ(0), each
-    extension's ``_moves`` update it in place, and it is yielded at each
-    section, s_σ(0), s_τ(0), ..., s_τ(last)."""
+    One list holds the image of each cell x of A in preorder, with
+    ``read(side, x, depth)`` the formal cell lax(side, x, depth).  It
+    starts at the u copies, each extension's ``_moves`` update it in
+    place, and it is yielded at each section."""
     images = [read("u", x, 0) for x in cells]
     yield images
     for step in _moves(exts, span):
@@ -536,6 +523,27 @@ def _corner(state, side: str):
     return state
 
 
+def _after(sector) -> tuple:
+    """The typed edge state after the extension at ``sector``, a tree of
+    height <= 2: root gap g gives btau g (post at g = 0), gap g of root
+    branch j gives mid j g (bsig j at g = 0), and the depth-2 leaf l of
+    branch j gives mid j l."""
+    path, gap = sector
+    if not path:
+        return ("btau", gap) if gap else ("post",)
+    j = path[0] + 1
+    if len(path) == 2:
+        return ("mid", j, path[1])
+    return ("mid", j, gap) if gap else ("bsig", j)
+
+
+# per side, the classes whose square is degenerate there at k = 2
+_DEGENERATE = {
+    "s": (tree_mod.H2_MAX, tree_mod.H2_MID, tree_mod.H3),
+    "t": (tree_mod.H2_MIN, tree_mod.H2_MID, tree_mod.H3),
+}
+
+
 # The texts of the states, one table for the process: every stack reads its
 # edge and corner texts from it, so the stacks `_readings` keeps share
 # their strings.  A stack needs at most three texts per section: the 140
@@ -579,26 +587,6 @@ def _reapplied(bt: Tree, sector) -> tree_mod.Sector:
     return tree_mod.Sector(sector.path[:depth], min(sector.gap, node.arity))
 
 
-def _state(section, A: Tree, span) -> tuple:
-    """The typed edge state of a section.  With m of the root's p+1 points
-    on u it is pre (m = p+1) or post (m = 0); else it crosses in root branch
-    j = m and is btau j (bsig j) when the whole branch is at ("u", 1)
-    (("v", 1)), otherwise mid j r with r of the branch's leaves on u."""
-    p = A.arity
-    m = section[: p + 1].count(("u", 0))
-    if m == p + 1:
-        return ("pre",)
-    if m == 0:
-        return ("post",)
-    start, stop = span[(m - 1,)]
-    branch = section[start:stop]
-    for kind, pair in (("btau", ("u", 1)), ("bsig", ("v", 1))):
-        if branch.count(pair) == stop - start:
-            return (kind, m)
-    leaves = branch[A.children[m - 1].arity + 1 :]
-    return ("mid", m, [side for side, _ in leaves].count("u"))
-
-
 _RHO_BOUNDARY = {side: f"(d_sigma . rho_{side}, d_tau . rho_{side})" for side in "st"}
 
 
@@ -615,12 +603,11 @@ def _rho_star(rho_eps: str, plus_tree: str, side: str, A: Tree, j: int) -> RhoSt
     return RhoStarRecord("rho_star", eps, args, plus_tree, rho_eps, _RHO_BOUNDARY[side])
 
 
-# Reading a stack holds its whole chain of sections at once, one tuple of the
-# whole tree per section (the stack it returns holds none), so its memory
-# grows with the square of the tree.  `globwork cyl stack` in a fresh process
-# on a 2-core Xeon VM, at 1001 nodes: 0.22-0.25 s and 48 MB (--k 1, 1000
-# leaves) and 0.38-0.56 s and 70-82 MB (--k 2, [[][]] or [[]] branches); at
-# 2001: 0.64 s and 142 MB (--k 1) and 1.12-1.76 s and 229-277 MB (--k 2).
+# Reading a stack keeps one state at a time, but the plus trees of its
+# rho_star records are as long as the tree, so its output grows with the
+# square of the tree.  `globwork cyl stack` in a fresh process on a 2-core
+# Xeon VM, at 1001 nodes: 0.08-0.13 s and 18 MB (--k 1, 1000 leaves) and
+# 0.28-0.37 s and 20 MB (--k 2, 500 [[]] branches).
 MAX_STACK_NODES = 1001
 
 
@@ -697,58 +684,56 @@ def stack(ρ: ThetaMap, th: TheoryPresentation):
 
 
 def _read(k: int, A: Tree) -> tuple:
-    """The squares of the stack of (k, A), read off its chain of sections:
-    the edge texts of their two sections, and per side ("s", then "t";
-    none at k = 1) its record and its degenerate flag.  It checks that each
-    side's corners agree with its degenerate flag."""
-    exts, span = linearization(A), _spans(A)
-    chain = list(_section_chain(exts, span))
+    """The squares of the stack of (k, A), one per extension: square i runs
+    from square i-1's bottom state (pre at i = 0) to ``_after`` its sector.
+    At k = 2 a side is degenerate by ``_DEGENERATE``, else a coherence cell
+    at the root or ρ restricted in a root branch, and its corners must agree
+    with its degenerate flag."""
     p = A.arity
-    states = [_state(s, A, span) for s in chain]
-    texts = [_render(state, p, "") for state in states]
     bt = tree_boundary(A) if tree_dim(A) else A
     rho_eps = render(homogeneous_op(k - 1, bt if tree_dim(A) == k else A))
     plus_trees = {}
-    sides = [[(None, False)] * len(exts) for _ in range(2)]
-    for side, values in zip(("s", "t") if k >= 2 else (), sides):
-        on_boundary = operator.itemgetter(
-            *range(p + 1), *(span[(i,)][0] + (side == "t") * b.arity for i, b in enumerate(A.children))
-        )
-        bound = [on_boundary(s) for s in chain]
-        corner = [_corner(state, side) for state in states]
-        for i, ext in enumerate(exts):
-            degenerate = bound[i] == bound[i + 1]
-            if (corner[i] == corner[i + 1]) != degenerate:
-                what = "source" if side == "s" else "target"
-                raise TypingError(f"{what} corner mismatch at square {i}")
-            sector = ext.sector
+    squares, top = [], ("pre",)
+    for i, ext in enumerate(linearization(A)):
+        sector, bottom = ext.sector, _after(ext.sector)
+        records, flags = [None, None], [False, False]
+        for n, side in enumerate(("s", "t") if k >= 2 else ()):
+            corners = _corner(top, side), _corner(bottom, side)
+            flags[n] = degenerate = ext.klass in _DEGENERATE[side]
+            if (corners[0] == corners[1]) != degenerate:
+                raise TypingError(f"{'source' if side == 's' else 'target'} corner mismatch at square {i}")
             if degenerate:
-                values[i] = (None, True)
-            elif not sector.path:
-                values[i] = (CohRecord("coh", *(_render(c, p, side) for c in corner[i : i + 2])), False)
+                continue
+            if not sector.path:
+                records[n] = CohRecord("coh", *(_render(c, p, side) for c in corners))
             else:
                 plus = _reapplied(bt, sector)
                 if plus not in plus_trees:
                     plus_trees[plus] = str(insert_at(bt, plus))
-                values[i] = (_rho_star(rho_eps, plus_trees[plus], side, A, sector.path[0] + 1), False)
-    return tuple(
-        StackSquare(i, ext, texts[i], texts[i + 1], left, right, source_degenerate, target_degenerate)
-        for i, (ext, (left, source_degenerate), (right, target_degenerate)) in enumerate(zip(exts, *sides))
-    )
+                records[n] = _rho_star(rho_eps, plus_trees[plus], side, A, sector.path[0] + 1)
+        squares.append(StackSquare(i, ext, _render(top, p, ""), _render(bottom, p, ""), *records, *flags))
+        top = bottom
+    return tuple(squares)
 
 
 def _side_kind(degenerate: bool, record) -> str:
     return "degenerate" if degenerate else "coh" if record is None else record.kind
 
 
+def _bare(sq) -> bool:
+    # only a k = 1 square has a side with neither a record nor a degenerate flag
+    return sq.left is None and not sq.source_degenerate
+
+
 def vcompose_meta(squares) -> dict:
     """Bookkeeping for the vertical composite of a compatible stack, whose
-    squares follow each other in one stack: the sections of a chain are
-    pairwise distinct, so these are the squares whose sections meet."""
+    squares follow each other in one stack: one tree, one k and consecutive
+    indices.  These are the squares whose sections meet, as the sections of
+    a chain are pairwise distinct (the tests check both)."""
     if not squares:
         raise DomainError("empty stacks have no composite")
     for a, b in zip(squares, squares[1:]):
-        if b.element.base is not a.element.base or b.index != a.index + 1:
+        if b.element.base is not a.element.base or b.index != a.index + 1 or _bare(a) != _bare(b):
             raise DomainError(f"stack is not composable between squares {a.index} and {b.index}")
     return {
         "top": squares[0].top,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 
+from .errors import DomainError
 from .trees import Tree
 from .globsets import realize
 
@@ -151,6 +152,8 @@ def pasting_complex(t: Tree) -> PastingComplex:
 
 def enumerate_cells(t: Tree, k: int, bound=2):
     """All k-cells of the free strict omega-category on the scheme of t."""
+    if k < 0:
+        raise DomainError(f"cells have dimension at least 0, got {k}")
     K = pasting_complex(t)
     zeros = K.atoms[0]
     cells = []

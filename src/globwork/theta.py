@@ -393,7 +393,10 @@ def hom(S: Tree, T: Tree) -> HomSet:
 def leaf_inclusion(t: Tree, leaf_index: int) -> ThetaMap:
     """The colimit inclusion of the leaf's globe into the sum: the leaf's
     one cell."""
-    return cell_inclusion(t, (leaf_paths(t)[leaf_index], 0))
+    paths = leaf_paths(t)
+    if leaf_index not in range(len(paths)):
+        raise DomainError(f"leaf {leaf_index} out of range for {t}, which has {len(paths)}")
+    return cell_inclusion(t, (paths[leaf_index], 0))
 
 
 def cell_inclusion(t: Tree, cell) -> ThetaMap:
@@ -420,9 +423,12 @@ def is_globular(f: ThetaMap) -> bool:
 
 
 def glob_top_image(f: ThetaMap):
-    """Image cell of the top generator under a globular globe-sourced map."""
+    """Image cell of the top generator under a globular globe-sourced map,
+    checked level by level: a globe's one branch spans exactly one gap."""
     if f.source.is_leaf:
         return ((), f.phi[0])
+    if f.source.arity != 1 or len(f.components[0]) != 1:
+        raise DomainError(f"the top image needs a globular map out of a globe, not {f}")
     sub_path, sub_gap = glob_top_image(f.components[0][0])
     return ((f.phi[0],) + sub_path, sub_gap)
 

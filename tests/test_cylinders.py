@@ -273,13 +273,22 @@ def section_by_faces(incl, side, x):
     return image
 
 
+def section_chain(A):
+    """The chain of sections of A's ordered extensions, walked by the sum
+    cylinder's ``_image_chain`` with a reader that keeps the pair: each
+    section holds one (side, depth) per cell x of A in preorder, standing
+    for lax(side, x, depth)."""
+    walk = cyl._image_chain(tree_mod.cells(A), linearization(A), cyl._spans(A), lambda side, x, d: (side, d))
+    return [tuple(section) for section in walk]
+
+
 def test_section_chain_is_the_inclusions_on_the_theta_faces():
     trees = [A for A in all_trees(9) if 1 <= dim(A) <= 2]
     assert len(trees) == 255
     for A in trees:
         S = cyl.cyl_glob_sum(A, TH)
         cells = tree_mod.cells(A)
-        chain = list(cyl._section_chain(linearization(A), cyl._spans(A)))
+        chain = section_chain(A)
         assert chain[0] == (("u", 0),) * len(cells) and chain[-1] == (("v", 0),) * len(cells)
         assert len(chain) == len(S.inclusions) + 1
         for i, incl in enumerate(S.inclusions):
@@ -394,7 +403,7 @@ def test_the_chain_check_catches_a_swapped_image(monkeypatch):
         cells = tree_mod.cells(A)
         read = {
             (side, x, d)
-            for section in cyl._section_chain(linearization(A), cyl._spans(A))
+            for section in section_chain(A)
             for x, (side, d) in zip(cells, section)
         }
         for side, x, d in sorted(read):
@@ -470,63 +479,63 @@ def test_verify_inclusion_needs_every_cell():
 # ---------------------------------------------------------------------------
 # stacks
 
-def square_states_by_class(ext, p: int):
-    """Top and bottom edge states of the square attached to one extension,
-    by a case analysis on its class."""
-    klass = ext.klass
-    sector = ext.sector
-    if klass == tree_mod.H1_RIGHT:
-        return ("pre",), (("btau", p) if p > 0 else ("post",))
-    if klass == tree_mod.H1_LEFT:
-        return ("bsig", 1), ("post",)
-    if klass == tree_mod.H1_MID:
-        q = sector.gap
-        return ("bsig", q + 1), ("btau", q)
-    j = sector.path[0] + 1
-    if klass == tree_mod.H2_OVER_EDGE:
-        return ("btau", j), ("bsig", j)
-    if klass == tree_mod.H2_MAX:
-        return ("btau", j), ("mid", j, sector.gap)
-    if klass == tree_mod.H2_MIN:
-        return ("mid", j, 0), ("bsig", j)
-    if klass == tree_mod.H2_MID:
-        return ("mid", j, sector.gap), ("mid", j, sector.gap)
-    # H3 over the r-th cell
-    r = sector.path[1] + 1
-    return ("mid", j, r), ("mid", j, r - 1)
+def section_state(section, A, span):
+    """The typed edge state of a section.  With m of the root's p+1 points
+    on u it is pre (m = p+1) or post (m = 0); else it crosses in root branch
+    j = m and is btau j (bsig j) when the whole branch is at ("u", 1)
+    (("v", 1)), otherwise mid j r with r of the branch's leaves on u."""
+    p = A.arity
+    m = section[: p + 1].count(("u", 0))
+    if m == p + 1:
+        return ("pre",)
+    if m == 0:
+        return ("post",)
+    start, stop = span[(m - 1,)]
+    branch = section[start:stop]
+    for kind, pair in (("btau", ("u", 1)), ("bsig", ("v", 1))):
+        if branch.count(pair) == stop - start:
+            return (kind, m)
+    leaves = branch[A.children[m - 1].arity + 1 :]
+    return ("mid", m, [side for side, _ in leaves].count("u"))
 
 
-# per side: the classes whose square is degenerate there, and the class
-# whose side restricts rho through the block's first (s) or last (t) cell
-DEGENERATE_KLASSES = {
-    "s": (tree_mod.H2_MAX, tree_mod.H2_MID, tree_mod.H3),
-    "t": (tree_mod.H2_MIN, tree_mod.H2_MID, tree_mod.H3),
-}
-EXTREME_KLASS = {"s": tree_mod.H2_MIN, "t": tree_mod.H2_MAX}
+def boundary_cells(A, span, side):
+    """The preorder positions of A's cells on its source (s) or target (t)
+    boundary at dim <= 2: the root's points and each root branch's first
+    (s) or last (t) 1-cell."""
+    return [*range(A.arity + 1), *(span[(i,)][0] + (side == "t") * b.arity for i, b in enumerate(A.children))]
 
 
-def stack_by_class(rho):
-    """Per square: its states, degenerate flags and each side's kind with its
-    arguments (rho_star) or its rendered corners (coh), by the class table."""
-    A, k = rho.target, dim(rho.source)
+def stack_by_sections(k, A):
+    """Per square: its edge texts and bottom state, its degenerate flags and
+    each side's kind with its rendered corners (coh) or its arguments
+    (rho_star), read off the chain of sections.  Square i runs from section
+    i to section i+1.  At k = 2 its side ε is degenerate when the two
+    sections agree on A's ε-boundary cells; otherwise it is a coherence
+    cell when a root point moves, and else it restricts rho through the one
+    boundary 1-cell that moves, the branch's cell F_j or a_j.gap."""
+    span, cells = cyl._spans(A), tree_mod.cells(A)
+    chain = section_chain(A)
+    states = [section_state(section, A, span) for section in chain]
     squares = []
-    for ext in linearization(A):
-        top, bottom = square_states_by_class(ext, A.arity)
-        degenerate = {side: k >= 2 and ext.klass in DEGENERATE_KLASSES[side] for side in "st"}
-        sides = {side: None for side in "st"}
-        for side in "st" if k >= 2 else ():
-            if degenerate[side]:
-                continue
-            j = ext.sector.path[0] + 1 if ext.sector.path else None
-            if ext.klass == tree_mod.H2_OVER_EDGE:
-                sides[side] = ("rho_star", f"(d{side}U_<{j}, d{side}V_>{j}, F_{j})")
-            elif ext.klass == EXTREME_KLASS[side]:
-                gap = 0 if side == "s" else A.children[j - 1].arity
-                sides[side] = ("rho_star", f"(d{side}U_<{j}, a_{j}.{gap}, d{side}V_>{j})")
+    for i, (before, after) in enumerate(zip(chain, chain[1:])):
+        flags, records = [False, False], [None, None]
+        for n, side in enumerate("st" if k >= 2 else ""):
+            moved = [cells[c] for c in boundary_cells(A, span, side) if before[c] != after[c]]
+            if not moved:
+                flags[n] = True
+            elif any(not path for path, _ in moved):
+                corners = (cyl._render(cyl._corner(state, side), A.arity, side) for state in states[i : i + 2])
+                records[n] = ("coh", *corners)
             else:
-                src, tgt = (cyl._render(cyl._corner(state, side), A.arity, side) for state in (top, bottom))
-                sides[side] = ("coh", src, tgt)
-        squares.append((top, bottom, degenerate["s"], degenerate["t"], sides["s"], sides["t"]))
+                ((path, gap),) = moved
+                j = path[0] + 1
+                if A.children[j - 1].is_leaf:
+                    records[n] = ("rho_star", f"(d{side}U_<{j}, d{side}V_>{j}, F_{j})")
+                else:
+                    records[n] = ("rho_star", f"(d{side}U_<{j}, a_{j}.{gap}, d{side}V_>{j})")
+        top, bottom = (cyl._render(state, A.arity, "") for state in states[i : i + 2])
+        squares.append((top, bottom, states[i + 1], *flags, *records))
     return squares
 
 
@@ -538,7 +547,9 @@ def side_summary(record):
     return ("rho_star", record.args)
 
 
-def test_stack_matches_the_class_table():
+def test_stack_matches_the_chain_of_sections():
+    # the stack is read off the extensions' sectors and classes; the chain
+    # of sections is the oracle for its states, degenerate sides and records
     stacks = 0
     for A in all_trees(9):
         if dim(A) > 2:
@@ -547,12 +558,11 @@ def test_stack_matches_the_class_table():
             rho = homogeneous_op(k, A)
             if rho is None:
                 continue
-            span = cyl._spans(A)
-            chain = list(cyl._section_chain(linearization(A), span))
             got = [
                 (
-                    cyl._state(chain[sq.index], A, span),
-                    cyl._state(chain[sq.index + 1], A, span),
+                    sq.top,
+                    sq.bottom,
+                    cyl._after(sq.element.sector),
                     sq.source_degenerate,
                     sq.target_degenerate,
                     side_summary(sq.left),
@@ -560,9 +570,10 @@ def test_stack_matches_the_class_table():
                 )
                 for sq in cyl.stack(rho, TH)
             ]
-            assert got == stack_by_class(rho), (k, A)
+            assert got == stack_by_sections(k, A), (k, A)
             stacks += 1
     assert stacks == 265
+
 
 def test_stack_nine_tree_cases_and_order():
     rho = homogeneous_ops(NINE_TREE, 2)
@@ -651,10 +662,10 @@ def test_stack_point():
 
 
 def test_stack_corner_mismatch_is_a_typing_error(monkeypatch):
-    # states that ignore the sections disagree with the degenerate flags; the
+    # states that ignore the sectors disagree with the degenerate flags; the
     # check runs when a reading is made, so the stack is read cold
     monkeypatch.setattr(cyl, "_readings", cyl._Readings(cyl.MAX_READING_NODES))
-    monkeypatch.setattr(cyl, "_state", lambda section, A, span: ("pre",))
+    monkeypatch.setattr(cyl, "_after", lambda sector: ("pre",))
     with pytest.raises(TypingError):
         cyl.stack(homogeneous_ops(NINE_TREE, 2)[0], TH)
     assert not cyl._readings.entries
@@ -824,13 +835,26 @@ def test_vcompose_rejects_shuffled():
         cyl.vcompose_meta([squares[0], other[1]])
 
 
+def test_vcompose_refuses_squares_of_two_k():
+    # square 0 of the k = 1 stack and square 1 of the k = 2 stack on one tree
+    # share their tree and follow in index, but only a k = 1 square has a
+    # side with neither a record nor a degenerate flag
+    A = parse_tree("[[][]]")
+    one, two = (cyl.stack(homogeneous_op(k, A), TH) for k in (1, 2))
+    for pair in ([one[0], two[1]], [two[0], one[1]]):
+        with pytest.raises(DomainError, match="^stack is not composable between squares 0 and 1$"):
+            cyl.vcompose_meta(pair)
+    assert cyl.vcompose_meta(one[:2])["source_record"] == ("coh", "coh")
+    assert cyl.vcompose_meta(two[:2])["source_record"] == ("coh", "rho_star")
+
+
 def test_sections_of_a_chain_are_pairwise_distinct():
     # so two squares of one stack share a section exactly when they are
     # adjacent, which is what vcompose_meta reads
     chains = 0
     for A in all_trees(9):
         if dim(A) <= 2:
-            chain = list(cyl._section_chain(linearization(A), cyl._spans(A)))
+            chain = section_chain(A)
             assert len(set(chain)) == len(chain) == 2 * A.n_nodes(), A
             chains += 1
     assert chains == 256
@@ -843,7 +867,7 @@ def test_vcompose_accepts_the_pairs_whose_sections_meet():
     for A in all_trees(9):
         if dim(A) > 2:
             continue
-        chain = list(cyl._section_chain(linearization(A), cyl._spans(A)))
+        chain = section_chain(A)
         for k in (1, 2):
             rho = homogeneous_op(k, A)
             if rho is None:

@@ -52,7 +52,7 @@ def test_readme_layering_claims():
     assert imports["computads"] == {"errors"}
     assert imports["trees"] == {"errors"}
     # the chain-model oracle stays independent of the wreath encoding
-    assert imports["steiner"] == {"globsets", "trees"}
+    assert imports["steiner"] == {"errors", "globsets", "trees"}
     # the cylinders read the tower type alone from the term calculus, and
     # the term calculus three names from the formal cells
     assert names_imported(SRC / "cylinders.py", "theory") == {"TheoryPresentation"}

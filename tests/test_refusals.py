@@ -7,6 +7,7 @@ import pytest
 
 from globwork import cylinders as cyl
 from globwork import globsets as gs
+from globwork import steiner
 from globwork import theory as T
 from globwork.computads import Computad, fcomp, fvar, fwhisker, typecheck
 from globwork.errors import AdmissibilityError, DomainError, TypingError
@@ -17,6 +18,7 @@ from globwork.theta import (
     boundary_maps,
     face_theta,
     filler,
+    glob_top_image,
     identity,
     is_admissible_categorical,
     is_admissible_groupoidal,
@@ -105,6 +107,12 @@ REFUSALS = [
     ("assemble-join", lambda: assemble(TWO, TWO, [leaf_inclusion(TWO, 1), leaf_inclusion(TWO, 0)]),
      TypingError, "adjacent blocks do not share their joining 0-cell"),
     ("steiner", lambda: to_steiner_cell(identity(TWO)), DomainError, "only globe-sourced maps are cells"),
+    ("top-image", lambda: glob_top_image(ThetaMap(globe(1), globe(1), (0, 0), ((),))),
+     DomainError, "the top image needs a globular map out of a globe, not [[]]->[[]]:(0,0)"),
+    ("leaf-past-the-last", lambda: leaf_inclusion(TWO, 5), DomainError, "leaf 5 out of range for [[][]], which has 2"),
+    ("leaf-negative", lambda: leaf_inclusion(TWO, -1), DomainError, "leaf -1 out of range for [[][]], which has 2"),
+    # steiner
+    ("cells-dimension", lambda: steiner.count_cells(TWO, -1), DomainError, "cells have dimension at least 0, got -1"),
     # trees
     ("table-boundary", lambda: boundary_table_oracle(LEAF), DomainError, "the point has no boundary"),
     # globsets
