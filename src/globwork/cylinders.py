@@ -15,27 +15,25 @@ whiskered by the c's over its target faces, to lax(v, x), v(x) whiskered by
 the c's over its source faces.  The c's over points, 1-cells and 2-cells
 are the sides, seams and fillers.  The ordered one-vertex extensions of
 the tree give one chain of sections s_ε(i) = incl_{B_i} ∘ δ_ε from the u
-copies to the v copies, with s_τ(i) = s_σ(i+1), and every structural
-inclusion is read off that chain.  The sum cylinder checks the chain when
-it is built, walking one list of images slice by slice, and builds each
-inclusion only when it is read, so its cost is linear in the tree.  The
-stack of a homogeneous operation has one square per extension, composed
-vertically from the whiskered top to the whiskered bottom; the sector and
-class of the extension fix the square's states and degenerate sides.
+copies to the v copies, with s_τ(i) = s_σ(i+1); the structural inclusion
+of B_i is its two sections spliced at the new vertex.  The sum cylinder
+checks the chain when it is built, walking one list of images slice by
+slice, so its cost is linear in the tree; it keeps the extensions, one per
+structural inclusion, and builds no inclusion (the tests build them off
+the same walk).  The stack of a homogeneous operation has one square per
+extension, composed vertically from the whiskered top to the whiskered
+bottom; the sector and class of the extension fix the square's states and
+degenerate sides.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import json
-import operator
 from collections import namedtuple
-from collections.abc import Sequence
 from .errors import DomainError, SizeGuardError, TypingError
 from .trees import (
-    ExtendedTree,
     Tree,
     boundary as tree_boundary,
     cells as tree_cells,
@@ -214,7 +212,7 @@ def degenerate_cyl(k: int, p, q, th: TheoryPresentation) -> Computad:
 
 
 # ---------------------------------------------------------------------------
-# cylinders on globular sums, with the structural inclusions
+# cylinders on globular sums
 
 # The sum cylinder keeps one image per cell of the tree and walks its
 # section chain in slices, so its time and memory are linear in the tree:
@@ -227,9 +225,8 @@ MAX_SUM_NODES = 4001
 
 class SumCylinder(namedtuple("SumCylinder", "tree presentation atoms inclusions")):
     # atoms: (side, cell of the tree) -> generator, side "u", "v" or "c";
-    # inclusions: an `Inclusions`, one per linearization element, each a
-    # dict cell -> FCell built and verified when read; the chain of
-    # sections they are read off is checked when the cylinder is built
+    # inclusions: the linearization as a tuple, one extension per structural
+    # inclusion; their chain of sections is checked when the cylinder is built
     __slots__ = ()
 
 
@@ -252,10 +249,11 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
     connecting cell c(x) : lax(u, x) => lax(v, x).  Generators come for the
     root's points, then for each root branch; within a group the u copies,
     the v copies, then the c's, each in dimension order.  The chain of
-    sections is checked here; the inclusions are built off it when read.
-    Both read the lax cells through ``_lax``, whose one memo, keyed by
-    (side, x, depth), makes each whiskering once, so that they compare lax
-    cells by identity; the memo lives as long as the cylinder's inclusions.
+    sections is checked here, which makes every structural inclusion
+    preserve boundaries.  The generators and the check read the lax cells
+    through ``_lax``, whose one memo, keyed by (side, x, depth), makes each
+    whiskering once, so that the check compares lax cells by identity; the
+    memo lives for the build only.
     """
     if tree_dim(A) > 2:
         raise DomainError("sum cylinders are implemented through dimension 2")
@@ -281,7 +279,7 @@ def cyl_glob_sum(A: Tree, th: TheoryPresentation) -> SumCylinder:
                 atoms[(side, x)] = P.add(_gen_name(A, side, x), n + (side == "c"), *bd)
     exts, span = linearization(A), _spans(A)
     _check_chain(cells, exts, span, lax)
-    return SumCylinder(A, P, atoms, Inclusions(cells, exts, span, lax))
+    return SumCylinder(A, P, atoms, tuple(exts))
 
 
 def _lax(atoms: dict, memo: dict, side: str, x, d: int) -> FCell:
@@ -300,43 +298,6 @@ def _lax(atoms: dict, memo: dict, side: str, x, d: int) -> FCell:
             whiskered = memo[key] = fwhisker(cell, atoms[("c", face(x, e, which))], hand)
         cell = whiskered
     return cell
-
-
-class Inclusions(Sequence):
-    """The structural inclusions of a sum cylinder, one per extension in
-    order, read off the chain of sections that ``_image_chain`` walks from
-    the cells, extensions, spans and cell reader given.  Inclusion i is
-    built when read: the chain is walked to s_σ(i) and s_τ(i), and
-    ``_structural_inclusion`` splices them and verifies the result.  An
-    iteration walks the chain once."""
-
-    __slots__ = ("_cells", "_exts", "_span", "_read")
-
-    def __init__(self, cells, exts, span, read):
-        self._cells, self._exts, self._span, self._read = cells, exts, span, read
-
-    def _chain(self):
-        return _image_chain(self._cells, self._exts, self._span, self._read)
-
-    def __len__(self):
-        return len(self._exts)
-
-    def __getitem__(self, i):
-        i = range(len(self))[operator.index(i)]
-        chain = self._chain()
-        before = list(next(itertools.islice(chain, i, None)))
-        return self._splice(self._exts[i], before, next(chain))
-
-    def __iter__(self):
-        chain = self._chain()
-        before = list(next(chain))
-        for ext, after in zip(self._exts, chain):
-            yield self._splice(ext, before, after)
-            before = list(after)
-
-    def _splice(self, ext, before, after):
-        new = self._read("c", tuple(ext.sector), 0)
-        return _structural_inclusion(ext, self._span, before, after, new)
 
 
 def _spans(t: Tree, path=(), start=0, span=None) -> dict:
@@ -392,11 +353,13 @@ def _check_chain(cells, exts, span, read):
     extension at gap g of node p moves are those of child g-1's and child
     g's subtrees, which it moves too: each section preserves boundaries.
     The inclusion of the extension's scheme B is its two sections spliced
-    at the sector (``_structural_inclusion``).  Every cell outside the
-    moved slices keeps its image, and every other cell of B reads its faces
-    off its own section (p's gaps up to g and its children before g off
-    s_σ, the rest off s_τ), except the new vertex: the only cell of B whose
-    two faces read different sections, gap g of each.
+    at the sector: B's cells in preorder are A's with the sector's gap g
+    doubled and the new vertex, c(p, g), before child g's subtree.  Every
+    cell outside the moved slices keeps its image, and every other cell of
+    B reads its faces off its own section (p's gaps up to g and its
+    children before g off s_σ, the rest off s_τ), except the new vertex:
+    the only cell of B whose two faces read different sections, gap g of
+    each.  The tests build each inclusion this way and check it.
     """
     # the index of each cell's source face in preorder; its target face is next
     faces = [span[path[:-1]][0] + path[-1] if path else None for path, _ in cells]
@@ -411,7 +374,7 @@ def _check_chain(cells, exts, span, read):
         path, gap = x = cells[at]
         new, tgt = read("c", x, 0), images[at]
         if new.src is not src or new.tgt is not tgt:
-            _check_faces("section chain", (path + (gap,), 0), new, src, tgt)
+            _check_faces((path + (gap,), 0), new, src, tgt)
         for a, b, _ in step:
             _check_section(cells, faces, images, a, b)
 
@@ -424,49 +387,14 @@ def _check_section(cells, faces, images, a, b):
         if s is not None:
             cell, src, tgt = images[i], images[s], images[s + 1]
             if cell.src is not src or cell.tgt is not tgt:
-                _check_faces("section chain", cells[i], cell, src, tgt)
+                _check_faces(cells[i], cell, src, tgt)
 
 
-def _check_faces(what, x, cell, src, tgt):
+def _check_faces(x, cell, src, tgt):
     # the lax cells are shared, so the callers pass over an identical
     # boundary, the usual case, without this call
     if not (cell.src is src or cell.src == src) or not (cell.tgt is tgt or cell.tgt == tgt):
-        raise TypingError(f"{what} breaks at {x}: {cell.src} vs {src} / {cell.tgt} vs {tgt}")
-
-
-def _structural_inclusion(ext: ExtendedTree, span, before, after, new) -> dict:
-    """Map the cells of the extension's scheme B into the cylinder, given
-    its sections s_σ, s_τ as formal cells (``before``, ``after``) and c over
-    the sector's cell (``new``), the image of the new vertex.  B's cells in
-    preorder are A's with the sector's gap g doubled and the new vertex
-    before child g's subtree; those before it take s_σ, the rest s_τ."""
-    path, g = ext.sector.path, ext.sector.gap
-    gaps = span[path][0]
-    end = gaps + ext.base.subtree(path).arity + 1
-    cut = span[path + (g - 1,)][1] if g else end
-    B = ext.result
-    cells = tree_cells(B)
-    images = before[: gaps + g + 1] + after[gaps + g : end] + before[end:cut] + [new] + after[cut:]
-    incl = {"extension": ext, "scheme": B, "mapping": dict(zip(cells, images))}
-    _verify_inclusion(incl, cells)
-    return incl
-
-
-def _verify_inclusion(incl, cells):
-    """A structural inclusion must be a map of schemes into formal cells:
-    defined on exactly the cells of its scheme (``cells``), and preserving
-    boundaries."""
-    mapping = incl["mapping"]
-    if mapping.keys() != set(cells):
-        raise TypingError(f"structural inclusion is not defined on exactly the cells of {incl['scheme']}")
-    for x, cell in mapping.items():
-        path = x[0]
-        if path:
-            # the faces of x, trees.face(x, dim x - 1, "s") and "t"
-            node, i = path[:-1], path[-1]
-            src, tgt = mapping[(node, i)], mapping[(node, i + 1)]
-            if cell.src is not src or cell.tgt is not tgt:
-                _check_faces("structural inclusion", x, cell, src, tgt)
+        raise TypingError(f"section chain breaks at {x}: {cell.src} vs {src} / {cell.tgt} vs {tgt}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import collections
+import functools
 import re
 import time
 
@@ -147,21 +148,61 @@ def test_cyl_glob_sum_matches_globe_presentations():
 def test_cyl_glob_sum_nine_tree():
     S = cyl.cyl_glob_sum(NINE_TREE, TH)
     assert len(S.inclusions) == 9
+    assert [incl["extension"] for incl in structural_inclusions(S)] == linearization(NINE_TREE)
     # counts: two copies of the scheme, sides, seams, fillers
     assert S.presentation.counts() == (6, 4 + 4 + 3, 2 + 2 + 4, 2)
 
 
-def test_cyl_glob_sum_inclusions_verified_small():
+def test_cyl_glob_sum_keeps_one_extension_per_inclusion():
     for A in all_trees(6):
         if dim(A) > 2:
             continue
         S = cyl.cyl_glob_sum(A, TH)
+        assert S.inclusions == tuple(linearization(A))
         assert len(S.inclusions) == 2 * A.n_nodes() - 1
 
 
 def test_cyl_glob_sum_rejects_high_dimension():
     with pytest.raises(DomainError):
         cyl.cyl_glob_sum(globe(3), TH)
+
+
+def structural_inclusions(S):
+    """The structural inclusions B -> cyl(A) of the sum cylinder S, one per
+    extension in order, each checked as a map of schemes into formal cells.
+
+    The chain of sections that the sum walks (``cyl._image_chain``) is
+    walked once more, and each extension's two sections s_σ, s_τ are
+    spliced at its sector: B's cells in preorder are A's with the sector's
+    gap g of node p doubled and the new vertex before child g's subtree.
+    The new vertex goes to c over the sector's cell; p's gaps up to g and
+    every cell before them or in p's children before g read s_σ, the rest
+    s_τ."""
+    A = S.tree
+    cells, span = tree_mod.cells(A), cyl._spans(A)
+    read = functools.partial(cyl._lax, S.atoms, {})
+    chain = cyl._image_chain(cells, S.inclusions, span, read)
+    before = list(next(chain))
+    for ext, after in zip(S.inclusions, chain):
+        path, g = ext.sector
+        gaps = span[path][0]
+        end = gaps + A.subtree(path).arity + 1
+        cut = span[path + (g - 1,)][1] if g else end
+        new = read("c", (path, g), 0)
+        images = before[: gaps + g + 1] + after[gaps + g : end] + before[end:cut] + [new] + after[cut:]
+        B = ext.result
+        cells_B = tree_mod.cells(B)
+        assert len(images) == len(cells_B), f"the inclusion of {B} is not defined on exactly its cells"
+        mapping = dict(zip(cells_B, images))
+        for (node, gap), cell in mapping.items():
+            if node:
+                # the faces of the cell, trees.face(x, dim x - 1, "s") and "t";
+                # identity first, as the sum's own check compares
+                src, tgt = mapping[(node[:-1], node[-1])], mapping[(node[:-1], node[-1] + 1)]
+                assert cell.src is src or cell.src == src, (B, node, gap)
+                assert cell.tgt is tgt or cell.tgt == tgt, (B, node, gap)
+        yield {"extension": ext, "scheme": B, "mapping": mapping}
+        before = list(after)
 
 
 def inclusion_by_cases(S, ext):
@@ -236,7 +277,7 @@ def test_structural_inclusions_match_the_case_analysis():
     assert len(trees) == 512
     for A in trees:
         S = cyl.cyl_glob_sum(A, TH)
-        for incl in S.inclusions:
+        for incl in structural_inclusions(S):
             assert incl["mapping"] == inclusion_by_cases(S, incl["extension"]), (A, incl["extension"].sector)
 
 
@@ -291,7 +332,7 @@ def test_section_chain_is_the_inclusions_on_the_theta_faces():
         chain = section_chain(A)
         assert chain[0] == (("u", 0),) * len(cells) and chain[-1] == (("v", 0),) * len(cells)
         assert len(chain) == len(S.inclusions) + 1
-        for i, incl in enumerate(S.inclusions):
+        for i, incl in enumerate(structural_inclusions(S)):
             for side, section in (("s", chain[i]), ("t", chain[i + 1])):
                 for x, (copy, depth) in zip(cells, section, strict=True):
                     assert lax_by_definition(S, copy, x, depth) == section_by_faces(incl, side, x), (A, i, side, x)
@@ -320,12 +361,12 @@ def chain(terms):
     return {name: c for name, c in out.items() if c}
 
 
-def tensor_differential(S, d, side, x):
+def tensor_differential(name, d, side, x):
     """The differential of the basis element (side, x) of I (x) lambda(A) as
-    (generator name, coefficient) pairs, with I the interval c : u -> v and
-    d the differential of lambda(A): d(c (x) x) = dc (x) x - c (x) dx, with
-    dc = v - u, and d(e (x) x) = e (x) dx for e = u, v."""
-    name = {atom: g.name for atom, g in S.atoms.items()}
+    (generator name, coefficient) pairs, with I the interval c : u -> v, d
+    the differential of lambda(A) and ``name`` the generator of each basis
+    element: d(c (x) x) = dc (x) x - c (x) dx, with dc = v - u, and
+    d(e (x) x) = e (x) dx for e = u, v."""
     sx, tx = d.get(x, (None, None))
     if side == "c":
         want = [(name["v", x], 1), (name["u", x], -1)]
@@ -343,6 +384,7 @@ def test_sum_cylinder_is_the_gray_tensor_with_the_interval():
     for A in trees:
         S = cyl.cyl_glob_sum(A, TH)
         d = steiner.pasting_complex(A).d
+        name = {atom: g.name for atom, g in S.atoms.items()}
         gens = S.presentation.gens
         assert len(S.atoms) == len(gens) == 3 * len(tree_mod.cells(A))
         for (side, x), g in S.atoms.items():
@@ -350,7 +392,7 @@ def test_sum_cylinder_is_the_gray_tensor_with_the_interval():
             if g.dim:
                 got = abelianise(g.tgt)
                 got.subtract(abelianise(g.src))
-                assert chain(got.items()) == chain(tensor_differential(S, d, side, x)), (A, side, x)
+                assert chain(got.items()) == chain(tensor_differential(name, d, side, x)), (A, side, x)
             generators += 1
     assert generators == 11526
 
@@ -367,9 +409,9 @@ def test_structural_inclusions_are_chain_maps():
         S = cyl.cyl_glob_sum(A, TH)
         d = steiner.pasting_complex(A).d
         gens = S.presentation.gens
-        basis = {g.name: atom for atom, g in S.atoms.items()}
-        differential = {name: tensor_differential(S, d, *atom) for name, atom in basis.items()}
-        for incl in S.inclusions:
+        name = {atom: g.name for atom, g in S.atoms.items()}
+        differential = {name[atom]: tensor_differential(name, d, *atom) for atom in name}
+        for incl in structural_inclusions(S):
             dB = steiner.pasting_complex(incl["scheme"]).d
             image = {y: abelianise(cell) for y, cell in incl["mapping"].items()}
             for y, f in image.items():
@@ -384,6 +426,124 @@ def test_structural_inclusions_are_chain_maps():
                 assert got == want, (A, incl["extension"].sector, y)
             cells += len(image)
     assert cells == 67324
+
+
+def globe_basis(k, names):
+    """The basis (side, x) of I (x) lambda(D_k), x a cell of the globe D_k,
+    with its generator name: the point, side and top names of ``names``
+    ((u, v, c) triples for gap 0, gap 1 and the top cell) at depth 0 and k,
+    and ``names["seam"]`` over the depth-d cells between, formatted with
+    the depth d and the side s or t of the gap."""
+    basis = {}
+    for x in tree_mod.cells(globe(k)):
+        gap, depth = x[1], len(x[0])
+        if depth == k:
+            row = names["top"]
+        elif depth == 0:
+            row = names["points"][gap]
+        else:
+            row = tuple(fmt.format(d=depth, e=depth + 1, side="st"[gap]) for fmt in names["seam"])
+        basis.update(zip((("u", x), ("v", x), ("c", x)), row))
+    return basis
+
+
+# the generator names of cyl_presentation(k): u(x) is A{d}{s|t} (A{k} at the
+# top cell), v(x) is B..., c over the two points f and g, c over the depth-d
+# cells E{d+1}{s|t} and c over the top cell C; at k = 0 a, b and C
+CYL_NAMES = {
+    0: {"top": ("a", "b", "C")},
+    **{
+        k: {
+            "points": (("A0s", "B0s", "f"), ("A0t", "B0t", "g")),
+            "seam": ("A{d}{side}", "B{d}{side}", "E{e}{side}"),
+            "top": (f"A{k}", f"B{k}", "C"),
+        }
+        for k in (1, 2, 3)
+    },
+}
+# the generator names of degenerate_cyl(k, p, q), before the collapse
+DEGENERATE_NAMES = {
+    1: {"points": (("a", "c", "f"), ("b", "d", "g")), "top": ("alpha", "beta", "C")},
+    2: {
+        "points": (("a", "c", "f"), ("b", "d", "g")),
+        "seam": ("{side}A", "{side}B", "E{side}"),
+        "top": ("A", "B", "C"),
+    },
+}
+
+
+def presentation_differential(P):
+    """[tgt g] - [src g] of each generator g of P, abelianised, by name."""
+    out = {}
+    for g in P.gens.values():
+        got = abelianise(g.tgt) if g.dim else collections.Counter()
+        if g.dim:
+            got.subtract(abelianise(g.src))
+        out[g.name] = chain(got.items())
+    return out
+
+
+def assert_squares_to_zero(differential):
+    for name, dx in differential.items():
+        ddx = chain((h, c * e) for g, c in dx.items() for h, e in differential[g].items())
+        assert ddx == {}, (name, ddx)
+
+
+def test_cylinder_presentations_are_their_chain_complexes():
+    # Abelianised (a composite is the sum of its parts, a whiskering its
+    # higher argument, a unit 0), cyl_presentation(k) is the Gray tensor
+    # complex I (x) lambda(D_k) under the name table CYL_NAMES, boundary_cyl(k)
+    # is that complex without c over the top cell, and degenerate_cyl(k, p, q)
+    # is its quotient by the collapsed sides: p (q) collapses the source
+    # (target) p-cell (q-cell) of D_k and its faces x, so c (x) x goes to 0
+    # and v (x) x to u (x) x.  The paper states no complex for the
+    # modification, so for it the test checks only the counts and dd = 0.
+    for k in range(4):
+        basis = globe_basis(k, CYL_NAMES[k])
+        d = steiner.pasting_complex(globe(k)).d
+        want = {name: chain(tensor_differential(basis, d, *atom)) for atom, name in basis.items()}
+        assert_squares_to_zero(want)
+        P = cyl.cyl_presentation(k, TH)
+        assert presentation_differential(P) == want, k
+        if k:
+            P, _ = cyl.boundary_cyl(k, TH)
+            got = presentation_differential(P)
+            assert got == {name: dx for name, dx in want.items() if name != "C"}, k
+            assert P.counts() == {1: (4, 4), 2: (4, 6, 4), 3: (4, 6, 6, 4)}[k]
+            assert_squares_to_zero(got)
+    quotients = 0
+    for k in (1, 2):
+        d = steiner.pasting_complex(globe(k)).d
+        for p in (None, *range(k)):
+            for q in (None, *range(k)):
+                collapsed = {
+                    x
+                    for n, gap in ((p, 0), (q, 1))
+                    if n is not None
+                    for x in tree_mod.cells(globe(k))
+                    if len(x[0]) < n or x == ((0,) * n, gap)
+                }
+                basis = globe_basis(k, DEGENERATE_NAMES[k])
+                for x in collapsed:
+                    basis["v", x], basis["c", x] = basis["u", x], None
+                want = {}
+                for atom, name in basis.items():
+                    if name is not None:
+                        dx = chain((g, c) for g, c in tensor_differential(basis, d, *atom) if g is not None)
+                        # v (x) x and u (x) x of a collapsed x must agree
+                        assert want.setdefault(name, dx) == dx, (k, p, q, atom)
+                P = cyl.degenerate_cyl(k, p, q, TH)
+                got = presentation_differential(P)
+                assert got == want, (k, p, q)
+                dims = collections.Counter(P.gens[name].dim for name in want)
+                assert P.counts() == tuple(dims[n] for n in range(k + 2)), (k, p, q)
+                assert_squares_to_zero(got)
+                quotients += 1
+    assert quotients == 13
+    for k, counts in enumerate(((2, 2, 1), (4, 6, 4, 1), (4, 8, 8, 4))):
+        P, _ = cyl.modification_presentation(k, TH)
+        assert P.counts() == counts
+        assert_squares_to_zero(presentation_differential(P))
 
 
 def walk_with(monkeypatch, wrong, walk=cyl._check_chain):
@@ -433,47 +593,12 @@ def test_the_chain_check_catches_a_new_vertex_off_by_one_gap(monkeypatch):
     assert extensions == 76
 
 
-def test_inclusions_are_read_on_demand(monkeypatch):
-    # each inclusion read, by iteration or by index, is verified as it is built
-    verified = []
-    verify = cyl._verify_inclusion
-    monkeypatch.setattr(cyl, "_verify_inclusion", lambda incl, cells: verified.append(incl) or verify(incl, cells))
-    S = cyl.cyl_glob_sum(NINE_TREE, TH)
-    assert verified == []
-    inclusions = list(S.inclusions)
-    assert len(S.inclusions) == len(inclusions) == 9
-    assert [S.inclusions[i] for i in range(-9, 9)] == inclusions * 2
-    assert verified == inclusions * 3
-    assert [incl["extension"] for incl in inclusions] == linearization(NINE_TREE)
-    for i in (9, -10):
-        with pytest.raises(IndexError):
-            S.inclusions[i]
-
-
 def test_sum_cylinders_scale_linearly():
-    # the chain of sections is walked in slices and an inclusion is built
-    # only when read: 0.2-0.3 s and about 0.003 s on a 2-core Xeon VM
+    # the chain of sections is walked in slices: 0.2-0.3 s on a 2-core Xeon VM
     start = time.perf_counter()
     S = cyl.cyl_glob_sum(Tree((LEAF,) * 4000), TH)
     assert time.perf_counter() - start < 3.0
     assert len(S.inclusions) == 8001
-    S = cyl.cyl_glob_sum(Tree((LEAF,) * 400), TH)
-    start = time.perf_counter()
-    incl = S.inclusions[400]
-    assert time.perf_counter() - start < 0.25
-    assert len(incl["mapping"]) == len(tree_mod.cells(incl["scheme"])) == 803
-
-
-def test_verify_inclusion_needs_every_cell():
-    S = cyl.cyl_glob_sum(NINE_TREE, TH)
-    for incl in S.inclusions:
-        cells = tree_mod.cells(incl["scheme"])
-        cyl._verify_inclusion(incl, cells)
-        for cell in list(incl["mapping"]):
-            partial = dict(incl["mapping"])
-            del partial[cell]
-            with pytest.raises(TypingError):
-                cyl._verify_inclusion({**incl, "mapping": partial}, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ PYTHONHASHSEED 1 and 2 and compares the bytes with the goldens and the
 in-process report, so no output may follow the iteration order of a set
 of strings or tuples.
 
-The whiskering sums, the coherence-cylinder boundary pairs and the
-division and promotion composites are constructions no package command
-calls, so their generators live in the test modules beside their tests:
-``coherence_boundary`` in tests/test_cylinders.py, and ``whisker_sum``,
+The whiskering sums, the coherence-cylinder boundary pairs, the sum
+cylinders' structural inclusions and the division and promotion composites
+are constructions no package command calls, so their generators live in
+the test modules beside their tests: ``coherence_boundary`` and
+``structural_inclusions`` in tests/test_cylinders.py, and ``whisker_sum``,
 ``division_term`` and ``promote_inverse_term`` in tests/test_theory.py.
 
 Regenerate only for an intended change of output:
@@ -46,7 +47,7 @@ from globwork.errors import DomainError
 from globwork.theory import groupoidalize, standard_library
 from globwork.theta import hom, is_homogeneous
 from globwork.trees import all_trees, dim, globe
-from test_cylinders import coherence_boundary
+from test_cylinders import coherence_boundary, structural_inclusions
 from test_globsets import cyclic_checklist
 from test_theory import division_term, promote_inverse_term, whisker_sum
 
@@ -170,7 +171,7 @@ def _sum_cylinders():
         S = cyl.cyl_glob_sum(A, th)
         maps = "".join(
             f"{i} {path} {gap}: {cell}\n"
-            for i, incl in enumerate(S.inclusions)
+            for i, incl in enumerate(structural_inclusions(S))
             for (path, gap), cell in sorted(incl["mapping"].items())
         )
         lines.append(
