@@ -6,19 +6,42 @@ boundaries when the operation is an opaque chosen filler), and unbiased
 codimension-1 composites.  Composites are normalized by flattening and unit
 removal, which is the working notion of "omitting bracketings" used
 throughout.
+
+Every ``FCell`` is typed at its own level when it is made, so it is typed all
+the way down, and ``Computad.add`` checks only a new generator's name and that
+it has a boundary.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from .errors import TypingError
+from .errors import DomainError, TypingError
 
 UNIT = "1"
 
 
-class FCell(namedtuple("FCell", "kind name args dim src tgt", defaults=("", (), 0, None, None))):
+class FCell(namedtuple("FCell", "kind name args dim src tgt")):
     # kind is "var", "op" or "comp"
     __slots__ = ()
+
+    def __new__(cls, kind, name="", args=(), dim=0, src=None, tgt=None):
+        cell = tuple.__new__(cls, (kind, name, args, dim, src, tgt))
+        if dim < 0:
+            raise TypingError(f"{cell} has negative dimension {dim}")
+        if dim == 0:
+            if src is not None or tgt is not None:
+                raise TypingError(f"{cell} is a 0-cell with a boundary")
+        elif src is None or tgt is None:
+            raise TypingError(f"{cell} lacks a boundary")
+        elif src.dim != dim - 1 or tgt.dim != dim - 1:
+            raise TypingError(f"{cell} has off-dimension boundary")
+        elif dim >= 2 and (src.src, src.tgt) != (tgt.src, tgt.tgt):  # identity first, then ==
+            raise TypingError(f"{cell} has a non-parallel boundary pair")
+        return cell
+
+    @classmethod
+    def _make(cls, iterable):  # and so _replace
+        return cls(*iterable)
 
     def __str__(self):
         if self.kind == "var":
@@ -70,6 +93,8 @@ def fcomp(parts) -> FCell:
 def fwhisker(cell: FCell, edge: FCell, side: str) -> FCell:
     """Whisker a cell by a lower- or equal-dimensional edge on its target
     ("r") or source ("l") side; the pair keeps its left-to-right order."""
+    if side not in ("l", "r"):
+        raise DomainError(f"whiskering side must be 'l' or 'r', got {side!r}")
     if cell.dim < 1 or edge.dim < 1 or cell.dim < edge.dim:
         raise TypingError("whiskering needs positive compatible dimensions")
     if edge.is_unit:
@@ -84,28 +109,6 @@ def fwhisker(cell: FCell, edge: FCell, side: str) -> FCell:
         fwhisker(cell.src, edge, side),
         fwhisker(cell.tgt, edge, side),
     )
-
-
-def typecheck(cell: FCell, gens=None):
-    """Boundary sanity: dims drop by one and higher boundaries are parallel.
-
-    The walk stops at a ``var`` cell that is (by identity) one of ``gens``,
-    the generators of a computad: each was checked when it was added.
-    """
-    if gens is not None and cell.kind == "var" and gens.get(cell.name) is cell:
-        return
-    if cell.dim > 0:
-        if cell.src is None or cell.tgt is None:
-            raise TypingError(f"{cell} lacks a boundary")
-        if cell.src.dim != cell.dim - 1 or cell.tgt.dim != cell.dim - 1:
-            raise TypingError(f"{cell} has off-dimension boundary")
-        if cell.dim >= 2:
-            if cell.src.src != cell.tgt.src or cell.src.tgt != cell.tgt.tgt:
-                raise TypingError(f"{cell} has a non-parallel boundary pair")
-        typecheck(cell.src, gens)
-        typecheck(cell.tgt, gens)
-    for a in cell.args:
-        typecheck(a, gens)
 
 
 def rename(cell: FCell, mapping: dict) -> FCell:
@@ -135,9 +138,7 @@ class Computad:
             raise TypingError(f"duplicate generator {name!r}")
         if dim > 0 and (src is None or tgt is None):
             raise TypingError(f"positive-dimensional generator {name!r} needs a boundary")
-        cell = fvar(name, dim, src, tgt)
-        typecheck(cell, self.gens)
-        self.gens[name] = cell
+        cell = self.gens[name] = fvar(name, dim, src, tgt)
         self.order.append(name)
         return cell
 
@@ -150,10 +151,6 @@ class Computad:
         for c in self.gens.values():
             out[c.dim] += 1
         return tuple(out)
-
-    def typecheck(self):
-        for c in self.gens.values():
-            typecheck(c)
 
     def to_json(self):
         return {

@@ -230,11 +230,14 @@ def test_criterion_8_cylinder_presentations():
         bd, data = cyl.boundary_cyl(1, th)
         assert bd.counts() + (0,) == (4, 4, 0)
         assert len(data["inclusion_adds"]) == 1
+        # imported here, as test_computads imports this module
+        from test_computads import typecheck
+
         for k in range(3):
             P = cyl.cyl_presentation(k, th)
-            P.typecheck()
+            typecheck(*P.gens.values())
             S = cyl.cyl_glob_sum(globe(k), th)
-            S.presentation.typecheck()
+            typecheck(*S.presentation.gens.values())
             assert find_computad_iso(S.presentation, P) is not None
 
 

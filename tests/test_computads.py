@@ -1,4 +1,6 @@
-"""The computad isomorphism search, against the recursive search it replaced."""
+"""The computad isomorphism search, against the recursive search it
+replaced, and the typing of formal cells, against the recursive walk that
+the constructor's level check replaced."""
 
 import random
 import time
@@ -15,6 +17,39 @@ from globwork.theory import groupoidalize, interval_presentation, standard_libra
 from globwork.trees import LEAF, Tree, all_trees, dim
 
 TH = groupoidalize(standard_library(3))
+
+
+def typecheck(*cells):
+    """Walk every cell under ``cells``, through boundaries and arguments:
+    each has dimension at least 0, a 0-cell has no boundary, a k-cell a
+    (k-1)-cell on each side, and from k = 2 the pair is parallel."""
+    for cell in cells:
+        assert cell.dim >= 0, cell
+        if cell.dim == 0:
+            assert cell.src is None and cell.tgt is None, cell
+        else:
+            assert cell.src.dim == cell.tgt.dim == cell.dim - 1, cell
+            if cell.dim >= 2:
+                assert cell.src.src == cell.tgt.src and cell.src.tgt == cell.tgt.tgt, cell
+            typecheck(cell.src, cell.tgt)
+        typecheck(*cell.args)
+
+
+def test_every_generator_is_typed_all_the_way_down():
+    presentations = [cyl.cyl_presentation(k, TH) for k in range(4)]
+    presentations += [cyl.boundary_cyl(k, TH)[0] for k in range(1, 4)]
+    presentations += [
+        cyl.degenerate_cyl(k, p, q, TH) for k in (1, 2) for p in (None, *range(k)) for q in (None, *range(k))
+    ]
+    presentations += [cyl.modification_presentation(k, TH)[0] for k in range(3)]
+    presentations.append(interval_presentation(TH))
+    # the sum cylinders of criterion 9's family
+    presentations += [
+        cyl.cyl_glob_sum(A, TH).presentation for A in all_trees(9) if dim(A) <= 2 and A.n_leaves() <= 5
+    ]
+    for P in presentations:
+        typecheck(*P.gens.values())
+    assert len(presentations) == 24 + 134
 
 
 def find_computad_iso_by_recursion(P: Computad, Q: Computad):

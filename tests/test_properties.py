@@ -11,7 +11,18 @@ from hypothesis import assume, given, strategies as st
 from test_computads import assert_searches_agree, relabelled
 from test_globsets import as_computad, lift_outcome, orthogonal_by_search
 from test_theory import TWO, random_term
-from globwork.globsets import EMPTY, FinGlobSet, GlobMap, check_orthogonal, factor_bij_ff, random_finglobset, random_globmap
+from globwork.globsets import (
+    EMPTY,
+    FinGlobSet,
+    GlobMap,
+    check_orthogonal,
+    factor_bij_ff,
+    is_m_bijective,
+    is_m_fully_faithful,
+    pad_to,
+    random_finglobset,
+    random_globmap,
+)
 from globwork.theory import standard_library
 from globwork.theta import HomSet, compose, hg_factorize, hom, hom_count, identity, is_globular, is_homogeneous
 from globwork.trees import LEAF, Tree, boundary, boundary_table_oracle, globe, parse_tree
@@ -43,6 +54,25 @@ def finglobsets(draw, max_dim=2, max_cells=4):
         src.append({c: s for c, (s, _) in zip(cells[k], ends)})
         tgt.append({c: t for c, (_, t) in zip(cells[k], ends)})
     return FinGlobSet(n, cells, src, tgt)
+
+
+@st.composite
+def globmaps(draw):
+    """A map between two drawn finite globular sets, padded to one
+    dimension: each cell draws its image from the cells of the codomain over
+    the images of its source and target."""
+    X, Y = draw(finglobsets()), draw(finglobsets())
+    n = max(X.n, Y.n)
+    X, Y = pad_to(X, n), pad_to(Y, n)
+    maps = [{c: draw(st.sampled_from(Y.cells[0])) for c in X.cells[0]}]
+    for k in range(1, n + 1):
+        maps.append({})
+        for c in X.cells[k]:
+            ends = (maps[k - 1][X.src[k][c]], maps[k - 1][X.tgt[k][c]])
+            over = [y for y in Y.cells[k] if (Y.src[k][y], Y.tgt[k][y]) == ends]
+            assume(over)
+            maps[k][c] = draw(st.sampled_from(over))
+    return GlobMap(X, Y, maps)
 
 
 # one strategy object, so hypothesis validates it once
@@ -102,6 +132,13 @@ def test_factorisation_recomposes(f):
     assert compose(fact.homogeneous, fact.globular) == f
     assert is_homogeneous(fact.homogeneous) and is_globular(fact.globular)
     assert is_homogeneous(f) == (fact.globular == identity(f.target))
+
+
+@given(globmaps(), st.integers(0, 3))
+def test_bijective_fully_faithful_factorisation(f, m):
+    h, g = factor_bij_ff(f, m)
+    assert h.then(g) == f
+    assert is_m_bijective(h, m) and is_m_fully_faithful(g, m)
 
 
 @given(st.sampled_from((2, 3)), st.integers(0, 3), st.randoms(use_true_random=True))

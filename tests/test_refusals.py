@@ -9,7 +9,7 @@ from globwork import cylinders as cyl
 from globwork import globsets as gs
 from globwork import steiner
 from globwork import theory as T
-from globwork.computads import Computad, fcomp, fvar, fwhisker, typecheck
+from globwork.computads import Computad, fcomp, fvar, fwhisker
 from globwork.errors import AdmissibilityError, DomainError, TypingError
 from globwork.theory import app_cell, base_theory, glob_cell, single, standard_library, zero_cell_pick
 from globwork.theta import (
@@ -136,10 +136,14 @@ REFUSALS = [
     ("fcomp-empty", lambda: fcomp([]), TypingError, "empty composite"),
     ("fcomp-chain", lambda: fcomp([F, F]), TypingError, "composite chain breaks between f and f"),
     ("fwhisker", lambda: fwhisker(A, F, "r"), TypingError, "whiskering needs positive compatible dimensions"),
-    ("typecheck-dimension", lambda: typecheck(fvar("x", 2, A, B)), TypingError, "x has off-dimension boundary"),
-    ("typecheck-parallel", lambda: typecheck(fvar("x", 2, F, G)), TypingError, "x has a non-parallel boundary pair"),
+    ("fwhisker-side", lambda: fwhisker(F, F, "x"), DomainError, "whiskering side must be 'l' or 'r', got 'x'"),
+    # the level check of the FCell constructor
+    ("typecheck-dimension", lambda: fvar("x", 2, A, B), TypingError, "x has off-dimension boundary"),
+    ("typecheck-parallel", lambda: fvar("x", 2, F, G), TypingError, "x has a non-parallel boundary pair"),
     ("add-twice", twice("a", 0), TypingError, "duplicate generator 'a'"),
     ("add-boundary", lambda: Computad("P").add("f", 1), TypingError, "positive-dimensional generator 'f' needs a boundary"),
+    ("add-negative", lambda: Computad("P").add("x", -1), TypingError, "x has negative dimension -1"),
+    ("add-bounded-point", lambda: Computad("P").add("y", 0, A, B), TypingError, "y is a 0-cell with a boundary"),
     # cylinders
     ("systems", lambda: cyl.cyl_presentation(1, base_theory(3)), DomainError, "cylinder presentations need the composition systems"),
     ("stack-dimension", lambda: cyl.stack(identity(globe(3)), TOWER), DomainError, "stacks are built for operations of dimension 1 and 2"),

@@ -7,7 +7,7 @@ import pytest
 from globwork.errors import AdmissibilityError, DomainError, SizeGuardError, TypingError
 from globwork import globsets as gs
 from globwork import theory as T
-from globwork.computads import Computad, fcomp, fop, funit, fvar, fwhisker, typecheck as ftypecheck
+from globwork.computads import Computad, FCell, fcomp, fop, funit, fvar, fwhisker
 from globwork.theta import (
     ThetaMap,
     cell_inclusion,
@@ -37,6 +37,7 @@ from globwork.theory import (
     whisker,
     zero_cell_pick,
 )
+from test_computads import typecheck
 from test_cylinders import coherence_boundary
 
 TWO = Tree((LEAF, LEAF))
@@ -544,8 +545,7 @@ def test_division_term_shapes():
     assert factors[0].name == "coh" and factors[2].name == "coh"
     factors2, out2 = division_term(2, th)
     assert len(factors2) == 3
-    for cell in factors + [out] + factors2 + [out2]:
-        ftypecheck(cell)
+    typecheck(*factors, out, *factors2, out2)
     with pytest.raises(DomainError):
         division_term(3, th)
 
@@ -555,8 +555,7 @@ def test_promote_inverse_term_shape():
     factors, out = promote_inverse_term(th)
     assert len(factors) == 2
     assert factors[0].name == "wr"
-    for cell in factors + [out]:
-        ftypecheck(cell)
+    typecheck(*factors, out)
     # a comparison from the left inverse k to the right inverse g of f
     x, y = fvar("x", 0), fvar("y", 0)
     f = fvar("f", 1, x, y)
@@ -607,20 +606,20 @@ def test_interval_presentation():
     P = interval_presentation(th)
     assert P.counts() == (2, 3, 2)
     assert P.designated["alpha_1"].name == "f"
-    P.typecheck()
+    typecheck(*P.gens.values())
 
 
 def test_add_checks_a_boundary_that_only_reuses_a_generator_name():
-    # add stops its walk at a generator of the computad, found by identity:
-    # an ill-typed cell under a generator's name is still walked, and fails
+    # a cell named like a generator of the computad is typed where it is
+    # made, so a forged f with no boundary never reaches add
     P = Computad("P")
     a = P.add("a", 0)
     b = P.add("b", 0)
-    P.add("f", 1, a, b)
-    forged = fvar("f", 1)  # named like f, with no boundary
-    with pytest.raises(TypingError):
-        P.add("alpha", 2, forged, forged)
-    assert "alpha" not in P.gens
+    f = P.add("f", 1, a, b)
+    for forge in (lambda: fvar("f", 1), lambda: FCell("var", "f", (), 1), lambda: f._replace(src=None)):
+        with pytest.raises(TypingError, match="^f lacks a boundary$"):
+            P.add("alpha", 2, forge(), f)
+    assert P.order == ["a", "b", "f"] and list(P.gens) == P.order
 
 
 def test_codim_one_inverse_stored_boundary():
